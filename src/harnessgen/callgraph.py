@@ -152,15 +152,3 @@ def path_to_method(graph: CallGraph, target: str) -> list[str]:
         current = nxt
     return path
 
-
-class CallGraphService:
-    """Bound graph queries in the shape the toolbus handlers expect."""
-
-    def __init__(self, graph: CallGraph) -> None:
-        self.graph = graph
-
-    def reach_methods(self, from_id: str, max_depth: int) -> list[dict]:
-        return reach_methods(self.graph, from_id, max_depth)
-
-    def path_to_method(self, target: str) -> list[str]:
-        return path_to_method(self.graph, target)

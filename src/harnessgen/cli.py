@@ -13,13 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-from .code_index import CodeIndex
-from .callgraph import CallGraphService, build, load_facts
 from .config import load_config, validate_config
-from .docs_index import DocsIndex
 from .errors import EngineError
-from .orchestrator import TargetSpec, run_workflow
-from .toolbus import AgentRole, ToolRegistry, register_default_tools
+from .orchestrator import TargetSpec, build_services, run_workflow
+from .toolbus import AgentRole
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -64,34 +61,6 @@ def cmd_run(args) -> int:
     return _OUTCOME_EXITS.get(manifest["outcome"], EXIT_FAILED)
 
 
-def _build_registry(config) -> ToolRegistry:
-    # single source of truth: the same registry the workflow uses
-    if config.adapter.get("sandbox_spec"):
-        from .ecosystem import load_sandbox
-
-        adapter = load_sandbox(config.resolve(config.adapter["sandbox_spec"]))
-        spec = adapter.spec
-        docs = DocsIndex.from_file(spec.docs_bundle)
-        code = CodeIndex.build(spec.source_root)
-        facts = load_facts(spec.facts)
-    else:
-        from .ecosystem import ShellAdapter
-
-        adapter = ShellAdapter(config.adapter["shell"], base_dir=config.base_dir)
-        docs = DocsIndex.from_file(config.resolve(config.target["docs_bundle"]))
-        code = CodeIndex.build(config.resolve(config.target["source_root"]))
-        facts = load_facts(config.resolve(config.target["facts"]))
-    target = TargetSpec.from_config(config)
-    wanted = f"{target.target_class}.{target.target_method}"
-    root = next(
-        (mid for mid in facts.methods if mid == wanted or mid.endswith("." + wanted)),
-        next(iter(facts.methods)),
-    )
-    graph = CallGraphService(build(facts, root, config.depth_limit()))
-    registry = ToolRegistry()
-    return register_default_tools(registry, docs, code, graph, adapter)
-
-
 def cmd_tools(args) -> int:
     try:
         config = _load_validated(args.config, args.set or [])
@@ -102,7 +71,7 @@ def cmd_tools(args) -> int:
         print(f"error: unknown role or invalid config: {args.role}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        registry = _build_registry(config)
+        registry = build_services(config, TargetSpec.from_config(config)).registry
     except EngineError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,13 +11,14 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .callgraph import DEFAULT_DEPTH_LIMIT, LARGE_LIBRARY_DEPTH_LIMIT
 from .errors import EngineError
 from .toolbus import AgentRole
 
 _SIGNATURE_RE = re.compile(r"^\w+\([^()]*\)$")
 
 DEFAULT_BUDGETS = {
-    "depth_limit": 10,
+    "depth_limit": DEFAULT_DEPTH_LIMIT,
     "large_library": False,
     "max_rounds": 5,
     "max_patch_rounds": 3,
@@ -50,7 +51,7 @@ class Config:
     def depth_limit(self) -> int:
         if "depth_limit" in self.budgets:
             return int(self.budgets["depth_limit"])
-        return 5 if self.budget("large_library") else 10
+        return LARGE_LIBRARY_DEPTH_LIMIT if self.budget("large_library") else DEFAULT_DEPTH_LIMIT
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:

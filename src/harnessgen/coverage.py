@@ -55,6 +55,7 @@ class CoverageReport:
         return {
             "scope": self.scope,
             "campaign_seconds": self.campaign_seconds,
+            "dropped_events": self.dropped_events,
             "methods": [
                 {
                     "id": m.id,
@@ -72,6 +73,7 @@ class CoverageReport:
         return cls(
             scope=raw["scope"],
             campaign_seconds=float(raw.get("campaign_seconds", 0.0)),
+            dropped_events=int(raw.get("dropped_events", 0)),
             methods=tuple(
                 MethodCoverage(
                     id=m["id"],

@@ -15,7 +15,7 @@ import re
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .agents import HarnessArtifact
@@ -62,7 +62,6 @@ class FuzzResult:
     crashes: tuple[Crash, ...] = ()
     executions: int = 0
     wall_seconds: float = 0.0
-    timed_out: bool = False
 
 
 def crash_dedup_key(summary: str) -> str:
@@ -218,30 +217,16 @@ class SandboxAdapter:
         self,
         harness: HarnessArtifact,
         duration_seconds: float,
-        seed_corpus: str | None = None,
         scope: str | None = None,
     ) -> FuzzResult:
         started = time.monotonic()
-        scope = scope or self.spec.scope
+        scope = "method_targeted" if (scope or self.spec.scope) == "method_targeted" else "full"
         trace = self.build_trace(harness)
-        if scope == "method_targeted":
-            report = apply_recording_windows(trace)
-        else:
-            # full scope: every event counts regardless of recording windows
-            full_trace = RecordingTrace(
-                events=trace.events,
-                windows=((float("-inf"), float("inf")),),
-                method_totals=trace.method_totals,
-            )
-            filtered = apply_recording_windows(full_trace)
-            report = CoverageReport(
-                scope="full", methods=filtered.methods, dropped_events=filtered.dropped_events
-            )
-        report = CoverageReport(
-            scope=report.scope,
-            methods=report.methods,
-            campaign_seconds=float(duration_seconds),
-            dropped_events=report.dropped_events,
+        if scope == "full":
+            # every event counts regardless of recording windows
+            trace = replace(trace, windows=((float("-inf"), float("inf")),))
+        report = replace(
+            apply_recording_windows(trace), scope=scope, campaign_seconds=float(duration_seconds)
         )
         matched_cov = sum(
             1 for r in self.spec.coverage_rules if _pattern_matches(r.pattern, harness.source)
@@ -317,7 +302,6 @@ class ShellAdapter:
         self,
         harness: HarnessArtifact,
         duration_seconds: float,
-        seed_corpus: str | None = None,
         scope: str | None = None,
     ) -> FuzzResult:
         path = self._write_harness(harness)

@@ -210,10 +210,7 @@ def load_script(path: str | Path) -> ScriptedBackend:
         raise EngineError("PARSE", f"{path}: {exc}") from exc
     turns = []
     for i, entry in enumerate(raw if isinstance(raw, list) else raw.get("turns", [])):
-        calls = [
-            ToolRequest(tool=c["tool"], args=dict(c.get("args", {})))
-            for c in entry.get("tool_calls", [])
-        ]
+        calls = [ToolRequest.from_wire(c) for c in entry.get("tool_calls", [])]
         if entry.get("text") is None and not calls:
             raise EngineError("PARSE", f"{path}: turn {i} has neither text nor tool_calls")
         turns.append(

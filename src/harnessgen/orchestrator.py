@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from . import callgraph as cg
 from .agents import (
@@ -36,7 +37,7 @@ from .coverage import (
     merge_with_callgraph,
 )
 from .docs_index import DocsIndex
-from .ecosystem import CompileResult, ShellAdapter, load_sandbox
+from .ecosystem import CompileResult, SandboxAdapter, ShellAdapter, load_sandbox
 from .errors import EngineError
 from .model_backend import HttpBackend, UsageLedger, load_script, summarize_usage
 from .toolbus import AgentRole, ToolRegistry, register_default_tools
@@ -144,6 +145,53 @@ def render_annotated_view(view: AnnotatedCoverageView) -> str:
     return "\n".join(lines)
 
 
+class Services(NamedTuple):
+    adapter: SandboxAdapter | ShellAdapter
+    docs: DocsIndex
+    code: CodeIndex
+    graph: cg.CallGraph
+    registry: ToolRegistry
+
+
+def build_services(config: Config, target: TargetSpec) -> Services:
+    """Build the adapter, indexes, callgraph and tool registry a run uses.
+
+    The docs, source and facts paths come from `target.*` when set, else
+    from the sandbox spec; the shell adapter requires the `target.*` paths.
+    """
+    keys = ("docs_bundle", "source_root", "facts")
+    if config.adapter.get("sandbox_spec"):
+        adapter = load_sandbox(config.resolve(config.adapter["sandbox_spec"]))
+        paths = {key: getattr(adapter.spec, key) for key in keys}
+    elif config.adapter.get("shell"):
+        adapter = ShellAdapter(config.adapter["shell"], base_dir=config.base_dir)
+        paths = {}
+    else:
+        raise EngineError("CONFIG", "no adapter configured")
+    for key in keys:
+        if config.target.get(key):
+            paths[key] = config.resolve(config.target[key])
+        elif key not in paths:
+            raise EngineError("CONFIG", f"target.{key} is required with the shell adapter")
+
+    docs = DocsIndex.from_file(paths["docs_bundle"])
+    code = CodeIndex.build(paths["source_root"])
+    facts = cg.load_facts(paths["facts"])
+    graph = cg.build(facts, _resolve_root(facts, target), config.depth_limit())
+    registry = register_default_tools(ToolRegistry(), docs, code, graph, adapter)
+    return Services(adapter, docs, code, graph, registry)
+
+
+def _resolve_root(facts: cg.CallFacts, target: TargetSpec) -> str:
+    wanted = f"{target.target_class}.{target.target_method}"
+    matches = [mid for mid in facts.methods if mid == wanted or mid.endswith("." + wanted)]
+    if not matches:
+        raise EngineError("TARGET_NOT_FOUND", f"no call facts for target {wanted}")
+    if len(matches) > 1:
+        raise EngineError("AMBIGUOUS", f"target {wanted} matches: {sorted(matches)}")
+    return matches[0]
+
+
 class WorkflowRunner:
     """One sequential harness-generation run over configured services."""
 
@@ -153,46 +201,16 @@ class WorkflowRunner:
         self.state = WorkflowState()
         self.timings: dict[str, float] = {}
         self._started = time.monotonic()
-        self._setup_services()
+        self.adapter, self.docs, self.code, self.graph, self.registry = build_services(
+            config, target
+        )
+        self._setup_backend()
         self._setup_run_dir(run_dir)
 
     # -- setup ------------------------------------------------------------
 
-    def _setup_services(self) -> None:
+    def _setup_backend(self) -> None:
         config = self.config
-        if config.adapter.get("sandbox_spec"):
-            self.adapter = load_sandbox(config.resolve(config.adapter["sandbox_spec"]))
-            spec = self.adapter.spec
-            docs_path = config.target.get("docs_bundle")
-            docs_path = config.resolve(docs_path) if docs_path else spec.docs_bundle
-            source_root = config.target.get("source_root")
-            source_root = config.resolve(source_root) if source_root else spec.source_root
-            facts_path = config.target.get("facts")
-            facts_path = config.resolve(facts_path) if facts_path else spec.facts
-        elif config.adapter.get("shell"):
-            self.adapter = ShellAdapter(config.adapter["shell"], base_dir=config.base_dir)
-            for key in ("docs_bundle", "source_root", "facts"):
-                if not config.target.get(key):
-                    raise EngineError(
-                        "CONFIG", f"target.{key} is required with the shell adapter"
-                    )
-            docs_path = config.resolve(config.target["docs_bundle"])
-            source_root = config.resolve(config.target["source_root"])
-            facts_path = config.resolve(config.target["facts"])
-        else:
-            raise EngineError("CONFIG", "no adapter configured")
-
-        self.docs = DocsIndex.from_file(docs_path)
-        self.code = CodeIndex.build(source_root)
-        facts = cg.load_facts(facts_path)
-        self.graph = cg.build(facts, self._resolve_root(facts), config.depth_limit())
-        self.graph_service = cg.CallGraphService(self.graph)
-
-        self.registry = ToolRegistry()
-        register_default_tools(
-            self.registry, self.docs, self.code, self.graph_service, self.adapter
-        )
-
         backend_kind = config.model.get("backend", "scripted")
         if backend_kind == "scripted":
             self.backend = load_script(config.resolve(config.model["script"]))
@@ -214,17 +232,6 @@ class WorkflowRunner:
             for role in AgentRole
         }
 
-    def _resolve_root(self, facts: cg.CallFacts) -> str:
-        wanted = f"{self.target.target_class}.{self.target.target_method}"
-        matches = [
-            mid for mid in facts.methods if mid == wanted or mid.endswith("." + wanted)
-        ]
-        if not matches:
-            raise EngineError("TARGET_NOT_FOUND", f"no call facts for target {wanted}")
-        if len(matches) > 1:
-            raise EngineError("AMBIGUOUS", f"target {wanted} matches: {sorted(matches)}")
-        return matches[0]
-
     def _setup_run_dir(self, run_dir: str | Path | None) -> None:
         if run_dir is not None:
             self.run_dir = Path(run_dir)
@@ -242,10 +249,6 @@ class WorkflowRunner:
         path = self.run_dir / "harness" / f"v{self.state.harness_versions}.src"
         path.write_text(harness.source, encoding="utf-8")
 
-    def _save_transcript(self, result: AgentRunResult, round_index: int) -> None:
-        path = self.run_dir / "transcripts" / f"{result.transcript.role}-r{round_index}.json"
-        path.write_text(json.dumps(result.transcript.to_json(), indent=2), encoding="utf-8")
-
     def _save_coverage(self, report, round_index: int) -> None:
         path = self.run_dir / "coverage" / f"r{round_index}.json"
         path.write_text(json.dumps(report.to_json(), indent=2), encoding="utf-8")
@@ -262,11 +265,15 @@ class WorkflowRunner:
 
     # -- agent steps --------------------------------------------------------
 
-    def _run_agent(self, role: AgentRole, seed: list[tuple[str, str]], round_index: int) -> AgentRunResult:
+    def _run_agent(
+        self, role: AgentRole, seed: list[tuple[str, str]], round_index: int, transcript: str
+    ) -> AgentRunResult:
+        """Run one agent and save its transcript as `transcripts/<transcript>.json`."""
         result = run_react(
             self.profiles[role], seed, self.registry, self.backend, self.ledger, round_index
         )
-        self._save_transcript(result, round_index)
+        path = self.run_dir / "transcripts" / f"{transcript}.json"
+        path.write_text(json.dumps(result.transcript.to_json(), indent=2), encoding="utf-8")
         return result
 
     def compile_patch_loop(self, harness: HarnessArtifact, round_index: int) -> HarnessArtifact:
@@ -294,7 +301,10 @@ class WorkflowRunner:
                 ("harness source", harness.source),
                 ("compiler diagnostics", diagnostics),
             ]
-            pat = self._timed("patch", self._run_agent, AgentRole.PAT, seed, round_index)
+            pat = self._timed(
+                "patch", self._run_agent, AgentRole.PAT, seed, round_index,
+                f"PAT-r{round_index}-a{attempts}",
+            )
             if pat.status != STATUS_OK:
                 raise EngineError("MODEL_PROTOCOL", "patch agent produced no parseable harness")
             harness = pat.parsed_output
@@ -349,6 +359,7 @@ class WorkflowRunner:
             AgentRole.RSH,
             build_research_context(self.target, self.docs, self.code),
             0,
+            "RSH-r0",
         )
         if research.status != STATUS_OK:
             return OUTCOME_MODEL_FAILED
@@ -358,7 +369,7 @@ class WorkflowRunner:
             ("target signature", f"{self.target.target_class}.{self.target.target_method}"),
             ("research report", research.parsed_output.markdown),
         ]
-        gen = self._timed("generate", self._run_agent, AgentRole.GEN, gen_seed, 0)
+        gen = self._timed("generate", self._run_agent, AgentRole.GEN, gen_seed, 0, "GEN-r0")
         if gen.status != STATUS_OK:
             return OUTCOME_MODEL_FAILED
         harness = gen.parsed_output
@@ -375,8 +386,6 @@ class WorkflowRunner:
             fuzz = self._timed(
                 "fuzz", self.adapter.fuzz, state.harness, fuzz_seconds, scope=scope
             )
-            if fuzz.timed_out:
-                state.fuzz_timeout = True
             self._save_coverage(fuzz.coverage, state.round)
             view = merge_with_callgraph(fuzz.coverage, self.graph)
             state.views[state.round] = view
@@ -408,7 +417,10 @@ class WorkflowRunner:
                 ("strategy", decision.strategy or decision.rationale),
                 ("coverage view", render_annotated_view(view)),
             ]
-            ref = self._timed("refine", self._run_agent, AgentRole.REF, ref_seed, state.round)
+            ref = self._timed(
+                "refine", self._run_agent, AgentRole.REF, ref_seed, state.round,
+                f"REF-r{state.round}",
+            )
             if ref.status != STATUS_OK:
                 return OUTCOME_MODEL_FAILED
             refined = ref.parsed_output
@@ -441,7 +453,7 @@ class WorkflowRunner:
         if fuzz.crashes:
             unique = sorted({c.dedup_key for c in fuzz.crashes})
             seed.append(("crashes", f"{len(fuzz.crashes)} crashes, {len(unique)} unique"))
-        cva = self._run_agent(AgentRole.CVA, seed, state.round)
+        cva = self._run_agent(AgentRole.CVA, seed, state.round, f"CVA-r{state.round}")
         if cva.status != STATUS_OK:
             # fail-safe: a CVA that cannot answer means stop, not spend
             return TerminationDecision(decision="stop", rationale="cva parse failure"), True

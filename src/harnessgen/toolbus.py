@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Mapping
 
+from . import callgraph
 from .errors import EngineError
 
 DEFAULT_RESPONSE_BUDGET = 8000
@@ -138,13 +139,6 @@ class ToolRegistry:
             if self._access[d.name][role] is not AccessLevel.DENIED
         ]
 
-    def invoke_exec(self, tool: str, **kwargs: Any) -> Any:
-        """Direct invocation path for exec tools, orchestrator only."""
-        handler = self._handlers.get(tool)
-        if handler is None:
-            raise EngineError("NOT_FOUND", f"no handler for tool: {tool}")
-        return handler(**kwargs)
-
     def dispatch(self, role: AgentRole, request: ToolRequest) -> ToolResponse:
         """Execute a tool request for a role; errors come back as responses."""
         try:
@@ -199,7 +193,7 @@ def _param(name: str, required: bool = True, type_: str = "string") -> dict[str,
     return {name: {"type": type_, "required": required}}
 
 
-def register_default_tools(registry: ToolRegistry, docs_index, code_index, callgraph, ecosystem) -> ToolRegistry:
+def register_default_tools(registry: ToolRegistry, docs_index, code_index, graph, ecosystem) -> ToolRegistry:
     """Register the standard 16 tools against the four backing services."""
     docs_tools = [
         ("method_doc", _param("qualifier"), "Documentation for a method signature",
@@ -238,23 +232,23 @@ def register_default_tools(registry: ToolRegistry, docs_index, code_index, callg
          "Methods reachable from a node within a depth bound",
          lambda from_id, max_depth=10: "\n".join(
              f"{entry['relative_depth']} {entry['id']}"
-             for entry in callgraph.reach_methods(from_id, int(max_depth))
+             for entry in callgraph.reach_methods(graph, from_id, int(max_depth))
          )),
         ("path_to_method", _param("target"), "Shortest call path from the root to a method",
-         lambda target: " -> ".join(callgraph.path_to_method(target))),
+         lambda target: " -> ".join(callgraph.path_to_method(graph, target))),
     ]
     exec_tools = [
         ("compile", _param("harness"), "Compile a harness (orchestrator-invoked)",
          (lambda harness: ecosystem.compile(harness)) if ecosystem is not None else None),
         ("fuzz", {**_param("harness"), **_param("duration_seconds", True, "number")},
          "Run a fuzzing campaign (orchestrator-invoked)",
-         (lambda harness, duration_seconds, **kw: ecosystem.fuzz(harness, duration_seconds, **kw))
+         (lambda harness, duration_seconds: ecosystem.fuzz(harness, duration_seconds))
          if ecosystem is not None else None),
     ]
     groups = [
         ("docs", docs_tools, docs_index),
         ("code", code_tools, code_index),
-        ("callgraph", cg_tools, callgraph),
+        ("callgraph", cg_tools, graph),
         ("exec", exec_tools, ecosystem),
     ]
     for category, tools, service in groups:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from harnessgen.agents import HarnessArtifact, normalize_and_hash
-from harnessgen.callgraph import CallGraphService, build, load_facts
+from harnessgen.callgraph import build, load_facts
 from harnessgen.code_index import CodeIndex
 from harnessgen.config import load_config
 from harnessgen.docs_index import DocsIndex
@@ -59,9 +59,7 @@ def sandbox():
 @pytest.fixture()
 def registry(docs_index, code_index, graph, sandbox) -> ToolRegistry:
     reg = ToolRegistry()
-    return register_default_tools(
-        reg, docs_index, code_index, CallGraphService(graph), sandbox
-    )
+    return register_default_tools(reg, docs_index, code_index, graph, sandbox)
 
 
 @pytest.fixture()

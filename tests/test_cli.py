@@ -90,6 +90,26 @@ class TestTools:
         assert table["compile"] == "denied" and table["fuzz"] == "denied"
         assert table["method_doc"] == "allowed"
 
+    def test_unknown_target_exits_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "tools", str(DEMO_DIR / "config.json"), "--role", "CVA",
+            "--set", "target.target_method=nosuch()",
+        )
+        assert code == 1 and out == ""
+        assert "ArgParser.nosuch()" in err
+
+    def test_shell_adapter_requires_target_paths(self, capsys, tmp_path):
+        config = json.loads((DEMO_DIR / "config.json").read_text())
+        config["model"]["script"] = str(DEMO_DIR / "scripts" / "happy.json")
+        config["adapter"] = {
+            "shell": {"compile_cmd": "true", "fuzz_cmd": "true", "coverage_out": "cov.json"}
+        }
+        path = tmp_path / "shell.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "tools", str(path), "--role", "CVA")
+        assert code == 1 and out == ""
+        assert "target.docs_bundle is required" in err
+
     def test_unknown_role(self, capsys):
         code, _, err = run_cli(
             capsys, "tools", str(DEMO_DIR / "config.json"), "--role", "BOSS"

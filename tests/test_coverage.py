@@ -45,6 +45,7 @@ class TestCounters:
             scope="full",
             methods=(mk("a", 10, 4, 2, 1), mk("b", 5, 5)),
             campaign_seconds=12.5,
+            dropped_events=3,
         )
         path = tmp_path / "cov.json"
         path.write_text(json.dumps(report.to_json()))
@@ -52,6 +53,7 @@ class TestCounters:
         assert loaded.scope == report.scope
         assert loaded.methods == report.methods
         assert loaded.campaign_seconds == 12.5
+        assert loaded.dropped_events == 3
 
 
 class TestClassify:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -109,10 +110,7 @@ class TestHappyPath:
 
     def test_run_dir_layout(self, demo_config):
         manifest = run_demo(demo_config, "scripts/happy.json")
-        run_dir = manifest["run_dir"]
-        from pathlib import Path
-
-        root = Path(run_dir)
+        root = Path(manifest["run_dir"])
         assert (root / "manifest.json").is_file()
         assert sorted(p.name for p in (root / "harness").iterdir()) == [
             "final.src", "v1.src", "v2.src",
@@ -154,6 +152,15 @@ class TestPatchLoop:
         assert manifest["transitions"][-1] == "failed"
         assert "cannot resolve import" in manifest["error"]
         assert manifest["rounds"] == []
+
+    def test_each_patch_attempt_keeps_its_transcript(self, demo_config):
+        manifest = run_demo(
+            demo_config, "scripts/patch_fail.json", ["budgets.max_patch_rounds=3"]
+        )
+        transcripts = Path(manifest["run_dir"]) / "transcripts"
+        assert sorted(p.name for p in transcripts.glob("PAT-*.json")) == [
+            "PAT-r0-a1.json", "PAT-r0-a2.json", "PAT-r0-a3.json",
+        ]
 
 
 class TestTermination:

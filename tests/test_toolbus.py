@@ -120,6 +120,25 @@ class TestDispatch:
         assert not response.ok
         assert response.error_code == "NOT_FOUND"
 
+    def test_path_to_method_joins_shortest_path(self, registry):
+        response = registry.dispatch(
+            AgentRole.CVA,
+            ToolRequest("path_to_method", {"target": "toylib.OptionSet.coerce(String,String)"}),
+        )
+        assert response.ok
+        # two shortest paths; the lexicographically smaller middle node wins
+        assert response.content == (
+            "toylib.ArgParser.parse(String[]) -> toylib.ArgParser.handleLong(String)"
+            " -> toylib.OptionSet.coerce(String,String)"
+        )
+
+    def test_path_to_unknown_method_not_found(self, registry):
+        response = registry.dispatch(
+            AgentRole.CVA, ToolRequest("path_to_method", {"target": "toylib.Nope.nothing()"})
+        )
+        assert not response.ok
+        assert response.error_code == "NOT_FOUND"
+
     def test_wire_format(self, registry):
         ok = registry.dispatch(AgentRole.RSH, ToolRequest("list_packages", {}))
         assert ok.to_wire() == {"ok": True, "content": "toylib", "truncated": False}
