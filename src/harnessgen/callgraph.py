@@ -38,9 +38,12 @@ class CallGraph:
     depth_limit: int
     nodes: dict[str, CallGraphNode] = field(default_factory=dict)
     edges: set[tuple[str, str]] = field(default_factory=set)
+    # sorted adjacency over `edges`, filled once by build(); do not mutate
+    succ: dict[str, list[str]] = field(default_factory=dict)
+    pred: dict[str, list[str]] = field(default_factory=dict)
 
     def successors(self, node_id: str) -> list[str]:
-        return sorted(to for frm, to in self.edges if frm == node_id)
+        return self.succ.get(node_id, [])
 
 
 def load_facts(path: str | Path) -> CallFacts:
@@ -96,6 +99,9 @@ def build(facts: CallFacts, root: str, depth_limit: int = DEFAULT_DEPTH_LIMIT) -
     graph.edges = {
         (frm, to) for frm, to in facts.calls if frm in depths and to in depths
     }
+    for frm, to in sorted(graph.edges):
+        graph.succ.setdefault(frm, []).append(to)
+        graph.pred.setdefault(to, []).append(frm)
     return graph
 
 
@@ -125,17 +131,14 @@ def path_to_method(graph: CallGraph, target: str) -> list[str]:
     if target not in graph.nodes:
         raise EngineError("NOT_FOUND", f"method not in callgraph: {target}")
     # distance of every node to the target along graph edges
-    predecessors: dict[str, list[str]] = {}
-    for frm, to in graph.edges:
-        predecessors.setdefault(to, []).append(frm)
     dist_to_target = {target: 0}
     queue = deque([target])
     while queue:
         current = queue.popleft()
-        for pred in predecessors.get(current, []):
-            if pred not in dist_to_target:
-                dist_to_target[pred] = dist_to_target[current] + 1
-                queue.append(pred)
+        for caller in graph.pred.get(current, []):
+            if caller not in dist_to_target:
+                dist_to_target[caller] = dist_to_target[current] + 1
+                queue.append(caller)
     if graph.root not in dist_to_target:
         raise EngineError("NOT_FOUND", f"no path from root to {target}")
     # walk forward, always taking the smallest id that stays on a shortest path

@@ -24,6 +24,8 @@ _FIELD_RE = re.compile(
     rf"^\s*{_MODIFIERS}[\w<>\[\],.]+\s+(\w+)\s*(?:=[^;]*)?;\s*$"
 )
 _CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch", "return", "new", "else", "do"}
+_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
+_WORD_RE = re.compile(r"\w+")
 
 
 @dataclass
@@ -58,7 +60,8 @@ class SearchResult:
 
 def _strip_line_noise(line: str) -> str:
     """Drop string literals and trailing // comments for matching purposes."""
-    line = re.sub(r'"(?:[^"\\]|\\.)*"', '""', line)
+    if '"' in line:
+        line = _STRING_RE.sub('""', line)
     idx = line.find("//")
     if idx >= 0:
         line = line[:idx]
@@ -102,23 +105,31 @@ def _scan_file(path: str, text: str) -> list[SymbolEntry]:
             (sym.name for sym, _ in reversed(stack) if sym.kind == "class"), None
         )
         pending: SymbolEntry | None = None
-        m = _CLASS_RE.match(clean)
+        # Each regex runs only on lines holding the literals it requires:
+        # _METHOD_RE backtracks heavily on statement lines it cannot match.
+        m = (
+            _CLASS_RE.match(clean)
+            if "class" in clean or "interface" in clean or "enum" in clean
+            else None
+        )
         if m:
             pending = SymbolEntry(m.group(1), "class", path, lineno, lineno, container)
             symbols.append(pending)
         else:
-            m = _METHOD_RE.match(clean)
+            m = _METHOD_RE.match(clean) if "(" in clean and "{" in clean else None
             if m and m.group(1) not in _CONTROL_KEYWORDS:
                 pending = SymbolEntry(
                     _signature(m.group(1), m.group(2)), "method", path, lineno, lineno, container
                 )
                 symbols.append(pending)
             else:
-                m = _FIELD_RE.match(clean)
+                m = _FIELD_RE.match(clean) if ";" in clean else None
                 if m and container is not None and not stack_has_method(stack):
                     symbols.append(
                         SymbolEntry(m.group(1), "field", path, lineno, lineno, container)
                     )
+        if "{" not in clean and "}" not in clean:
+            continue
         for ch in clean:
             if ch == "{":
                 if pending is not None:
@@ -278,9 +289,17 @@ class CodeIndex:
             (s.file, s.line_start) for s in self._matching_symbols(name)
         }
         word = re.compile(rf"\b{re.escape(token)}\b")
+        # A run of word characters in a cleaned line is also one in the raw
+        # line (cleaning only empties "..." and cuts a // tail), so a unit or
+        # line that lacks such a token cannot hit; other tokens scan it all.
+        plain = _WORD_RE.fullmatch(token) is not None
         hits = []
         for unit in self.units.values():
+            if plain and token not in unit.text:
+                continue
             for i, line in enumerate(unit.text.splitlines(), 1):
+                if plain and token not in line:
+                    continue
                 clean = _strip_line_noise(line)
                 if clean.strip().startswith("*"):  # block-comment body heuristic
                     continue

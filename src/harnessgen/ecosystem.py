@@ -286,6 +286,8 @@ class ShellAdapter:
             proc = subprocess.run(cmd, shell=True, capture_output=True, text=True)
         except OSError as exc:
             raise EngineError("EXEC", f"compile command failed to start: {exc}") from exc
+        finally:
+            Path(path).unlink(missing_ok=True)
         output = proc.stdout + proc.stderr
         diagnostics = tuple(
             Diagnostic(
@@ -304,11 +306,16 @@ class ShellAdapter:
         duration_seconds: float,
         scope: str | None = None,
     ) -> FuzzResult:
+        # a file left by an earlier run must never pass for this run's coverage
+        try:
+            self.coverage_out.unlink(missing_ok=True)
+        except OSError as exc:
+            raise EngineError("EXEC", f"cannot remove old coverage file: {exc}") from exc
         path = self._write_harness(harness)
         cmd = self.fuzz_cmd.format(harness=path, duration=duration_seconds)
         started = time.monotonic()
         try:
-            subprocess.run(
+            proc = subprocess.run(
                 cmd,
                 shell=True,
                 capture_output=True,
@@ -321,6 +328,15 @@ class ShellAdapter:
             ) from exc
         except OSError as exc:
             raise EngineError("EXEC", f"fuzz command failed to start: {exc}") from exc
+        finally:
+            Path(path).unlink(missing_ok=True)
+        if proc.returncode != 0:
+            detail = proc.stderr.strip()[-300:]
+            raise EngineError(
+                "EXEC", f"fuzz command exited with status {proc.returncode}: {detail}"
+            )
+        if not self.coverage_out.is_file():
+            raise EngineError("EXEC", f"fuzz command wrote no coverage file: {self.coverage_out}")
         report = CoverageReport.load(self.coverage_out)
         return FuzzResult(
             coverage=report,

@@ -223,6 +223,10 @@ def load_script(path: str | Path) -> ScriptedBackend:
     return ScriptedBackend(turns)
 
 
+# request timeout and rate limit: the only client errors worth a retry
+_RETRYABLE_4XX = (408, 429)
+
+
 class HttpBackend(ModelBackend):
     """Generic chat-completions-with-tools client.
 
@@ -325,6 +329,13 @@ class HttpBackend(ModelBackend):
                 response = requests.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout
                 )
+                status = response.status_code
+                if 400 <= status < 500 and status not in _RETRYABLE_4XX:
+                    # the same request would be rejected again: do not retry
+                    raise EngineError(
+                        "MODEL_UNAVAILABLE",
+                        f"model endpoint rejected the request: HTTP {status}: {response.text[:200]}",
+                    )
                 response.raise_for_status()
                 return self._parse(response.json())
             except EngineError:

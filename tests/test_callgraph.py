@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harnessgen.callgraph import (
     CallFacts,
@@ -168,3 +170,46 @@ def test_random_digraphs_match_oracle(seed):
         # path length equals depth for every node
         for node in graph.nodes.values():
             assert len(path_to_method(graph, node.id)) - 1 == node.depth
+
+
+@st.composite
+def small_graphs(draw):
+    n_nodes = draw(st.integers(1, 30))
+    methods = [f"m{i:02d}" for i in range(n_nodes)]
+    edge = st.tuples(st.sampled_from(methods), st.sampled_from(methods))
+    # at least one call per method on average, so ties between shortest paths are common
+    calls = draw(st.lists(edge, min_size=n_nodes, max_size=2 * n_nodes, unique=True))
+    root = draw(st.sampled_from(methods))
+    return methods, calls, root
+
+
+def smallest_shortest_path(methods, calls, root, target):
+    """Every shortest root-to-target path, enumerated; the smallest one.
+
+    The i-th node of a shortest path is i calls from the root, so only
+    such steps are taken.
+    """
+    depths = oracle_depths(methods, calls, root, len(methods))
+    paths = [[root]]
+    for _ in range(depths[target]):
+        paths = [
+            p + [to] for p in paths for frm, to in calls if frm == p[-1] and depths[to] == len(p)
+        ]
+    return min(p for p in paths if p[-1] == target)
+
+
+@settings(deadline=None)
+@given(small_graphs(), st.integers(1, 30), st.integers(1, 30), st.data())
+def test_queries_match_brute_force(instance, limit, max_depth, data):
+    methods, calls, root = instance
+    graph = build(facts_from(methods, calls), root, limit)
+    in_graph = sorted(oracle_depths(methods, calls, root, limit))
+    inner = [(f, t) for f, t in calls if f in in_graph and t in in_graph]
+    probe = data.draw(st.sampled_from(in_graph))
+    reached = oracle_depths(in_graph, inner, probe, max_depth)
+    assert reach_methods(graph, probe, max_depth) == [
+        {"id": node, "relative_depth": depth}
+        for node, depth in sorted(reached.items(), key=lambda kv: (kv[1], kv[0]))
+    ]
+    for target in in_graph:
+        assert path_to_method(graph, target) == smallest_shortest_path(methods, calls, root, target)

@@ -143,3 +143,82 @@ class TestSearch:
         second = code_index.search("text", "Option", 50)
         assert first == second
         assert list(first.hits) == sorted(first.hits, key=lambda h: (h.path, h.line))
+
+
+PROBE_SOURCE = """\
+package fix;
+
+public class Probe {
+    public Map<String, List<Integer>> get(int a) {
+        log("foo is quoted");
+        // foo in a comment line
+        trace(a); // foo after code
+        foo_bar(xfoo);
+        return null;
+    }
+
+    public void header(int a)
+    {
+        foo(a);
+        a.b(1);
+        c = a"q"b;
+        run(a);
+    }
+
+    public int größe(int n) {
+        return größe(n - 1);
+    }
+
+    enum Kind { A, B }
+    interface Shape { }
+}
+"""
+
+
+@pytest.fixture()
+def probe_index(tmp_path) -> CodeIndex:
+    (tmp_path / "Probe.java").write_text(PROBE_SOURCE, encoding="utf-8")
+    return CodeIndex.build(tmp_path)
+
+
+def ref_lines(index: CodeIndex, query: str) -> list[int]:
+    return [h.line for h in index.search("refs", query, 50).hits]
+
+
+class TestScanAndRefsExactness:
+    """Hand-counted expectations over PROBE_SOURCE (line numbers from 1)."""
+
+    def test_symbols(self, probe_index):
+        actual = {(s.name, s.kind, s.line_start, s.line_end) for s in probe_index.symbols}
+        assert actual == {
+            ("Probe", "class", 3, 26),
+            # a generic return type with a nested type argument is still a method
+            ("get(int)", "method", 4, 10),
+            # header(int) is absent: its `{` is on the next line
+            ("größe(int)", "method", 20, 22),
+            ("Kind", "class", 24, 24),
+            ("Shape", "class", 25, 25),
+        }
+
+    def test_token_only_in_string_or_comment_is_no_hit(self, probe_index):
+        # lines 5-7 name foo only in a literal, a comment line and a // tail;
+        # line 8 has foo_bar and xfoo; line 14 is the one real use
+        assert ref_lines(probe_index, "foo") == [14]
+
+    def test_word_boundaries(self, probe_index):
+        assert ref_lines(probe_index, "xfoo") == [8]
+        assert ref_lines(probe_index, "foo_bar") == [8]
+        assert ref_lines(probe_index, "oo") == []
+
+    def test_non_ascii_identifier(self, probe_index):
+        # the declaration on line 20 is excluded; \w and \b are Unicode, so
+        # `gr` is not a word of its own inside größe
+        assert ref_lines(probe_index, "größe") == [21]
+        assert ref_lines(probe_index, "gr") == []
+
+    def test_non_word_tokens_scan_cleaned_lines(self, probe_index):
+        assert ref_lines(probe_index, "a.b") == [15]
+        # `a""b` occurs only once line 16's literal is emptied, never in the raw text
+        assert ref_lines(probe_index, 'a""b') == [16]
+        # the part from `(` on is cut before matching
+        assert ref_lines(probe_index, "run(") == [17]

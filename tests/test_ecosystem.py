@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 
 import pytest
 
@@ -170,16 +171,21 @@ def shell_dir(tmp_path):
             {"id": "a", "lines_total": 4, "lines_covered": 2, "branches_total": 0, "branches_covered": 0}
         ],
     }
-    (tmp_path / "cov.json").write_text(json.dumps(cov))
+    (tmp_path / "cov.src.json").write_text(json.dumps(cov))
     ok_compile = tmp_path / "ok_compile.sh"
     ok_compile.write_text("#!/bin/sh\nexit 0\n")
     bad_compile = tmp_path / "bad_compile.sh"
     bad_compile.write_text('#!/bin/sh\necho "f:3: boom" >&2\nexit 1\n')
+    write_cov = f'cp "{tmp_path / "cov.src.json"}" "{tmp_path / "cov.json"}"\n'
     fuzz = tmp_path / "fuzz.sh"
-    fuzz.write_text("#!/bin/sh\nexit 0\n")
+    fuzz.write_text("#!/bin/sh\n" + write_cov)
+    fuzz_fails = tmp_path / "fuzz_fails.sh"
+    fuzz_fails.write_text("#!/bin/sh\n" + write_cov + "exit 7\n")
+    fuzz_silent = tmp_path / "fuzz_silent.sh"
+    fuzz_silent.write_text("#!/bin/sh\nexit 0\n")
     slow = tmp_path / "slow.sh"
     slow.write_text("#!/bin/sh\nsleep 5\n")
-    for script in (ok_compile, bad_compile, fuzz, slow):
+    for script in (ok_compile, bad_compile, fuzz, fuzz_fails, fuzz_silent, slow):
         script.chmod(0o755)
     return tmp_path
 
@@ -208,6 +214,35 @@ class TestShellAdapter:
         result = self._adapter(shell_dir).fuzz(make_harness(BASE), 1)
         assert isinstance(result.coverage, CoverageReport)
         assert result.coverage.by_id()["a"].lines_covered == 2
+
+    def test_fuzz_nonzero_exit_is_exec_error(self, shell_dir):
+        # a successful run leaves cov.json behind; the failing run must not reuse it
+        self._adapter(shell_dir).fuzz(make_harness(BASE), 1)
+        with pytest.raises(EngineError) as exc:
+            self._adapter(shell_dir, fuzz_script="fuzz_fails.sh").fuzz(make_harness(BASE), 1)
+        assert exc.value.code == "EXEC" and "status 7" in exc.value.message
+
+    def test_fuzz_without_output_is_exec_error(self, shell_dir):
+        self._adapter(shell_dir).fuzz(make_harness(BASE), 1)
+        with pytest.raises(EngineError) as exc:
+            self._adapter(shell_dir, fuzz_script="fuzz_silent.sh").fuzz(make_harness(BASE), 1)
+        assert exc.value.code == "EXEC"
+        assert not (shell_dir / "cov.json").exists()
+
+    def test_unremovable_coverage_out_is_exec_error(self, shell_dir):
+        (shell_dir / "covdir").mkdir()
+        with pytest.raises(EngineError) as exc:
+            self._adapter(shell_dir, coverage_out="covdir").fuzz(make_harness(BASE), 1)
+        assert exc.value.code == "EXEC"
+
+    def test_harness_temp_files_removed(self, shell_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        adapter = self._adapter(shell_dir)
+        adapter.compile(make_harness(BASE))
+        adapter.fuzz(make_harness(BASE), 1)
+        with pytest.raises(EngineError):
+            self._adapter(shell_dir, fuzz_script="fuzz_fails.sh").fuzz(make_harness(BASE), 1)
+        assert list(tmp_path.glob("*.src")) == []
 
     def test_fuzz_timeout(self, shell_dir):
         adapter = self._adapter(shell_dir, fuzz_script="slow.sh", timeout_grace=0.2)

@@ -256,6 +256,24 @@ class TestHttpBackend:
         assert exc.value.code == "MODEL_UNAVAILABLE"
         assert sleeps == [1.0, 2.0]
 
+    def test_client_error_fails_without_retry(self, stub_server):
+        url, handler = stub_server
+        handler.responses = [(400, {}), (200, good_completion("never"))]
+        sleeps: list[float] = []
+        backend = HttpBackend(url, model="m", sleep=sleeps.append)
+        with pytest.raises(EngineError) as exc:
+            backend.complete(convo("q"), [])
+        assert exc.value.code == "MODEL_UNAVAILABLE" and "400" in exc.value.message
+        assert sleeps == [] and len(handler.requests_seen) == 1
+
+    def test_rate_limit_is_retried(self, stub_server):
+        url, handler = stub_server
+        handler.responses = [(429, {}), (200, good_completion("later"))]
+        sleeps: list[float] = []
+        backend = HttpBackend(url, model="m", sleep=sleeps.append)
+        assert backend.complete(convo("q"), []).text == "later"
+        assert sleeps == [1.0]
+
     def test_malformed_body_is_protocol_error_no_retry(self, stub_server):
         url, handler = stub_server
         handler.responses = [(200, {"choices": []})]
