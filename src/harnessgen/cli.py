@@ -1,7 +1,8 @@
 """Command-line surface: run, tools, report, validate.
 
 Exit codes: 0 success/converged, 1 invalid config or arguments,
-2 compile_failed/model_failed, 3 budget_exhausted.
+2 compile_failed/model_failed/toolchain_failed/internal_error,
+3 budget_exhausted.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ _OUTCOME_EXITS = {
     "converged": EXIT_OK,
     "compile_failed": EXIT_FAILED,
     "model_failed": EXIT_FAILED,
+    "toolchain_failed": EXIT_FAILED,
+    "internal_error": EXIT_FAILED,
     "budget_exhausted": EXIT_BUDGET,
 }
 
@@ -176,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="harnessgen",
         description="Agent-driven fuzz harness generation engine",
         epilog="exit codes: 0 success/converged, 1 invalid config, "
-        "2 compile/model failure, 3 budget exhausted",
+        "2 compile/model/toolchain failure or internal error, 3 budget exhausted",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

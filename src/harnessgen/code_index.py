@@ -68,6 +68,49 @@ def _strip_line_noise(line: str) -> str:
     return line
 
 
+def _required_literal(pattern: str) -> str:
+    r"""The longest run of plain characters that every match of `pattern` holds.
+
+    A small scan of the pattern text: escaped punctuation and unescaped
+    plain characters outside groups extend a run; anything else ends it,
+    and a quantifier also drops the character it repeats. Patterns the
+    scan cannot read safely yield "", which means a full scan: any `|`,
+    `(?`, `{` or `[`, and any letter or digit escape but \b \B \A \Z
+    \d \D \w \W \s \S.
+    """
+    best = run = ""
+    depth = 0
+    i = 0
+    while i < len(pattern):
+        ch = pattern[i]
+        literal = None
+        if ch == "\\":
+            nxt = pattern[i + 1 : i + 2]
+            if nxt.isascii() and nxt.isalnum():
+                if nxt not in "bBAZdDwWsS":
+                    return ""
+            else:
+                literal = nxt
+            i += 1
+        elif ch in "|{[" or pattern.startswith("(?", i):
+            return ""
+        elif ch in "*+?":
+            run = run[:-1]
+        elif ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch not in ".^$":
+            literal = ch
+        i += 1
+        if literal is not None and depth == 0:
+            run += literal
+            continue
+        best = max(best, run, key=len)
+        run = ""
+    return max(best, run, key=len)
+
+
 def _signature(name: str, params: str) -> str:
     types = []
     for part in params.split(","):
@@ -250,11 +293,14 @@ class CodeIndex:
                 pattern = re.compile(query)
             except re.error as exc:
                 raise EngineError("BAD_ARGS", f"invalid regular expression: {exc}") from exc
+            # every match holds `needle`, so a unit or line lacking it cannot hit
+            needle = _required_literal(query)
             hits = [
                 SearchHit(u.path, i, line.strip())
                 for u in self.units.values()
+                if needle in u.text
                 for i, line in enumerate(u.text.splitlines(), 1)
-                if pattern.search(line)
+                if needle in line and pattern.search(line)
             ]
         else:
             raise EngineError("BAD_ARGS", f"unknown search kind: {kind}")

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import time
+import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,8 +32,9 @@ from .agents import (
 from .code_index import CodeIndex
 from .config import Config
 from .coverage import (
-    STATUS_COVERED,
     AnnotatedCoverageView,
+    ViewDiff,
+    ViewEntry,
     coverage_percent,
     diff_views,
     merge_with_callgraph,
@@ -40,7 +43,12 @@ from .docs_index import DocsIndex
 from .ecosystem import CompileResult, SandboxAdapter, ShellAdapter, load_sandbox
 from .errors import EngineError
 from .model_backend import HttpBackend, UsageLedger, load_script, summarize_usage
-from .toolbus import AgentRole, ToolRegistry, register_default_tools
+from .toolbus import (
+    DEFAULT_RESPONSE_BUDGET,
+    AgentRole,
+    ToolRegistry,
+    register_default_tools,
+)
 
 PHASE_GRAPH = {
     "init": {"research", "failed"},
@@ -60,6 +68,8 @@ OUTCOME_CONVERGED = "converged"
 OUTCOME_BUDGET = "budget_exhausted"
 OUTCOME_COMPILE_FAILED = "compile_failed"
 OUTCOME_MODEL_FAILED = "model_failed"
+OUTCOME_TOOLCHAIN_FAILED = "toolchain_failed"
+OUTCOME_INTERNAL_ERROR = "internal_error"
 
 _STATUS_ORDER = {"uncovered": 0, "partial": 1, "covered": 2}
 
@@ -129,20 +139,102 @@ class WorkflowState:
         self.phase = phase
 
 
-def render_annotated_view(view: AnnotatedCoverageView) -> str:
-    """Deterministic text rendering for agent prompts, grouped by depth."""
-    lines = []
-    for depth in sorted(view.groups):
+def _entry_line(entry: ViewEntry) -> str:
+    c = entry.counters
+    lc, lt = (c.lines_covered, c.lines_total) if c else (0, 0)
+    bc, bt = (c.branches_covered, c.branches_total) if c else (0, 0)
+    return f"{entry.status} {entry.node.id} lines {lc}/{lt} branches {bc}/{bt}"
+
+
+def _count_line(depth: int, counts: Counter) -> str:
+    return (
+        f"... {sum(counts.values())} more at depth {depth}: {counts['uncovered']} uncovered, "
+        f"{counts['partial']} partial, {counts['covered']} covered"
+    )
+
+
+def render_annotated_view(
+    view: AnnotatedCoverageView, budget: int = DEFAULT_RESPONSE_BUDGET
+) -> str:
+    """Deterministic text rendering for agent prompts, grouped by depth.
+
+    Depths run shallow first; within a depth uncovered sorts before partial
+    before covered, ties by id. When the whole view exceeds `budget`
+    characters, the entry that would leave no room for the count lines
+    still owed, and the rest of its depth, become one status-count line,
+    and each deeper depth shows only its header and count line: every node
+    is still counted. A budget below that header-and-count skeleton yields
+    the skeleton alone.
+    """
+    groups = [
+        (depth, sorted(view.groups[depth], key=lambda e: (_STATUS_ORDER[e.status], e.node.id)))
+        for depth in sorted(view.groups)
+    ]
+    full: list[str] = []
+    size = -1  # len("\n".join(full)); depths past the one that overflows go unformatted
+    for depth, entries in groups:
+        block = [f"## depth {depth}", *map(_entry_line, entries)]
+        size += sum(map(len, block)) + len(block)
+        if size > budget:
+            break
+        full += block
+    else:
+        return "\n".join(full)
+    counts = [Counter(e.status for e in entries) for _, entries in groups]
+    # owed[k]: header and all-entries count line of depths k.., one newline each
+    owed = [0] * (len(groups) + 1)
+    for k in range(len(groups) - 1, -1, -1):
+        depth = groups[k][0]
+        owed[k] = len(f"## depth {depth}") + len(_count_line(depth, counts[k])) + 2 + owed[k + 1]
+    cut = owed[0] - 1 > budget
+    lines: list[str] = []
+    used = 0  # characters in `lines`, one newline each
+    for k, (depth, entries) in enumerate(groups):
         lines.append(f"## depth {depth}")
-        entries = sorted(
-            view.groups[depth], key=lambda e: (_STATUS_ORDER[e.status], e.node.id)
-        )
-        for entry in entries:
-            c = entry.counters
-            lc, lt = (c.lines_covered, c.lines_total) if c else (0, 0)
-            bc, bt = (c.branches_covered, c.branches_total) if c else (0, 0)
-            lines.append(f"{entry.status} {entry.node.id} lines {lc}/{lt} branches {bc}/{bt}")
+        used += len(lines[-1]) + 1
+        left = counts[k]
+        for i, entry in enumerate(entries):
+            line = _entry_line(entry)
+            left[entry.status] -= 1
+            rest = len(_count_line(depth, left)) + 1 if i + 1 < len(entries) else 0
+            if cut or used + len(line) + rest + owed[k + 1] > budget:
+                left[entry.status] += 1
+                lines.append(_count_line(depth, left))
+                cut = True
+                break
+            lines.append(line)
+            used += len(line) + 1
     return "\n".join(lines)
+
+
+def _bounded_ids(ids: tuple[str, ...], room: int) -> str:
+    """`ids` joined by ", " while they fit `room`, then "... and N more"."""
+    text = ", ".join(ids) or "none"
+    if len(text) <= room or not ids:
+        return text
+    shown: list[str] = []
+    used = 0
+    for mid in ids:
+        more = f"... and {len(ids) - len(shown) - 1} more"
+        if used + len(mid) + 2 + len(more) > room:
+            break
+        shown.append(mid)
+        used += len(mid) + 2
+    return ", ".join(shown + [f"... and {len(ids) - len(shown)} more"])
+
+
+def render_view_diff(diff: ViewDiff, budget: int = DEFAULT_RESPONSE_BUDGET) -> str:
+    """The change-since-previous-round block, its id lists cut to `budget`."""
+    delta = f"line coverage delta: {diff.delta_percent:+.2f}%"
+    room = budget - len("newly covered: \nregressed: \n") - len(delta)
+    regressed_full = len(", ".join(diff.regressed) or "none")
+    newly = _bounded_ids(diff.newly_covered, room - min(regressed_full, room // 2))
+    regressed = _bounded_ids(diff.regressed, room - len(newly))
+    return f"newly covered: {newly}\nregressed: {regressed}\n{delta}"
+
+
+class ToolchainError(EngineError):
+    """An adapter's compile or fuzz call failed other than by timing out."""
 
 
 class Services(NamedTuple):
@@ -260,6 +352,15 @@ class WorkflowRunner:
         finally:
             self.timings[phase] = self.timings.get(phase, 0.0) + time.monotonic() - started
 
+    def _toolchain(self, phase: str, fn, *args, **kwargs):
+        """`_timed` for an adapter call; its errors but FUZZ_TIMEOUT become ToolchainError."""
+        try:
+            return self._timed(phase, fn, *args, **kwargs)
+        except EngineError as exc:
+            if exc.code == "FUZZ_TIMEOUT":
+                raise
+            raise ToolchainError(exc.code, exc.message) from exc
+
     def _wall_exceeded(self) -> bool:
         return time.monotonic() - self._started > float(self.config.budget("wall_seconds"))
 
@@ -280,7 +381,7 @@ class WorkflowRunner:
         """Compile; on errors let the patching agent retry up to the budget."""
         max_patch_rounds = int(self.config.budget("max_patch_rounds"))
         self.state.transition("compile")
-        result: CompileResult = self._timed("compile", self.adapter.compile, harness)
+        result: CompileResult = self._toolchain("compile", self.adapter.compile, harness)
         # an explicit zero entry keeps the per-round '/' rendering aligned
         self.ledger.record(AgentRole.PAT, round_index)
         attempts = 0
@@ -310,33 +411,36 @@ class WorkflowRunner:
             harness = pat.parsed_output
             self._save_harness(harness)
             self.state.transition("compile")
-            result = self._timed("compile", self.adapter.compile, harness)
+            result = self._toolchain("compile", self.adapter.compile, harness)
         return harness
 
     # -- workflow ------------------------------------------------------------
 
     def run(self) -> dict:
-        outcome = OUTCOME_MODEL_FAILED
-        error_note = None
+        error_note = trace = None
         try:
             outcome = self._run_phases()
         except EngineError as exc:
             error_note = f"{exc.code}: {exc.message}"
-            if exc.code == "COMPILE_FAILED":
+            if isinstance(exc, ToolchainError):
+                outcome = OUTCOME_TOOLCHAIN_FAILED
+            elif exc.code == "COMPILE_FAILED":
                 outcome = OUTCOME_COMPILE_FAILED
             elif exc.code == "FUZZ_TIMEOUT":
                 outcome = OUTCOME_BUDGET
                 self.state.fuzz_timeout = True
             else:
                 outcome = OUTCOME_MODEL_FAILED
-            if self.state.phase not in ("done", "failed"):
-                self.state.transition("failed")
-        else:
-            if self.state.phase not in ("done", "failed"):
-                self.state.transition(
-                    "failed" if outcome in (OUTCOME_COMPILE_FAILED, OUTCOME_MODEL_FAILED) else "done"
-                )
+        except Exception as exc:  # any other fault still leaves a manifest
+            error_note = f"{type(exc).__name__}: {exc}"
+            outcome = OUTCOME_INTERNAL_ERROR
+            trace = traceback.format_exc()
+        if self.state.phase not in ("done", "failed"):
+            failed = error_note is not None or outcome == OUTCOME_MODEL_FAILED
+            self.state.transition("failed" if failed else "done")
         manifest = self._manifest(outcome, error_note)
+        if trace:
+            manifest["traceback"] = trace
         (self.run_dir / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )
@@ -383,7 +487,7 @@ class WorkflowRunner:
             if self._wall_exceeded():
                 return OUTCOME_BUDGET
             state.transition("fuzz")
-            fuzz = self._timed(
+            fuzz = self._toolchain(
                 "fuzz", self.adapter.fuzz, state.harness, fuzz_seconds, scope=scope
             )
             self._save_coverage(fuzz.coverage, state.round)
@@ -415,7 +519,7 @@ class WorkflowRunner:
                 ("current harness", state.harness.source),
                 ("priority methods", "\n".join(decision.priority_methods)),
                 ("strategy", decision.strategy or decision.rationale),
-                ("coverage view", render_annotated_view(view)),
+                ("coverage view", render_annotated_view(view, self.registry.response_budget)),
             ]
             ref = self._timed(
                 "refine", self._run_agent, AgentRole.REF, ref_seed, state.round,
@@ -436,20 +540,14 @@ class WorkflowRunner:
 
     def _analyze(self, view: AnnotatedCoverageView, fuzz) -> tuple[TerminationDecision, bool]:
         state = self.state
+        budget = self.registry.response_budget
         seed = [
-            ("coverage view (grouped by call depth)", render_annotated_view(view)),
+            ("coverage view (grouped by call depth)", render_annotated_view(view, budget)),
             ("current harness", state.harness.source),
         ]
         if state.round > 0:
             diff = diff_views(state.views[state.round - 1], view)
-            seed.append(
-                (
-                    "change since previous round",
-                    f"newly covered: {', '.join(diff.newly_covered) or 'none'}\n"
-                    f"regressed: {', '.join(diff.regressed) or 'none'}\n"
-                    f"line coverage delta: {diff.delta_percent:+.2f}%",
-                )
-            )
+            seed.append(("change since previous round", render_view_diff(diff, budget)))
         if fuzz.crashes:
             unique = sorted({c.dedup_key for c in fuzz.crashes})
             seed.append(("crashes", f"{len(fuzz.crashes)} crashes, {len(unique)} unique"))

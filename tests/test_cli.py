@@ -8,6 +8,7 @@ import pytest
 
 from conftest import DEMO_DIR
 from harnessgen.cli import main, render_report_csv, render_report_text
+from harnessgen.model_backend import ScriptedBackend
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +57,41 @@ class TestRun:
             capsys, tmp_path, "scripts/budget.json", "--set", "budgets.max_rounds=1"
         )
         assert code == 3 and "outcome: budget_exhausted" in out
+
+    def test_toolchain_failure_exit_two(self, capsys, tmp_path):
+        config = json.loads((DEMO_DIR / "config.json").read_text())
+        config["model"]["script"] = str(DEMO_DIR / "scripts" / "happy.json")
+        config["output_dir"] = str(tmp_path / "runs")
+        config["adapter"] = {
+            "shell": {
+                "compile_cmd": "true",
+                "fuzz_cmd": "echo boom >&2; exit 7",
+                "coverage_out": "cov.json",
+            }
+        }
+        config["target"].update(
+            docs_bundle=str(DEMO_DIR / "docs.json"),
+            source_root=str(DEMO_DIR / "src"),
+            facts=str(DEMO_DIR / "facts.json"),
+        )
+        path = tmp_path / "shell.json"
+        path.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, "run", str(path))
+        assert code == 2 and "outcome: toolchain_failed" in out
+        manifest = json.loads(open(f"{out.splitlines()[0]}/manifest.json").read())
+        assert manifest["outcome"] == "toolchain_failed"
+        assert manifest["error"] == "EXEC: fuzz command exited with status 7: boom"
+        assert manifest["transitions"][-2:] == ["fuzz", "failed"]
+
+    def test_internal_error_exit_two(self, capsys, tmp_path, monkeypatch):
+        def explode(*args, **kwargs):
+            raise KeyError("lost")
+
+        monkeypatch.setattr(ScriptedBackend, "complete", explode)
+        code, run_dir, out, _ = run_to_dir(capsys, tmp_path, "scripts/happy.json")
+        assert code == 2 and "outcome: internal_error" in out
+        manifest = json.loads(open(f"{run_dir}/manifest.json").read())
+        assert manifest["error"] == "KeyError: 'lost'"
 
     def test_invalid_config_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

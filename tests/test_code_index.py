@@ -3,8 +3,10 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from harnessgen.code_index import CodeIndex
+from harnessgen.code_index import CodeIndex, SourceUnit, _required_literal
 from harnessgen.errors import EngineError
 
 NESTED_SOURCE = """\
@@ -222,3 +224,79 @@ class TestScanAndRefsExactness:
         assert ref_lines(probe_index, 'a""b') == [16]
         # the part from `(` on is cut before matching
         assert ref_lines(probe_index, "run(") == [17]
+
+
+GREP_UNITS = {
+    # \x0c, \u2028 and \r\n end lines for splitlines as \n does
+    "A.java": "ab(a)\x0cA.b\u2028a|b\nx [ab] {2}\r\nab*?$^\nAB ba",
+    "B.java": "a.b\\a\u2028(?i)aB\x0cb+ab\nbbb {a}\n$a^ a?b",
+    "C.java": "cc\n  a b \naa b2 x{2}y\nB(ab) 2a",
+}
+
+
+def full_scan(index: CodeIndex, pattern: str, max_results: int) -> str:
+    """`render_search("text", ...)` as a per-line scan of every unit."""
+    compiled = re.compile(pattern)
+    hits = sorted(
+        (u.path, i, line.strip())
+        for u in index.units.values()
+        for i, line in enumerate(u.text.splitlines(), 1)
+        if compiled.search(line)
+    )
+    lines = [f"{path}:{i}: {excerpt}" for path, i, excerpt in hits[:max_results]]
+    if len(hits) > max_results:
+        lines.append(f"... results truncated at {max_results}")
+    return "\n".join(lines) if lines else "(no matches)"
+
+
+# one atom, then maybe a quantifier: mostly well-formed patterns with groups,
+# classes, counted repeats and escapes
+GREP_ATOMS = [
+    "a", "b", "A", "B", " ", "2", ".", "^", "$", "|", "{", "}", "[ab]", "(ab)", "(a|b)",
+    "\\.", "\\(", "\\b", "\\w", "\\d", "\\x61",
+]
+GREP_PATTERNS = st.one_of(
+    st.text(alphabet="abAB .\\()[]|?*+{}^$", max_size=8),
+    st.lists(
+        st.tuples(st.sampled_from(GREP_ATOMS), st.sampled_from(["", "", "?", "*", "+", "{2}"])),
+        max_size=5,
+    ).map(lambda parts: "".join(atom + quantifier for atom, quantifier in parts)),
+)
+
+
+class TestGrepPrefilter:
+    @pytest.mark.parametrize(
+        "pattern, literal",
+        [
+            (r"Cls\.name\(", "Cls.name("),
+            (r"class Root\b", "class Root"),
+            (r"^int\s+total", "total"),
+            ("ab*cd", "cd"),
+            (r"\(?xy", "xy"),
+            ("x(abc)yz", "yz"),
+            ("a|b", ""),
+            ("(?i)abc", ""),
+            ("a[bc]d", ""),
+            ("ab{2}", ""),
+            (r"\x41bc", ""),
+        ],
+    )
+    def test_required_literal(self, pattern, literal):
+        assert _required_literal(pattern) == literal
+
+    @pytest.mark.filterwarnings("ignore::FutureWarning")
+    @settings(deadline=None, max_examples=500)
+    @given(
+        pattern=st.one_of(GREP_PATTERNS, GREP_PATTERNS.map(lambda p: "(?i)" + p)),
+        max_results=st.integers(1, 5),
+    )
+    def test_matches_full_scan(self, pattern, max_results):
+        index = CodeIndex([SourceUnit(path, text) for path, text in GREP_UNITS.items()])
+        try:
+            expected = full_scan(index, pattern, max_results)
+        except re.error:
+            with pytest.raises(EngineError) as exc:
+                index.render_search("text", pattern, max_results)
+            assert exc.value.code == "BAD_ARGS"
+            return
+        assert index.render_search("text", pattern, max_results) == expected

@@ -1,18 +1,31 @@
 from __future__ import annotations
 
 import json
+import random
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ROOT_ID, make_harness
-from harnessgen.coverage import CoverageReport, MethodCoverage, merge_with_callgraph
+from harnessgen.callgraph import CallFacts, build
+from harnessgen.coverage import (
+    CoverageReport,
+    MethodCoverage,
+    ViewDiff,
+    merge_with_callgraph,
+)
 from harnessgen.errors import EngineError
 from harnessgen.orchestrator import (
     PHASE_GRAPH,
     TargetSpec,
+    WorkflowRunner,
     WorkflowState,
     render_annotated_view,
+    render_view_diff,
     run_workflow,
 )
 
@@ -75,6 +88,124 @@ class TestRenderView:
         body = [l for l in text.splitlines() if not l.startswith("##")]
         assert len(body) == 12
         assert all(l.startswith("uncovered ") for l in body)
+
+
+STATUSES = ("uncovered", "partial", "covered")
+COUNT_RE = re.compile(
+    r"\.\.\. (\d+) more at depth (\d+): (\d+) uncovered, (\d+) partial, (\d+) covered"
+)
+
+
+def full_view(view) -> str:
+    """The unbounded rendering: every depth, then every entry by status and id."""
+    lines = []
+    for depth in sorted(view.groups):
+        lines.append(f"## depth {depth}")
+        for e in sorted(view.groups[depth], key=lambda e: (STATUSES.index(e.status), e.node.id)):
+            c = e.counters
+            lc, lt = (c.lines_covered, c.lines_total) if c else (0, 0)
+            bc, bt = (c.branches_covered, c.branches_total) if c else (0, 0)
+            lines.append(f"{e.status} {e.node.id} lines {lc}/{lt} branches {bc}/{bt}")
+    return "\n".join(lines)
+
+
+def skeleton(view) -> str:
+    lines = []
+    for depth in sorted(view.groups):
+        counts = Counter(e.status for e in view.groups[depth])
+        lines.append(f"## depth {depth}")
+        lines.append(
+            f"... {len(view.groups[depth])} more at depth {depth}: {counts['uncovered']} "
+            f"uncovered, {counts['partial']} partial, {counts['covered']} covered"
+        )
+    return "\n".join(lines)
+
+
+def random_view(seed: int, n_nodes: int):
+    rng = random.Random(seed)
+    methods = [f"pkg.C{i % 7}.method{i}(int)" for i in range(n_nodes)]
+    calls = {(methods[rng.randrange(i)], methods[i]) for i in range(1, n_nodes)}
+    calls |= {(rng.choice(methods), rng.choice(methods)) for _ in range(n_nodes)}
+    facts = CallFacts(methods={m: m.rsplit(".", 1)[0] for m in methods}, calls=tuple(sorted(calls)))
+    graph = build(facts, methods[0], n_nodes)
+    counters = []
+    for mid in methods:
+        if rng.random() < 0.7:
+            total = rng.randrange(1, 30)
+            covered = rng.choice((0, total, rng.randrange(total + 1)))
+            counters.append(MethodCoverage(mid, total, covered, 4, rng.randrange(5)))
+    return merge_with_callgraph(CoverageReport(scope="full", methods=tuple(counters)), graph)
+
+
+class TestBoundedView:
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 10**6), n_nodes=st.integers(1, 60), data=st.data())
+    def test_bounded_view_counts_every_node(self, seed, n_nodes, data):
+        view = random_view(seed, n_nodes)
+        full = full_view(view)
+        # a tiny view can render shorter than its skeleton
+        lowest = min(len(skeleton(view)), len(full))
+        budget = data.draw(st.integers(lowest, len(full) + 10))
+        out = render_annotated_view(view, budget)
+        assert len(out) <= budget
+        if len(full) <= budget:
+            assert out == full
+        full_entries = [l for l in full.splitlines() if not l.startswith("## ")]
+        shown = [l for l in out.splitlines() if not l.startswith(("## ", "... "))]
+        assert shown == full_entries[: len(shown)]
+        seen = {depth: Counter() for depth in view.groups}
+        depth = None
+        for line in out.splitlines():
+            if line.startswith("## depth "):
+                depth = int(line.split()[-1])
+                assert not seen[depth]
+                seen[depth]["header"] += 1
+            elif line.startswith("... "):
+                n, d, *counts = map(int, COUNT_RE.fullmatch(line).groups())
+                assert d == depth and n == sum(counts)
+                seen[depth].update(dict(zip(STATUSES, counts)))
+            else:
+                seen[depth][line.split()[0]] += 1
+        for depth, entries in view.groups.items():
+            expected = Counter(e.status for e in entries)
+            expected["header"] = 1
+            assert +seen[depth] == +expected
+
+    def test_budget_below_skeleton_yields_skeleton(self):
+        view = random_view(7, 40)
+        for budget in (0, len(skeleton(view)) - 1):
+            assert render_annotated_view(view, budget) == skeleton(view)
+
+    def test_large_view_stays_within_default_budget(self):
+        view = random_view(3, 2000)
+        assert len(full_view(view)) > 8000
+        out = render_annotated_view(view)
+        assert len(out) <= 8000
+        assert out.startswith("## depth 0\n")
+        assert [l for l in out.splitlines() if l.startswith("## ")] == [
+            f"## depth {d}" for d in sorted(view.groups)
+        ]
+
+
+class TestDiffBlock:
+    def test_small_diff_lists_every_id(self):
+        diff = ViewDiff(newly_covered=("a.B.c()",), regressed=(), delta_percent=2.5)
+        assert render_view_diff(diff) == (
+            "newly covered: a.B.c()\nregressed: none\nline coverage delta: +2.50%"
+        )
+
+    def test_long_diff_lists_ids_while_they_fit(self):
+        newly = tuple(f"pkg.C.method{i:04d}()" for i in range(2000))
+        regressed = ("pkg.C.lost()", "pkg.C.lost2()")
+        out = render_view_diff(ViewDiff(newly, regressed, -1.0), 8000)
+        assert len(out) <= 8000
+        first, second, third = out.splitlines()
+        shown = first.removeprefix("newly covered: ").split(", ")
+        more = re.fullmatch(r"\.\.\. and (\d+) more", shown.pop())
+        assert shown == list(newly[: len(shown)])
+        assert len(shown) + int(more.group(1)) == len(newly)
+        assert second == "regressed: pkg.C.lost(), pkg.C.lost2()"
+        assert third == "line coverage delta: -1.00%"
 
 
 class TestHappyPath:
@@ -217,3 +348,21 @@ class TestTargetResolution:
             "target_class": "ArgParser",
             "target_method": "parse(String[])",
         }
+
+
+class TestRunRecord:
+    def test_unexpected_exception_leaves_manifest(self, demo_config, monkeypatch):
+        config = demo_config("scripts/happy.json")
+        runner = WorkflowRunner(TargetSpec.from_config(config), config)
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("backend exploded")
+
+        monkeypatch.setattr(runner.backend, "complete", explode)
+        manifest = runner.run()
+        assert manifest["outcome"] == "internal_error"
+        assert manifest["error"] == "RuntimeError: backend exploded"
+        assert manifest["transitions"] == ["research", "failed"]
+        assert "in explode" in manifest["traceback"]
+        on_disk = json.loads((runner.run_dir / "manifest.json").read_text())
+        assert on_disk == manifest
