@@ -7,6 +7,7 @@ All values are immutable and every operation is pure.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -146,8 +147,7 @@ class AnnotatedCoverageView:
         raise EngineError("NOT_FOUND", f"method not in view: {method_id}")
 
 
-def _in_any_window(ts: float, windows: tuple[tuple[float, float], ...]) -> bool:
-    return any(start <= ts <= end for start, end in windows)
+_KIND_INDEX = {"line_hit": 0, "branch_hit": 1}
 
 
 def apply_recording_windows(trace: RecordingTrace, warn=None) -> CoverageReport:
@@ -155,29 +155,34 @@ def apply_recording_windows(trace: RecordingTrace, warn=None) -> CoverageReport:
 
     Only events inside a recording window count; distinct hit sites per
     method and kind become the covered counters, capped at the declared
-    totals.
+    totals. An in-window event of another kind raises KeyError.
     """
-    hits: dict[str, dict[str, set[int]]] = {
-        mid: {"line_hit": set(), "branch_hit": set()} for mid in trace.method_totals
-    }
+    totals = trace.method_totals
+    windows = trace.windows
+    sites: set[tuple[str, int, int]] = set()  # (method id, kind index, line)
     dropped = 0
     for event in trace.events:
-        if event.method_id not in hits:
+        mid = event.method_id
+        if mid not in totals:
             dropped += 1
             if warn is not None:
-                warn(f"dropping event for unknown method {event.method_id}")
+                warn(f"dropping event for unknown method {mid}")
             continue
-        if _in_any_window(event.timestamp, trace.windows):
-            hits[event.method_id][event.kind].add(event.line)
+        ts = event.timestamp
+        for start, end in windows:
+            if start <= ts <= end:
+                sites.add((mid, _KIND_INDEX[event.kind], event.line))
+                break
+    hits = Counter((mid, kind) for mid, kind, _ in sites)
     methods = tuple(
         MethodCoverage(
             id=mid,
-            lines_total=totals[0],
-            lines_covered=min(totals[0], len(hits[mid]["line_hit"])),
-            branches_total=totals[1],
-            branches_covered=min(totals[1], len(hits[mid]["branch_hit"])),
+            lines_total=lines,
+            lines_covered=min(lines, hits[mid, 0]),
+            branches_total=branches,
+            branches_covered=min(branches, hits[mid, 1]),
         )
-        for mid, totals in sorted(trace.method_totals.items())
+        for mid, (lines, branches) in sorted(totals.items())
     )
     return CoverageReport(scope="method_targeted", methods=methods, dropped_events=dropped)
 
@@ -246,10 +251,10 @@ class ViewDiff:
 
 
 def diff_views(prev: AnnotatedCoverageView, curr: AnnotatedCoverageView) -> ViewDiff:
-    if prev.root != curr.root or prev.node_ids() != curr.node_ids():
-        raise EngineError("BAD_ARGS", "views cover different node sets")
     prev_status = {e.node.id: e.status for e in prev.entries()}
     curr_status = {e.node.id: e.status for e in curr.entries()}
+    if prev.root != curr.root or prev_status.keys() != curr_status.keys():
+        raise EngineError("BAD_ARGS", "views cover different node sets")
     newly = tuple(
         sorted(
             mid

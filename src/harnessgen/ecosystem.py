@@ -16,6 +16,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 from .agents import HarnessArtifact
@@ -182,33 +183,49 @@ class SandboxAdapter:
 
     def __init__(self, spec: SandboxSpec) -> None:
         self.spec = spec
+        # coverage rule index -> its events; they never depend on the harness
+        self._rule_events: dict[int, tuple[TraceEvent, ...]] = {}
 
-    def compile(self, harness: HarnessArtifact) -> CompileResult:
+    def compile(self, harness: HarnessArtifact, timeout: float | None = None) -> CompileResult:
+        """Rule-driven diagnostics; `timeout` is accepted for the adapter contract and unused."""
         diagnostics = tuple(
             rule.diagnostic for rule in self.spec.compile_rules if rule.fires(harness.source)
         )
         success = not any(d.severity == "error" for d in diagnostics)
         return CompileResult(success=success, diagnostics=diagnostics)
 
+    def _events_of(self, index: int) -> tuple[TraceEvent, ...]:
+        """Coverage rule `index`'s events, built on its first match and kept."""
+        events = self._rule_events.get(index)
+        if events is None:
+            rule = self.spec.coverage_rules[index]
+            ts = _TS_INSIDE if rule.in_window else _TS_OUTSIDE
+            built: list[TraceEvent] = []
+            for mid, (line_frac, branch_frac) in sorted(rule.methods.items()):
+                lines_total, branches_total = self.spec.method_totals.get(mid, (0, 0))
+                for line in range(1, math.ceil(line_frac * lines_total) + 1):
+                    built.append(TraceEvent(mid, line, "line_hit", ts))
+                for branch in range(1, math.ceil(branch_frac * branches_total) + 1):
+                    built.append(TraceEvent(mid, branch, "branch_hit", ts))
+            events = self._rule_events[index] = tuple(built)
+        return events
+
     def build_trace(self, harness: HarnessArtifact) -> RecordingTrace:
         """Trace synthesized from the coverage rules matching the harness.
 
         A rule covering fraction f of a method hits line sites 1..ceil(f*total);
-        overlapping rules union naturally through the site sets.
+        overlapping rules union naturally through the site sets. The events
+        are the matched rules' events in rule order.
         """
-        events: list[TraceEvent] = []
-        for rule in self.spec.coverage_rules:
-            if not _pattern_matches(rule.pattern, harness.source):
-                continue
-            ts = _TS_INSIDE if rule.in_window else _TS_OUTSIDE
-            for mid, (line_frac, branch_frac) in sorted(rule.methods.items()):
-                lines_total, branches_total = self.spec.method_totals.get(mid, (0, 0))
-                for line in range(1, math.ceil(line_frac * lines_total) + 1):
-                    events.append(TraceEvent(mid, line, "line_hit", ts))
-                for branch in range(1, math.ceil(branch_frac * branches_total) + 1):
-                    events.append(TraceEvent(mid, branch, "branch_hit", ts))
+        events = tuple(
+            chain.from_iterable(
+                self._events_of(i)
+                for i, rule in enumerate(self.spec.coverage_rules)
+                if _pattern_matches(rule.pattern, harness.source)
+            )
+        )
         return RecordingTrace(
-            events=tuple(events),
+            events=events,
             windows=(_WINDOW,),
             method_totals=dict(self.spec.method_totals),
         )
@@ -279,11 +296,14 @@ class ShellAdapter:
             handle.write(harness.source)
         return handle.name
 
-    def compile(self, harness: HarnessArtifact) -> CompileResult:
+    def compile(self, harness: HarnessArtifact, timeout: float | None = None) -> CompileResult:
+        """Run `compile_cmd`; past `timeout` seconds it fails with COMPILE_TIMEOUT."""
         path = self._write_harness(harness)
         cmd = self.compile_cmd.format(harness=path)
         try:
-            proc = subprocess.run(cmd, shell=True, capture_output=True, text=True)
+            proc = subprocess.run(cmd, shell=True, capture_output=True, text=True, timeout=timeout)
+        except subprocess.TimeoutExpired as exc:
+            raise EngineError("COMPILE_TIMEOUT", f"compile command timed out: {exc}") from exc
         except OSError as exc:
             raise EngineError("EXEC", f"compile command failed to start: {exc}") from exc
         finally:

@@ -126,7 +126,7 @@ class WorkflowState:
     round: int = 0
     harness: HarnessArtifact | None = None
     seen_hashes: set[str] = field(default_factory=set)
-    views: dict[int, AnnotatedCoverageView] = field(default_factory=dict)
+    prev_view: AnnotatedCoverageView | None = None  # the last analyzed round's view
     rows: list[RoundRow] = field(default_factory=list)
     transitions: list[str] = field(default_factory=list)
     harness_versions: int = 0
@@ -343,7 +343,8 @@ class WorkflowRunner:
 
     def _save_coverage(self, report, round_index: int) -> None:
         path = self.run_dir / "coverage" / f"r{round_index}.json"
-        path.write_text(json.dumps(report.to_json(), indent=2), encoding="utf-8")
+        # compact: the C encoder; with `indent` json falls back to pure Python
+        path.write_text(json.dumps(report.to_json()), encoding="utf-8")
 
     def _timed(self, phase: str, fn, *args, **kwargs):
         started = time.monotonic()
@@ -353,16 +354,19 @@ class WorkflowRunner:
             self.timings[phase] = self.timings.get(phase, 0.0) + time.monotonic() - started
 
     def _toolchain(self, phase: str, fn, *args, **kwargs):
-        """`_timed` for an adapter call; its errors but FUZZ_TIMEOUT become ToolchainError."""
+        """`_timed` for an adapter call; its errors but the timeouts become ToolchainError."""
         try:
             return self._timed(phase, fn, *args, **kwargs)
         except EngineError as exc:
-            if exc.code == "FUZZ_TIMEOUT":
+            if exc.code in ("FUZZ_TIMEOUT", "COMPILE_TIMEOUT"):
                 raise
             raise ToolchainError(exc.code, exc.message) from exc
 
+    def _wall_left(self) -> float:
+        return float(self.config.budget("wall_seconds")) - (time.monotonic() - self._started)
+
     def _wall_exceeded(self) -> bool:
-        return time.monotonic() - self._started > float(self.config.budget("wall_seconds"))
+        return self._wall_left() < 0
 
     # -- agent steps --------------------------------------------------------
 
@@ -381,7 +385,7 @@ class WorkflowRunner:
         """Compile; on errors let the patching agent retry up to the budget."""
         max_patch_rounds = int(self.config.budget("max_patch_rounds"))
         self.state.transition("compile")
-        result: CompileResult = self._toolchain("compile", self.adapter.compile, harness)
+        result: CompileResult = self._compile(harness)
         # an explicit zero entry keeps the per-round '/' rendering aligned
         self.ledger.record(AgentRole.PAT, round_index)
         attempts = 0
@@ -411,8 +415,14 @@ class WorkflowRunner:
             harness = pat.parsed_output
             self._save_harness(harness)
             self.state.transition("compile")
-            result = self._toolchain("compile", self.adapter.compile, harness)
+            result = self._compile(harness)
         return harness
+
+    def _compile(self, harness: HarnessArtifact) -> CompileResult:
+        """One adapter compile, bounded by the wall-clock time left."""
+        return self._toolchain(
+            "compile", self.adapter.compile, harness, timeout=max(self._wall_left(), 0.0)
+        )
 
     # -- workflow ------------------------------------------------------------
 
@@ -429,6 +439,8 @@ class WorkflowRunner:
             elif exc.code == "FUZZ_TIMEOUT":
                 outcome = OUTCOME_BUDGET
                 self.state.fuzz_timeout = True
+            elif exc.code == "COMPILE_TIMEOUT":
+                outcome = OUTCOME_BUDGET
             else:
                 outcome = OUTCOME_MODEL_FAILED
         except Exception as exc:  # any other fault still leaves a manifest
@@ -492,10 +504,10 @@ class WorkflowRunner:
             )
             self._save_coverage(fuzz.coverage, state.round)
             view = merge_with_callgraph(fuzz.coverage, self.graph)
-            state.views[state.round] = view
 
             state.transition("analyze")
             decision, cva_failed = self._timed("analyze", self._analyze, view, fuzz)
+            state.prev_view = view
             row = RoundRow(
                 round=state.round,
                 line_percent=coverage_percent(view, "line").value,
@@ -545,8 +557,8 @@ class WorkflowRunner:
             ("coverage view (grouped by call depth)", render_annotated_view(view, budget)),
             ("current harness", state.harness.source),
         ]
-        if state.round > 0:
-            diff = diff_views(state.views[state.round - 1], view)
+        if state.prev_view is not None:
+            diff = diff_views(state.prev_view, view)
             seed.append(("change since previous round", render_view_diff(diff, budget)))
         if fuzz.crashes:
             unique = sorted({c.dedup_key for c in fuzz.crashes})

@@ -32,6 +32,24 @@ def run_to_dir(capsys, tmp_path, script, *extra):
     return code, run_dir, out, err
 
 
+def write_shell_config(tmp_path, wall_seconds=None, **shell):
+    """The demo config on the shell adapter with `shell` commands; returns its path."""
+    config = json.loads((DEMO_DIR / "config.json").read_text())
+    config["model"]["script"] = str(DEMO_DIR / "scripts" / "happy.json")
+    config["output_dir"] = str(tmp_path / "runs")
+    config["adapter"] = {"shell": {"coverage_out": "cov.json", **shell}}
+    config["target"].update(
+        docs_bundle=str(DEMO_DIR / "docs.json"),
+        source_root=str(DEMO_DIR / "src"),
+        facts=str(DEMO_DIR / "facts.json"),
+    )
+    if wall_seconds is not None:
+        config["budgets"]["wall_seconds"] = wall_seconds
+    path = tmp_path / "shell.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
 class TestRun:
     def test_success_exit_zero(self, capsys, tmp_path):
         code, run_dir, out, _ = run_to_dir(capsys, tmp_path, "scripts/happy.json")
@@ -59,29 +77,25 @@ class TestRun:
         assert code == 3 and "outcome: budget_exhausted" in out
 
     def test_toolchain_failure_exit_two(self, capsys, tmp_path):
-        config = json.loads((DEMO_DIR / "config.json").read_text())
-        config["model"]["script"] = str(DEMO_DIR / "scripts" / "happy.json")
-        config["output_dir"] = str(tmp_path / "runs")
-        config["adapter"] = {
-            "shell": {
-                "compile_cmd": "true",
-                "fuzz_cmd": "echo boom >&2; exit 7",
-                "coverage_out": "cov.json",
-            }
-        }
-        config["target"].update(
-            docs_bundle=str(DEMO_DIR / "docs.json"),
-            source_root=str(DEMO_DIR / "src"),
-            facts=str(DEMO_DIR / "facts.json"),
-        )
-        path = tmp_path / "shell.json"
-        path.write_text(json.dumps(config))
+        path = write_shell_config(tmp_path, compile_cmd="true", fuzz_cmd="echo boom >&2; exit 7")
         code, out, _ = run_cli(capsys, "run", str(path))
         assert code == 2 and "outcome: toolchain_failed" in out
         manifest = json.loads(open(f"{out.splitlines()[0]}/manifest.json").read())
         assert manifest["outcome"] == "toolchain_failed"
         assert manifest["error"] == "EXEC: fuzz command exited with status 7: boom"
         assert manifest["transitions"][-2:] == ["fuzz", "failed"]
+
+    def test_compile_timeout_is_budget_exhausted(self, capsys, tmp_path):
+        path = write_shell_config(
+            tmp_path, compile_cmd="sleep 5", fuzz_cmd="true", wall_seconds=0.5
+        )
+        code, out, _ = run_cli(capsys, "run", str(path))
+        assert code == 3 and "outcome: budget_exhausted" in out
+        manifest = json.loads(open(f"{out.splitlines()[0]}/manifest.json").read())
+        assert manifest["error"].startswith("COMPILE_TIMEOUT: compile command timed out")
+        assert manifest["transitions"][-2:] == ["compile", "failed"]
+        assert manifest["fuzz_timeout"] is False
+        assert manifest["timings"]["compile"] < 2.0
 
     def test_internal_error_exit_two(self, capsys, tmp_path, monkeypatch):
         def explode(*args, **kwargs):

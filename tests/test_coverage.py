@@ -4,15 +4,18 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harnessgen.callgraph import CallFacts, build
 from harnessgen.coverage import (
+    STATUS_COVERED,
+    AnnotatedCoverageView,
     CoverageReport,
     MethodCoverage,
     RecordingTrace,
     TraceEvent,
+    ViewDiff,
     apply_recording_windows,
     classify,
     coverage_percent,
@@ -273,3 +276,172 @@ class TestDiff:
         diff = diff_views(prev, curr)
         assert diff.newly_covered == () and diff.regressed == ()
         assert diff.delta_percent == pytest.approx(0.0, abs=1e-12)
+
+
+def old_apply_recording_windows(trace: RecordingTrace, warn=None) -> CoverageReport:
+    """The per-method set-of-sets filter with a generator window test, as it was
+    before the one-pass version; the reference for the equivalence test."""
+    hits = {mid: {"line_hit": set(), "branch_hit": set()} for mid in trace.method_totals}
+    dropped = 0
+    for event in trace.events:
+        if event.method_id not in hits:
+            dropped += 1
+            if warn is not None:
+                warn(f"dropping event for unknown method {event.method_id}")
+            continue
+        if any(start <= event.timestamp <= end for start, end in trace.windows):
+            hits[event.method_id][event.kind].add(event.line)
+    methods = tuple(
+        MethodCoverage(
+            id=mid,
+            lines_total=totals[0],
+            lines_covered=min(totals[0], len(hits[mid]["line_hit"])),
+            branches_total=totals[1],
+            branches_covered=min(totals[1], len(hits[mid]["branch_hit"])),
+        )
+        for mid, totals in sorted(trace.method_totals.items())
+    )
+    return CoverageReport(scope="method_targeted", methods=methods, dropped_events=dropped)
+
+
+@st.composite
+def traces(draw):
+    """Ordered windows, some touching at an endpoint; events on and near their
+    bounds; unknown methods, repeated sites, sites past the totals, zero totals."""
+    windows = []
+    start = float(draw(st.integers(0, 5)))
+    for _ in range(draw(st.integers(0, 4))):
+        end = start + draw(st.integers(0, 6))
+        windows.append((start, end))
+        start = end + draw(st.sampled_from([0, 0, 1, 3]))  # 0: the next window touches
+    bounds = [t for w in windows for t in w]
+    timestamp = st.one_of(
+        st.sampled_from(bounds or [0.0]),
+        st.integers(-2, 40).map(float),
+        st.floats(-2.0, 40.0, allow_nan=False),
+    )
+    totals = draw(
+        st.dictionaries(
+            st.sampled_from(["a", "b", "c", "d"]),
+            st.tuples(st.integers(0, 4), st.integers(0, 3)),
+            max_size=4,
+        )
+    )
+    event = st.builds(
+        TraceEvent,
+        method_id=st.sampled_from(["a", "b", "c", "d", "ghost"]),
+        line=st.integers(0, 7),
+        kind=st.sampled_from(["line_hit", "branch_hit"]),
+        timestamp=timestamp,
+    )
+    events = draw(st.lists(event, max_size=60))
+    return RecordingTrace(events=tuple(events), windows=tuple(windows), method_totals=totals)
+
+
+class TestWindowsEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(trace=traces())
+    def test_matches_old_filter(self, trace):
+        warned: list[str] = []
+        old_warned: list[str] = []
+        report = apply_recording_windows(trace, warn=warned.append)
+        assert report == old_apply_recording_windows(trace, warn=old_warned.append)
+        assert warned == old_warned
+        assert len(warned) == report.dropped_events
+
+    def test_unknown_kind_in_window_fails_as_before(self):
+        trace = RecordingTrace(
+            events=(TraceEvent("a", 1, "stmt_hit", 150.0),),
+            windows=((100.0, 200.0),),
+            method_totals={"a": (2, 2)},
+        )
+        for apply in (apply_recording_windows, old_apply_recording_windows):
+            with pytest.raises(KeyError):
+                apply(trace)
+
+    def test_unknown_kind_outside_windows_is_ignored_as_before(self):
+        trace = RecordingTrace(
+            events=(TraceEvent("a", 1, "stmt_hit", 50.0), TraceEvent("a", 1, "line_hit", 150.0)),
+            windows=((100.0, 200.0),),
+            method_totals={"a": (2, 2)},
+        )
+        assert apply_recording_windows(trace) == old_apply_recording_windows(trace)
+        assert apply_recording_windows(trace).by_id()["a"].lines_covered == 1
+
+
+def old_diff_views(prev: AnnotatedCoverageView, curr: AnnotatedCoverageView) -> ViewDiff:
+    """`diff_views` as it was before it built each status dict once."""
+    if prev.root != curr.root or prev.node_ids() != curr.node_ids():
+        raise EngineError("BAD_ARGS", "views cover different node sets")
+    prev_status = {e.node.id: e.status for e in prev.entries()}
+    curr_status = {e.node.id: e.status for e in curr.entries()}
+    newly = tuple(
+        sorted(
+            mid
+            for mid, status in curr_status.items()
+            if status == STATUS_COVERED and prev_status[mid] != STATUS_COVERED
+        )
+    )
+    regressed = tuple(
+        sorted(
+            mid
+            for mid, status in prev_status.items()
+            if status == STATUS_COVERED and curr_status[mid] != STATUS_COVERED
+        )
+    )
+    delta = coverage_percent(curr, "line").value - coverage_percent(prev, "line").value
+    return ViewDiff(newly_covered=newly, regressed=regressed, delta_percent=delta)
+
+
+@st.composite
+def view_pairs(draw):
+    """Two views of one random graph, from random reports (stray ids included)."""
+    n = draw(st.integers(1, 12))
+    ids = [f"m{i}" for i in range(n)]
+    calls = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3 * n))
+    # a spanning chain keeps every node reachable from m0
+    facts = CallFacts(methods={i: f"C.{i}" for i in ids}, calls=tuple(zip(ids, ids[1:])) + tuple(calls))
+    graph = build(facts, "m0", 20)
+
+    def report():
+        picked = draw(st.lists(st.sampled_from(ids + ["stray"]), unique=True))
+        methods = []
+        for mid in picked:
+            lines, branches = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+            methods.append(
+                mk(mid, lines, draw(st.integers(0, lines)), branches, draw(st.integers(0, branches)))
+            )
+        return CoverageReport(scope="method_targeted", methods=tuple(methods))
+
+    return merge_with_callgraph(report(), graph), merge_with_callgraph(report(), graph)
+
+
+class TestDiffEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(views=view_pairs())
+    def test_matches_old_diff(self, views):
+        prev, curr = views
+        assert diff_views(prev, curr) == old_diff_views(prev, curr)
+        assert diff_views(curr, prev) == old_diff_views(curr, prev)
+
+    def test_bad_args_as_before(self, graph):
+        def view(calls, root):
+            facts = CallFacts(methods={"r": "C.r", "x": "C.x", "y": "C.y"}, calls=calls)
+            return merge_with_callgraph(CoverageReport(scope="full"), build(facts, root, 5))
+
+        cycle = (("r", "x"), ("x", "r"))
+        pair = view((("r", "x"),), "r")
+        small = merge_with_callgraph(CoverageReport(scope="full"), small_graph())
+        toylib = merge_with_callgraph(CoverageReport(scope="full"), graph)
+        cases = [
+            (view(cycle, "r"), view(cycle, "x")),  # same nodes under another root
+            (pair, view((("r", "y"),), "r")),  # same root and size, other nodes
+            (small, toylib),  # disjoint
+            (small, pair),  # a subset, either way
+            (pair, small),
+        ]
+        for prev, curr in cases:
+            for diff in (diff_views, old_diff_views):
+                with pytest.raises(EngineError) as exc:
+                    diff(prev, curr)
+                assert exc.value.code == "BAD_ARGS"

@@ -3,18 +3,21 @@ from __future__ import annotations
 import json
 import math
 import tempfile
+import time
 
 import pytest
 
-from harnessgen.coverage import CoverageReport
+from harnessgen.coverage import CoverageReport, RecordingTrace, TraceEvent
 from harnessgen.ecosystem import (
+    _WINDOW,
     ShellAdapter,
+    _pattern_matches,
     crash_dedup_key,
     load_sandbox,
 )
 from harnessgen.errors import EngineError
 
-from conftest import make_harness
+from conftest import DEMO_DIR, make_harness
 
 BASE = "void fuzzTarget(byte[] data) { parser.parse(args); }"
 LONG = BASE + " // LONG_OPTS"
@@ -75,6 +78,10 @@ class TestSandboxCompile:
         h = make_harness("void main() {}")
         assert sandbox.compile(h) == sandbox.compile(h)
 
+    def test_timeout_accepted_and_ignored(self, sandbox):
+        h = make_harness(BASE)
+        assert sandbox.compile(h, timeout=0.0) == sandbox.compile(h)
+
 
 class TestSandboxCoverage:
     def test_base_rule_hand_computed(self, sandbox):
@@ -131,6 +138,51 @@ class TestSandboxCoverage:
         b = sandbox.fuzz(make_harness(LONG), 7)
         assert json.dumps(a.coverage.to_json()) == json.dumps(b.coverage.to_json())
         assert a.crashes == b.crashes
+
+
+def old_build_trace(spec, harness) -> RecordingTrace:
+    """`SandboxAdapter.build_trace` as it was before rule events were kept
+    per adapter: every call rebuilds the matched rules' events."""
+    events = []
+    for rule in spec.coverage_rules:
+        if not _pattern_matches(rule.pattern, harness.source):
+            continue
+        ts = 150.0 if rule.in_window else 50.0
+        for mid, (line_frac, branch_frac) in sorted(rule.methods.items()):
+            lines_total, branches_total = spec.method_totals.get(mid, (0, 0))
+            for line in range(1, math.ceil(line_frac * lines_total) + 1):
+                events.append(TraceEvent(mid, line, "line_hit", ts))
+            for branch in range(1, math.ceil(branch_frac * branches_total) + 1):
+                events.append(TraceEvent(mid, branch, "branch_hit", ts))
+    return RecordingTrace(
+        events=tuple(events), windows=(_WINDOW,), method_totals=dict(spec.method_totals)
+    )
+
+
+class TestKeptRuleEvents:
+    HARNESSES = (BOTH, LONG, BASE, "void fuzzTarget() { WARMUP }", SHORT, BOTH, "no rule")
+
+    def test_repeat_fuzz_on_one_adapter_equals_fresh_adapter(self):
+        adapter = load_sandbox(DEMO_DIR / "sandbox.json")
+        for source in self.HARNESSES:
+            harness = make_harness(source)
+            for scope in ("method_targeted", "full"):
+                first = adapter.fuzz(harness, 3, scope=scope)
+                second = adapter.fuzz(harness, 3, scope=scope)
+                fresh = load_sandbox(DEMO_DIR / "sandbox.json").fuzz(harness, 3, scope=scope)
+                assert first.coverage == second.coverage == fresh.coverage
+                assert first.crashes == second.crashes == fresh.crashes
+                assert first.executions == second.executions == fresh.executions
+
+    def test_trace_equals_old_build(self):
+        adapter = load_sandbox(DEMO_DIR / "sandbox.json")
+        for source in self.HARNESSES:
+            harness = make_harness(source)
+            old = old_build_trace(adapter.spec, harness)
+            fresh = load_sandbox(DEMO_DIR / "sandbox.json").build_trace(harness)
+            for trace in (adapter.build_trace(harness), adapter.build_trace(harness), fresh):
+                assert trace.events == old.events
+                assert (trace.windows, trace.method_totals) == (old.windows, old.method_totals)
 
 
 class TestCrashes:
@@ -243,6 +295,19 @@ class TestShellAdapter:
         with pytest.raises(EngineError):
             self._adapter(shell_dir, fuzz_script="fuzz_fails.sh").fuzz(make_harness(BASE), 1)
         assert list(tmp_path.glob("*.src")) == []
+
+    def test_compile_timeout(self, shell_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        adapter = self._adapter(shell_dir, compile_script="slow.sh")
+        started = time.monotonic()
+        with pytest.raises(EngineError) as exc:
+            adapter.compile(make_harness(BASE), timeout=0.2)
+        assert exc.value.code == "COMPILE_TIMEOUT" and "compile command" in exc.value.message
+        assert time.monotonic() - started < 4.0
+        assert list(tmp_path.glob("*.src")) == []
+
+    def test_compile_within_timeout(self, shell_dir):
+        assert self._adapter(shell_dir).compile(make_harness(BASE), timeout=30.0).success
 
     def test_fuzz_timeout(self, shell_dir):
         adapter = self._adapter(shell_dir, fuzz_script="slow.sh", timeout_grace=0.2)

@@ -264,6 +264,27 @@ class TestHappyPath:
         assert scrubbed[0] == scrubbed[1]
 
 
+class TestCoverageFiles:
+    def test_each_round_file_loads_as_its_report(self, demo_config):
+        config = demo_config("scripts/happy.json")
+        runner = WorkflowRunner(TargetSpec.from_config(config), config)
+        reports = []
+        fuzz = runner.adapter.fuzz
+
+        def recording_fuzz(*args, **kwargs):
+            result = fuzz(*args, **kwargs)
+            reports.append(result.coverage)
+            return result
+
+        runner.adapter.fuzz = recording_fuzz
+        manifest = runner.run()
+        assert len(reports) == len(manifest["rounds"]) == 2
+        for n, report in enumerate(reports):
+            path = runner.run_dir / "coverage" / f"r{n}.json"
+            assert CoverageReport.load(path) == report
+            assert "\n" not in path.read_text(encoding="utf-8")  # compact, one line
+
+
 class TestPatchLoop:
     def test_fix_after_one_patch(self, demo_config):
         manifest = run_demo(demo_config, "scripts/patch_fix.json")
