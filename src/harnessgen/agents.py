@@ -5,12 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from .errors import EngineError
-from .model_backend import Conversation, Message, ModelBackend, UsageLedger
-from .toolbus import AgentRole, ToolRegistry, ToolRequest
+from .model_backend import Conversation, Message, ModelBackend
+from .toolbus import AgentRole, ToolRegistry
 
 DEFAULT_MAX_ITERATIONS = {
     AgentRole.RSH: 25,
@@ -179,28 +179,31 @@ class TranscriptStep:
     text: str | None = None
     tool_calls: list[dict] = field(default_factory=list)
     tool_results: list[dict] = field(default_factory=list)
+    tokens_in: int = 0
+    tokens_out: int = 0
 
 
 @dataclass
 class AgentTranscript:
+    """One agent run, a step per model turn: the run's record of model usage."""
+
     role: str
     steps: list[TranscriptStep] = field(default_factory=list)
-    iterations: int = 0
-    tool_call_count: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.steps)
+
+    @property
+    def tool_call_count(self) -> int:
+        return sum(len(s.tool_calls) for s in self.steps)
 
     def to_json(self) -> dict:
         return {
             "role": self.role,
             "iterations": self.iterations,
             "tool_call_count": self.tool_call_count,
-            "steps": [
-                {
-                    "text": s.text,
-                    "tool_calls": s.tool_calls,
-                    "tool_results": s.tool_results,
-                }
-                for s in self.steps
-            ],
+            "steps": [asdict(s) for s in self.steps],
         }
 
 
@@ -217,44 +220,40 @@ def run_react(
     seed_context: list[tuple[str, str]],
     registry: ToolRegistry,
     backend: ModelBackend,
-    ledger: UsageLedger | None = None,
-    round_index: int = 0,
+    transcript: AgentTranscript | None = None,
 ) -> AgentRunResult:
     """Drive one agent to a parseable final answer or iteration exhaustion.
 
     Tool calls returned by the model are dispatched through the registry;
     errors (including access denials) come back as observations so the
-    model can adjust.
+    model can adjust. Each turn is appended to `transcript`, filled in
+    place, as soon as the model returns it, so a run that raises midway
+    still holds every turn it was charged for.
     """
     conversation = Conversation()
     conversation.add(Message(role="system", content=profile.system_prompt))
     seed_text = "\n\n".join(f"[{label}]\n{text}" for label, text in seed_context)
     conversation.add(Message(role="user", content=seed_text))
     tools = registry.list_tools(profile.role)
-    transcript = AgentTranscript(role=profile.role.value)
+    if transcript is None:
+        transcript = AgentTranscript(role=profile.role.value)
     corrective_used = False
     last_text: str | None = None
 
     while transcript.iterations < profile.max_iterations:
         turn = backend.complete(conversation, tools)
-        transcript.iterations += 1
-        if ledger is not None:
-            ledger.record(
-                profile.role,
-                round_index,
-                iterations=1,
-                tool_calls=len(turn.tool_calls),
-                tokens_in=turn.usage.tokens_in,
-                tokens_out=turn.usage.tokens_out,
-            )
-        step = TranscriptStep(text=turn.text)
+        step = TranscriptStep(
+            text=turn.text,
+            tool_calls=[call.to_wire() for call in turn.tool_calls],
+            tokens_in=turn.usage.tokens_in,
+            tokens_out=turn.usage.tokens_out,
+        )
+        transcript.steps.append(step)
         conversation.add(Message(role="assistant", content=turn.text or "", tool_calls=turn.tool_calls))
         if turn.tool_calls:
             for i, call in enumerate(turn.tool_calls):
                 response = registry.dispatch(profile.role, call)
-                step.tool_calls.append(call.to_wire())
                 step.tool_results.append(response.to_wire())
-                transcript.tool_call_count += 1
                 observation = (
                     response.content
                     if response.ok
@@ -263,9 +262,7 @@ def run_react(
                 conversation.add(
                     Message(role="tool", content=observation, tool_call_id=f"call_{i}")
                 )
-            transcript.steps.append(step)
             continue
-        transcript.steps.append(step)
         last_text = turn.text or ""
         try:
             parsed = profile.output_parser(last_text)

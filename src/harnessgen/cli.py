@@ -2,7 +2,7 @@
 
 Exit codes: 0 success/converged, 1 invalid config or arguments,
 2 compile_failed/model_failed/toolchain_failed/internal_error,
-3 budget_exhausted.
+3 budget_exhausted, 130 interrupted (Ctrl-C or SIGTERM).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_FAILED = 2
 EXIT_BUDGET = 3
+EXIT_INTERRUPTED = 130
 
 _OUTCOME_EXITS = {
     "success": EXIT_OK,
@@ -33,6 +35,10 @@ _OUTCOME_EXITS = {
     "internal_error": EXIT_FAILED,
     "budget_exhausted": EXIT_BUDGET,
 }
+
+
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
 
 
 def _load_validated(config_path: str, overrides: list[str], out=None):
@@ -54,11 +60,18 @@ def cmd_run(args) -> int:
     if config is None:
         return EXIT_CONFIG
     target = TargetSpec.from_config(config)
+    # SIGTERM ends the run as Ctrl-C does: the run writes its manifest, outcome `interrupted`
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         manifest = run_workflow(target, config)
     except EngineError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
+    except KeyboardInterrupt:
+        print("run interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(manifest["run_dir"])
     print(f"outcome: {manifest['outcome']}")
     return _OUTCOME_EXITS.get(manifest["outcome"], EXIT_FAILED)
@@ -179,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="harnessgen",
         description="Agent-driven fuzz harness generation engine",
         epilog="exit codes: 0 success/converged, 1 invalid config, "
-        "2 compile/model/toolchain failure or internal error, 3 budget exhausted",
+        "2 compile/model/toolchain failure or internal error, 3 budget exhausted, "
+        "130 interrupted",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,10 +8,13 @@ configured commands.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import re
+import signal
 import subprocess
 import tempfile
 import time
@@ -20,7 +23,7 @@ from itertools import chain
 from pathlib import Path
 
 from .agents import HarnessArtifact
-from .coverage import CoverageReport, MethodCoverage, RecordingTrace, TraceEvent, apply_recording_windows
+from .coverage import CoverageReport, RecordingTrace, TraceEvent, apply_recording_windows
 from .errors import EngineError
 
 DEFAULT_ENTRYPOINT = "fuzzTarget"
@@ -103,7 +106,6 @@ class CrashRule:
 
 @dataclass
 class SandboxSpec:
-    base_dir: Path
     docs_bundle: Path
     source_root: Path
     facts: Path
@@ -164,7 +166,6 @@ def load_sandbox(spec_path: str | Path) -> "SandboxAdapter":
         CrashRule(pattern=r["pattern"], summary=r["summary"]) for r in raw.get("crash_rules", [])
     ]
     spec = SandboxSpec(
-        base_dir=base,
         docs_bundle=paths["docs_bundle"],
         source_root=paths["source_root"],
         facts=paths["facts"],
@@ -266,6 +267,27 @@ class SandboxAdapter:
         )
 
 
+def _run_shell(cmd: str, timeout: float | None) -> subprocess.CompletedProcess:
+    """Run `cmd` in a shell in its own process group.
+
+    On expiry, or on any exception while waiting (an interrupt included),
+    the whole group is killed and reaped, so no compiler or fuzzer the
+    shell started outlives the call.
+    """
+    with subprocess.Popen(
+        cmd, shell=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout)
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
 class ShellAdapter:
     """Delegates compile/fuzz to configured shell commands.
 
@@ -301,7 +323,7 @@ class ShellAdapter:
         path = self._write_harness(harness)
         cmd = self.compile_cmd.format(harness=path)
         try:
-            proc = subprocess.run(cmd, shell=True, capture_output=True, text=True, timeout=timeout)
+            proc = _run_shell(cmd, timeout)
         except subprocess.TimeoutExpired as exc:
             raise EngineError("COMPILE_TIMEOUT", f"compile command timed out: {exc}") from exc
         except OSError as exc:
@@ -335,13 +357,7 @@ class ShellAdapter:
         cmd = self.fuzz_cmd.format(harness=path, duration=duration_seconds)
         started = time.monotonic()
         try:
-            proc = subprocess.run(
-                cmd,
-                shell=True,
-                capture_output=True,
-                text=True,
-                timeout=duration_seconds + self.timeout_grace,
-            )
+            proc = _run_shell(cmd, duration_seconds + self.timeout_grace)
         except subprocess.TimeoutExpired as exc:
             raise EngineError(
                 "FUZZ_TIMEOUT", f"fuzz command exceeded {duration_seconds}s plus grace: {exc}"

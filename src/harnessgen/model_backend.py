@@ -2,14 +2,14 @@
 
 Two backends share one interface: a deterministic scripted backend that
 replays canned turns for tests, and an HTTP backend speaking a generic
-chat-completions-with-tools JSON layout. The usage ledger aggregates
-per-agent, per-round activity for the run manifest.
+chat-completions-with-tools JSON layout. Each turn reports its token
+usage; `summarize_usage` turns per-agent, per-round sums of those turns,
+as the run's transcripts record them, into the manifest's accounting.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,84 +67,51 @@ def count_tokens(text: str) -> int:
     return len(text.split())
 
 
-class UsageLedger:
-    """Per-(role, round) accounting; writes are serialized."""
+def summarize_usage(
+    usage: dict[tuple[AgentRole, int], list[int]], rate_in: float = 0.0, rate_out: float = 0.0
+) -> dict:
+    """Accounting table rows, one per agent, with per-round values joined by '/'.
 
-    def __init__(self, rate_in: float = 0.0, rate_out: float = 0.0) -> None:
-        self.rate_in = rate_in
-        self.rate_out = rate_out
-        self._entries: dict[tuple[AgentRole, int], dict[str, int]] = {}
-        self._lock = threading.Lock()
+    `usage` maps (role, round) to [iterations, tool_calls, tokens_in, tokens_out].
+    """
 
-    def record(
-        self,
-        role: AgentRole,
-        round_index: int,
-        iterations: int = 0,
-        tool_calls: int = 0,
-        tokens_in: int = 0,
-        tokens_out: int = 0,
-    ) -> None:
-        with self._lock:
-            entry = self._entries.setdefault(
-                (role, round_index),
-                {"iterations": 0, "tool_calls": 0, "tokens_in": 0, "tokens_out": 0},
-            )
-            entry["iterations"] += iterations
-            entry["tool_calls"] += tool_calls
-            entry["tokens_in"] += tokens_in
-            entry["tokens_out"] += tokens_out
+    def cost(entry: list[int]) -> float:
+        return entry[2] * rate_in + entry[3] * rate_out
 
-    def entries(self) -> dict[tuple[AgentRole, int], dict[str, int]]:
-        with self._lock:
-            return {key: dict(val) for key, val in self._entries.items()}
-
-    def cost_of(self, entry: dict[str, int]) -> float:
-        return entry["tokens_in"] * self.rate_in + entry["tokens_out"] * self.rate_out
-
-    def totals(self) -> dict[str, float]:
-        entries = self.entries()
-        out = {"iterations": 0, "tool_calls": 0, "tokens_in": 0, "tokens_out": 0, "cost": 0.0}
-        for entry in entries.values():
-            for key in ("iterations", "tool_calls", "tokens_in", "tokens_out"):
-                out[key] += entry[key]
-            out["cost"] += self.cost_of(entry)
-        return out
-
-
-def summarize_usage(ledger: UsageLedger) -> dict:
-    """Accounting table rows, one per agent, with per-round values joined by '/'."""
-    entries = ledger.entries()
     rows = []
     for role in AgentRole:
         per_round = sorted(
-            ((rnd, entry) for (r, rnd), entry in entries.items() if r == role),
+            ((rnd, entry) for (r, rnd), entry in usage.items() if r == role),
             key=lambda kv: kv[0],
         )
         if per_round:
-            iterations = "/".join(str(e["iterations"]) for _, e in per_round)
-            tool_calls = "/".join(str(e["tool_calls"]) for _, e in per_round)
-            tokens = sum(e["tokens_in"] + e["tokens_out"] for _, e in per_round)
-            cost = sum(ledger.cost_of(e) for _, e in per_round)
+            iterations = "/".join(str(e[0]) for _, e in per_round)
+            tool_calls = "/".join(str(e[1]) for _, e in per_round)
+            tokens = sum(e[2] + e[3] for _, e in per_round)
+            row_cost = sum(cost(e) for _, e in per_round)
         else:
-            iterations, tool_calls, tokens, cost = "--", "--", 0, 0.0
+            iterations, tool_calls, tokens, row_cost = "--", "--", 0, 0.0
         rows.append(
             {
                 "agent": ROLE_LABELS[role],
                 "iterations": iterations,
                 "tool_calls": tool_calls,
                 "tokens": tokens,
-                "cost": round(cost, 6),
+                "cost": round(row_cost, 6),
             }
         )
-    totals = ledger.totals()
+    totals = [0, 0, 0, 0]
+    total_cost = 0.0
+    for entry in usage.values():
+        totals = [t + n for t, n in zip(totals, entry)]
+        total_cost += cost(entry)
     return {
         "rows": rows,
         "totals": {
-            "iterations": totals["iterations"],
-            "tool_calls": totals["tool_calls"],
-            "tokens": totals["tokens_in"] + totals["tokens_out"],
-            "cost": round(totals["cost"], 6),
+            "iterations": totals[0],
+            "tool_calls": totals[1],
+            "tokens": totals[2] + totals[3],
+            "cost": round(total_cost, 6),
         },
     }
 

@@ -14,7 +14,7 @@ import json
 import time
 import traceback
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -24,6 +24,7 @@ from .agents import (
     STATUS_OK,
     AgentProfile,
     AgentRunResult,
+    AgentTranscript,
     HarnessArtifact,
     TerminationDecision,
     build_research_context,
@@ -42,7 +43,7 @@ from .coverage import (
 from .docs_index import DocsIndex
 from .ecosystem import CompileResult, SandboxAdapter, ShellAdapter, load_sandbox
 from .errors import EngineError
-from .model_backend import HttpBackend, UsageLedger, load_script, summarize_usage
+from .model_backend import HttpBackend, load_script, summarize_usage
 from .toolbus import (
     DEFAULT_RESPONSE_BUDGET,
     AgentRole,
@@ -70,6 +71,7 @@ OUTCOME_COMPILE_FAILED = "compile_failed"
 OUTCOME_MODEL_FAILED = "model_failed"
 OUTCOME_TOOLCHAIN_FAILED = "toolchain_failed"
 OUTCOME_INTERNAL_ERROR = "internal_error"
+OUTCOME_INTERRUPTED = "interrupted"
 
 _STATUS_ORDER = {"uncovered": 0, "partial": 1, "covered": 2}
 
@@ -91,14 +93,6 @@ class TargetSpec:
             target_method=t.get("target_method", ""),
         )
 
-    def echo(self) -> dict:
-        return {
-            "library_name": self.library_name,
-            "library_version": self.library_version,
-            "target_class": self.target_class,
-            "target_method": self.target_method,
-        }
-
 
 @dataclass
 class RoundRow:
@@ -108,16 +102,6 @@ class RoundRow:
     decision: str
     harness_hash: str
     crash_count: int
-
-    def to_json(self) -> dict:
-        return {
-            "round": self.round,
-            "line_percent": self.line_percent,
-            "branch_percent": self.branch_percent,
-            "decision": self.decision,
-            "harness_hash": self.harness_hash,
-            "crash_count": self.crash_count,
-        }
 
 
 @dataclass
@@ -131,10 +115,16 @@ class WorkflowState:
     transitions: list[str] = field(default_factory=list)
     harness_versions: int = 0
     fuzz_timeout: bool = False
+    timings: dict[str, float] = field(default_factory=dict)  # phase -> wall seconds spent in it
+    entered: float = 0.0  # monotonic time of the last transition
 
     def transition(self, phase: str) -> None:
         if phase not in PHASE_GRAPH[self.phase]:
             raise EngineError("CONFIG", f"illegal phase transition {self.phase} -> {phase}")
+        now = time.monotonic()
+        if self.phase != "init":
+            self.timings[self.phase] = self.timings.get(self.phase, 0.0) + now - self.entered
+        self.entered = now
         self.transitions.append(phase)
         self.phase = phase
 
@@ -291,7 +281,8 @@ class WorkflowRunner:
         self.target = target
         self.config = config
         self.state = WorkflowState()
-        self.timings: dict[str, float] = {}
+        # (role, round) -> [iterations, tool_calls, tokens_in, tokens_out], summed from transcripts
+        self.usage: dict[tuple[AgentRole, int], list[int]] = {}
         self._started = time.monotonic()
         self.adapter, self.docs, self.code, self.graph, self.registry = build_services(
             config, target
@@ -315,10 +306,6 @@ class WorkflowRunner:
                 model=config.model["model"],
                 api_key=os.environ.get(key_env),
             )
-        self.ledger = UsageLedger(
-            rate_in=float(config.model.get("rate_in", 0.0)),
-            rate_out=float(config.model.get("rate_out", 0.0)),
-        )
         self.profiles = {
             role: AgentProfile.default(role, config.max_iterations(role))
             for role in AgentRole
@@ -346,17 +333,10 @@ class WorkflowRunner:
         # compact: the C encoder; with `indent` json falls back to pure Python
         path.write_text(json.dumps(report.to_json()), encoding="utf-8")
 
-    def _timed(self, phase: str, fn, *args, **kwargs):
-        started = time.monotonic()
+    def _toolchain(self, fn, *args, **kwargs):
+        """An adapter call; its errors but the timeouts become ToolchainError."""
         try:
             return fn(*args, **kwargs)
-        finally:
-            self.timings[phase] = self.timings.get(phase, 0.0) + time.monotonic() - started
-
-    def _toolchain(self, phase: str, fn, *args, **kwargs):
-        """`_timed` for an adapter call; its errors but the timeouts become ToolchainError."""
-        try:
-            return self._timed(phase, fn, *args, **kwargs)
         except EngineError as exc:
             if exc.code in ("FUZZ_TIMEOUT", "COMPILE_TIMEOUT"):
                 raise
@@ -371,23 +351,30 @@ class WorkflowRunner:
     # -- agent steps --------------------------------------------------------
 
     def _run_agent(
-        self, role: AgentRole, seed: list[tuple[str, str]], round_index: int, transcript: str
+        self, role: AgentRole, seed: list[tuple[str, str]], round_index: int, name: str
     ) -> AgentRunResult:
-        """Run one agent and save its transcript as `transcripts/<transcript>.json`."""
-        result = run_react(
-            self.profiles[role], seed, self.registry, self.backend, self.ledger, round_index
-        )
-        path = self.run_dir / "transcripts" / f"{transcript}.json"
-        path.write_text(json.dumps(result.transcript.to_json(), indent=2), encoding="utf-8")
-        return result
+        """Run one agent; however it ends, its transcript is saved as
+        `transcripts/<name>.json` and its turns are added to `usage`."""
+        transcript = AgentTranscript(role=role.value)
+        try:
+            return run_react(self.profiles[role], seed, self.registry, self.backend, transcript)
+        finally:
+            counts = self.usage.setdefault((role, round_index), [0, 0, 0, 0])
+            for step in transcript.steps:
+                counts[0] += 1
+                counts[1] += len(step.tool_calls)
+                counts[2] += step.tokens_in
+                counts[3] += step.tokens_out
+            path = self.run_dir / "transcripts" / f"{name}.json"
+            path.write_text(json.dumps(transcript.to_json(), indent=2), encoding="utf-8")
 
     def compile_patch_loop(self, harness: HarnessArtifact, round_index: int) -> HarnessArtifact:
         """Compile; on errors let the patching agent retry up to the budget."""
         max_patch_rounds = int(self.config.budget("max_patch_rounds"))
         self.state.transition("compile")
         result: CompileResult = self._compile(harness)
-        # an explicit zero entry keeps the per-round '/' rendering aligned
-        self.ledger.record(AgentRole.PAT, round_index)
+        # a zero entry keeps the per-round '/' rendering aligned
+        self.usage.setdefault((AgentRole.PAT, round_index), [0, 0, 0, 0])
         attempts = 0
         while not result.success:
             if attempts >= max_patch_rounds:
@@ -406,9 +393,8 @@ class WorkflowRunner:
                 ("harness source", harness.source),
                 ("compiler diagnostics", diagnostics),
             ]
-            pat = self._timed(
-                "patch", self._run_agent, AgentRole.PAT, seed, round_index,
-                f"PAT-r{round_index}-a{attempts}",
+            pat = self._run_agent(
+                AgentRole.PAT, seed, round_index, f"PAT-r{round_index}-a{attempts}"
             )
             if pat.status != STATUS_OK:
                 raise EngineError("MODEL_PROTOCOL", "patch agent produced no parseable harness")
@@ -420,14 +406,13 @@ class WorkflowRunner:
 
     def _compile(self, harness: HarnessArtifact) -> CompileResult:
         """One adapter compile, bounded by the wall-clock time left."""
-        return self._toolchain(
-            "compile", self.adapter.compile, harness, timeout=max(self._wall_left(), 0.0)
-        )
+        return self._toolchain(self.adapter.compile, harness, timeout=max(self._wall_left(), 0.0))
 
     # -- workflow ------------------------------------------------------------
 
     def run(self) -> dict:
-        error_note = trace = None
+        """Run the phases and write the run record; an interrupt is re-raised after."""
+        error_note = trace = interrupt = None
         try:
             outcome = self._run_phases()
         except EngineError as exc:
@@ -443,6 +428,8 @@ class WorkflowRunner:
                 outcome = OUTCOME_BUDGET
             else:
                 outcome = OUTCOME_MODEL_FAILED
+        except KeyboardInterrupt as exc:
+            error_note, outcome, interrupt = "KeyboardInterrupt", OUTCOME_INTERRUPTED, exc
         except Exception as exc:  # any other fault still leaves a manifest
             error_note = f"{type(exc).__name__}: {exc}"
             outcome = OUTCOME_INTERNAL_ERROR
@@ -460,6 +447,8 @@ class WorkflowRunner:
             (self.run_dir / "harness" / "final.src").write_text(
                 self.state.harness.source, encoding="utf-8"
             )
+        if interrupt is not None:
+            raise interrupt
         return manifest
 
     def _run_phases(self) -> str:
@@ -469,13 +458,8 @@ class WorkflowRunner:
         scope = self.config.budget("coverage_scope")
 
         state.transition("research")
-        research = self._timed(
-            "research",
-            self._run_agent,
-            AgentRole.RSH,
-            build_research_context(self.target, self.docs, self.code),
-            0,
-            "RSH-r0",
+        research = self._run_agent(
+            AgentRole.RSH, build_research_context(self.target, self.docs, self.code), 0, "RSH-r0"
         )
         if research.status != STATUS_OK:
             return OUTCOME_MODEL_FAILED
@@ -485,7 +469,7 @@ class WorkflowRunner:
             ("target signature", f"{self.target.target_class}.{self.target.target_method}"),
             ("research report", research.parsed_output.markdown),
         ]
-        gen = self._timed("generate", self._run_agent, AgentRole.GEN, gen_seed, 0, "GEN-r0")
+        gen = self._run_agent(AgentRole.GEN, gen_seed, 0, "GEN-r0")
         if gen.status != STATUS_OK:
             return OUTCOME_MODEL_FAILED
         harness = gen.parsed_output
@@ -499,14 +483,12 @@ class WorkflowRunner:
             if self._wall_exceeded():
                 return OUTCOME_BUDGET
             state.transition("fuzz")
-            fuzz = self._toolchain(
-                "fuzz", self.adapter.fuzz, state.harness, fuzz_seconds, scope=scope
-            )
+            fuzz = self._toolchain(self.adapter.fuzz, state.harness, fuzz_seconds, scope=scope)
             self._save_coverage(fuzz.coverage, state.round)
             view = merge_with_callgraph(fuzz.coverage, self.graph)
 
             state.transition("analyze")
-            decision, cva_failed = self._timed("analyze", self._analyze, view, fuzz)
+            decision, cva_failed = self._analyze(view, fuzz)
             state.prev_view = view
             row = RoundRow(
                 round=state.round,
@@ -533,10 +515,7 @@ class WorkflowRunner:
                 ("strategy", decision.strategy or decision.rationale),
                 ("coverage view", render_annotated_view(view, self.registry.response_budget)),
             ]
-            ref = self._timed(
-                "refine", self._run_agent, AgentRole.REF, ref_seed, state.round,
-                f"REF-r{state.round}",
-            )
+            ref = self._run_agent(AgentRole.REF, ref_seed, state.round, f"REF-r{state.round}")
             if ref.status != STATUS_OK:
                 return OUTCOME_MODEL_FAILED
             refined = ref.parsed_output
@@ -570,14 +549,17 @@ class WorkflowRunner:
         return cva.parsed_output, False
 
     def _manifest(self, outcome: str, error_note: str | None) -> dict:
+        model = self.config.model
         manifest = {
-            "target": self.target.echo(),
+            "target": asdict(self.target),
             "outcome": outcome,
-            "rounds": [row.to_json() for row in self.state.rows],
-            "accounting": summarize_usage(self.ledger),
+            "rounds": [asdict(row) for row in self.state.rows],
+            "accounting": summarize_usage(
+                self.usage, float(model.get("rate_in", 0.0)), float(model.get("rate_out", 0.0))
+            ),
             "transitions": list(self.state.transitions),
             "fuzz_timeout": self.state.fuzz_timeout,
-            "timings": {k: round(v, 6) for k, v in self.timings.items()},
+            "timings": {k: round(v, 6) for k, v in self.state.timings.items()},
         }
         if error_note:
             manifest["error"] = error_note

@@ -95,36 +95,22 @@ class ToolRegistry:
 
     def __init__(self, response_budget: int = DEFAULT_RESPONSE_BUDGET) -> None:
         self._descriptors: dict[str, ToolDescriptor] = {}
-        self._handlers: dict[str, Callable[..., str] | None] = {}
+        self._handlers: dict[str, Callable[..., str]] = {}
         self._access: dict[str, dict[AgentRole, AccessLevel]] = {}
         self.response_budget = response_budget
 
-    def register(
-        self,
-        descriptor: ToolDescriptor,
-        handler: Callable[..., str] | None,
-        access: Mapping[AgentRole, AccessLevel] | None = None,
-    ) -> None:
+    def register(self, descriptor: ToolDescriptor, handler: Callable[..., str]) -> None:
         if descriptor.name in self._descriptors:
             raise EngineError("CONFIG", f"tool already registered: {descriptor.name}")
         self._descriptors[descriptor.name] = descriptor
         self._handlers[descriptor.name] = handler
-        if access is None:
-            access = {
-                role: default_access(descriptor.name, descriptor.category, role)
-                for role in AgentRole
-            }
-        self._access[descriptor.name] = dict(access)
+        self._access[descriptor.name] = {
+            role: default_access(descriptor.name, descriptor.category, role) for role in AgentRole
+        }
 
     @property
     def descriptors(self) -> list[ToolDescriptor]:
         return list(self._descriptors.values())
-
-    def descriptor(self, tool: str) -> ToolDescriptor:
-        try:
-            return self._descriptors[tool]
-        except KeyError:
-            raise EngineError("NOT_FOUND", f"unknown tool: {tool}") from None
 
     def check_access(self, role: AgentRole, tool: str) -> AccessLevel:
         if tool not in self._access:
@@ -156,10 +142,7 @@ class ToolRegistry:
             problem = self._validate_args(descriptor, request.args)
             if problem:
                 return _error("BAD_ARGS", problem)
-            handler = self._handlers[request.tool]
-            if handler is None:
-                return _error("BACKEND_ERROR", f"no handler bound for {request.tool}")
-            content = handler(**dict(request.args))
+            content = self._handlers[request.tool](**dict(request.args))
             if not isinstance(content, str):
                 content = json.dumps(content, sort_keys=True)
             return self._truncate(content)
@@ -239,11 +222,10 @@ def register_default_tools(registry: ToolRegistry, docs_index, code_index, graph
     ]
     exec_tools = [
         ("compile", _param("harness"), "Compile a harness (orchestrator-invoked)",
-         (lambda harness: ecosystem.compile(harness)) if ecosystem is not None else None),
+         lambda harness: ecosystem.compile(harness)),
         ("fuzz", {**_param("harness"), **_param("duration_seconds", True, "number")},
          "Run a fuzzing campaign (orchestrator-invoked)",
-         (lambda harness, duration_seconds: ecosystem.fuzz(harness, duration_seconds))
-         if ecosystem is not None else None),
+         lambda harness, duration_seconds: ecosystem.fuzz(harness, duration_seconds)),
     ]
     groups = [
         ("docs", docs_tools, docs_index),

@@ -9,6 +9,7 @@ from harnessgen.agents import (
     DEFAULT_MAX_ITERATIONS,
     REPORT_SECTIONS,
     AgentProfile,
+    AgentTranscript,
     build_research_context,
     load_prompt,
     normalize_and_hash,
@@ -18,7 +19,7 @@ from harnessgen.agents import (
     run_react,
 )
 from harnessgen.errors import EngineError
-from harnessgen.model_backend import ScriptTurn, ScriptedBackend, UsageLedger
+from harnessgen.model_backend import ScriptTurn, ScriptedBackend
 from harnessgen.toolbus import AgentRole, ToolRequest
 
 GOOD_REPORT = "\n".join(f"## {s}\nnotes about {s.lower()}." for s in REPORT_SECTIONS)
@@ -163,15 +164,38 @@ class TestRunReact:
                 ScriptTurn(text=GOOD_HARNESS, expect_contains="toylib"),
             ]
         )
-        ledger = UsageLedger()
-        result = run_react(
-            self._profile(), [("task", "go")], registry, backend, ledger=ledger, round_index=2
-        )
+        usages = []
+        complete = backend.complete
+
+        def recording_complete(*args):
+            turn = complete(*args)
+            usages.append((turn.usage.tokens_in, turn.usage.tokens_out))
+            return turn
+
+        backend.complete = recording_complete
+        transcript = AgentTranscript(role="GEN")
+        result = run_react(self._profile(), [("task", "go")], registry, backend, transcript)
         assert result.status == "OK"
+        assert result.transcript is transcript
         assert result.transcript.iterations == 2
         assert result.transcript.tool_call_count == 1
-        entry = ledger.entries()[(AgentRole.GEN, 2)]
-        assert entry["iterations"] == 2 and entry["tool_calls"] == 1
+        assert [(s.tokens_in, s.tokens_out) for s in transcript.steps] == usages
+        assert all(tokens_in > 0 for tokens_in, _ in usages)
+
+    def test_turn_recorded_before_its_tool_calls(self, registry, monkeypatch):
+        backend = ScriptedBackend([ScriptTurn(tool_calls=[ToolRequest("list_packages", {})])])
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(registry, "dispatch", interrupt)
+        transcript = AgentTranscript(role="GEN")
+        with pytest.raises(KeyboardInterrupt):
+            run_react(self._profile(), [("task", "go")], registry, backend, transcript)
+        assert transcript.iterations == 1 and transcript.tool_call_count == 1
+        step = transcript.to_json()["steps"][0]
+        assert step["tool_calls"] == [{"tool": "list_packages", "args": {}}]
+        assert step["tool_results"] == [] and step["tokens_in"] > 0
 
     def test_denied_tool_becomes_observation(self, registry):
         # GEN may not call path_to_method; the loop must surface the error text

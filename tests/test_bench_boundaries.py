@@ -1,0 +1,65 @@
+"""The benchmark's trace boundaries still name what the engine calls.
+
+`bench/tracing.py` wraps engine functions and runner services by name from
+outside the engine. A refactor that moves or renames one fails here, in
+the engine's own suite, instead of only in the benchmark's selftest.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+
+import pytest
+
+from conftest import REPO_ROOT
+from harnessgen.orchestrator import TargetSpec, WorkflowRunner
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", REPO_ROOT / "bench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def demo_runner(demo_config) -> WorkflowRunner:
+    config = demo_config("scripts/happy.json")
+    return WorkflowRunner(TargetSpec.from_config(config), config)
+
+
+def test_module_boundaries_exist(tracing):
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for owner, attr, _, _ in tracing.MODULE_BOUNDARIES
+        if attr not in vars(owner)
+    ]
+    assert missing == []
+
+
+def test_instance_boundaries_exist(tracing, demo_config):
+    runner = demo_runner(demo_config)
+    for field, methods in tracing.INSTANCE_BOUNDARIES.items():
+        assert hasattr(runner, field), f"WorkflowRunner.{field}"
+        for method, _, _ in methods:
+            assert callable(getattr(getattr(runner, field), method, None)), f"{field}.{method}"
+
+
+def test_traced_run_records_each_agent_run(tracing, demo_config):
+    tracer = tracing.Tracer()
+    with tracer.module_boundaries(0):
+        runner = demo_runner(demo_config)
+        with tracer.runner_boundaries(runner):
+            manifest = runner.run()
+    assert manifest["outcome"] == "success"
+    spans = [s[5] for s in tracer.spans if s[0] == "agents.run_react"]
+    traced = sorted((attrs["role"], attrs["iterations"]) for attrs in spans)
+    transcripts = sorted(
+        (path.stem.split("-")[0], json.loads(path.read_text())["iterations"])
+        for path in (runner.run_dir / "transcripts").glob("*.json")
+    )
+    assert traced == transcripts
+    assert {role for role, _ in traced} == {"RSH", "GEN", "CVA", "REF"}

@@ -3,10 +3,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
-from conftest import DEMO_DIR
+from conftest import DEMO_DIR, REPO_ROOT
 from harnessgen.cli import main, render_report_csv, render_report_text
 from harnessgen.model_backend import ScriptedBackend
 
@@ -96,6 +101,36 @@ class TestRun:
         assert manifest["transitions"][-2:] == ["compile", "failed"]
         assert manifest["fuzz_timeout"] is False
         assert manifest["timings"]["compile"] < 2.0
+
+    def test_sigterm_leaves_manifest_and_exits_130(self, tmp_path):
+        path = write_shell_config(tmp_path, compile_cmd="sleep 5", fuzz_cmd="true")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "harnessgen.cli", "run", str(path)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            # the first harness version is saved just before the compile starts
+            while not list((tmp_path / "runs").glob("*/harness/v1.src")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            time.sleep(0.3)
+            started = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 130, err
+        assert time.monotonic() - started < 4.0  # did not wait out `sleep 5`
+        assert "run interrupted" in err
+        (manifest_path,) = (tmp_path / "runs").glob("*/manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["outcome"] == "interrupted" and manifest["error"] == "KeyboardInterrupt"
+        assert manifest["transitions"][-2:] == ["compile", "failed"]
 
     def test_internal_error_exit_two(self, capsys, tmp_path, monkeypatch):
         def explode(*args, **kwargs):

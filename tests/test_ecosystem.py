@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +243,15 @@ def shell_dir(tmp_path):
     return tmp_path
 
 
+def _gone_or_zombie(pid: int) -> bool:
+    """True once `pid` has exited; a zombie counts, as pid 1 need not reap it."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
 class TestShellAdapter:
     def _adapter(self, shell_dir, compile_script="ok_compile.sh", fuzz_script="fuzz.sh", **extra):
         config = {
@@ -314,6 +324,28 @@ class TestShellAdapter:
         with pytest.raises(EngineError) as exc:
             adapter.fuzz(make_harness(BASE), 0.1)
         assert exc.value.code == "FUZZ_TIMEOUT"
+
+    @pytest.mark.parametrize("call", ["compile", "fuzz"])
+    def test_timeout_kills_the_whole_process_group(self, shell_dir, call):
+        pid_file = shell_dir / "background.pid"
+        spawner = shell_dir / "spawner.sh"
+        spawner.write_text(f"#!/bin/sh\nsleep 30 &\necho $! > {pid_file}\nsleep 30\n")
+        adapter = self._adapter(
+            shell_dir, compile_script="spawner.sh", fuzz_script="spawner.sh", timeout_grace=0.9
+        )
+        started = time.monotonic()
+        with pytest.raises(EngineError) as exc:
+            if call == "compile":
+                adapter.compile(make_harness(BASE), timeout=1.0)
+            else:
+                adapter.fuzz(make_harness(BASE), 0.1)
+        assert exc.value.code == ("COMPILE_TIMEOUT" if call == "compile" else "FUZZ_TIMEOUT")
+        assert time.monotonic() - started < 10.0  # did not wait for the shell's `sleep 30`
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 5
+        while not _gone_or_zombie(pid):
+            assert time.monotonic() < deadline, f"background sleep {pid} outlived the timeout"
+            time.sleep(0.05)
 
     def test_missing_config_key(self, shell_dir):
         with pytest.raises(EngineError) as exc:

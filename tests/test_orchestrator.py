@@ -3,14 +3,18 @@ from __future__ import annotations
 import json
 import random
 import re
+import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ROOT_ID, make_harness
+from conftest import DEMO_DIR, ROOT_ID, make_harness
+from harnessgen import orchestrator
+from harnessgen.agents import load_prompt
 from harnessgen.callgraph import CallFacts, build
 from harnessgen.coverage import (
     CoverageReport,
@@ -28,6 +32,7 @@ from harnessgen.orchestrator import (
     render_view_diff,
     run_workflow,
 )
+from harnessgen.toolbus import AgentRole
 
 
 def run_demo(demo_config, script, overrides=None):
@@ -387,3 +392,135 @@ class TestRunRecord:
         assert "in explode" in manifest["traceback"]
         on_disk = json.loads((runner.run_dir / "manifest.json").read_text())
         assert on_disk == manifest
+
+    def test_interrupt_leaves_manifest_and_reraises(self, demo_config, monkeypatch):
+        config = demo_config("scripts/happy.json")
+        runner = WorkflowRunner(TargetSpec.from_config(config), config)
+        complete = runner.backend.complete
+        cva_prompt = load_prompt(AgentRole.CVA)
+
+        def interrupt_cva(conversation, tools):
+            if conversation.messages[0].content == cva_prompt:
+                raise KeyboardInterrupt
+            return complete(conversation, tools)
+
+        monkeypatch.setattr(runner.backend, "complete", interrupt_cva)
+        with pytest.raises(KeyboardInterrupt):
+            runner.run()
+        manifest = json.loads((runner.run_dir / "manifest.json").read_text())
+        assert manifest["outcome"] == "interrupted"
+        assert manifest["error"] == "KeyboardInterrupt"
+        assert_legal_walk(manifest["transitions"])
+        assert manifest["transitions"][-2:] == ["analyze", "failed"]
+        cva = json.loads((runner.run_dir / "transcripts" / "CVA-r0.json").read_text())
+        assert cva["steps"] == [] and accounting_row(manifest, "CVA")["iterations"] == "0"
+        assert (runner.run_dir / "harness" / "final.src").is_file()
+
+
+def assert_legal_walk(transitions):
+    phase = "init"
+    for nxt in transitions:
+        assert nxt in PHASE_GRAPH[phase], f"{phase} -> {nxt}"
+        phase = nxt
+    assert phase in ("done", "failed")
+
+
+DEMO_SCENARIOS = {
+    "happy": [], "converge": [], "crash": [], "genfail": [], "warmup": [],
+    "patch_fail": ["budgets.max_patch_rounds=3"], "budget": ["budgets.max_rounds=1"],
+    "patch_fix": [],
+}
+ROLE_ORDER = (("RSH", "RES"), ("GEN", "GEN"), ("PAT", "PAT"), ("CVA", "CVA"), ("REF", "REF"))
+
+
+def accounting_from_transcripts(manifest: dict, rate_in: float, rate_out: float) -> dict:
+    """The accounting table rebuilt from `transcripts/*.json` alone.
+
+    The round comes from the file name (`CVA-r1.json`, `PAT-r0-a2.json`);
+    every compiled round has a PAT entry, zero when no patch ran.
+    """
+    sums: dict[tuple[str, int], list[int]] = {}
+    compiled = sum(
+        1 for prev, nxt in zip(manifest["transitions"], manifest["transitions"][1:])
+        if nxt == "compile" and prev in ("generate", "refine")
+    )
+    for rnd in range(compiled):
+        sums[("PAT", rnd)] = [0, 0, 0, 0]
+    for path in (Path(manifest["run_dir"]) / "transcripts").glob("*.json"):
+        role, rnd = path.stem.split("-")[0], int(path.stem.split("-")[1][1:])
+        entry = sums.setdefault((role, rnd), [0, 0, 0, 0])
+        for step in json.loads(path.read_text())["steps"]:
+            entry[0] += 1
+            entry[1] += len(step["tool_calls"])
+            entry[2] += step["tokens_in"]
+            entry[3] += step["tokens_out"]
+    rows = []
+    for role, label in ROLE_ORDER:
+        rounds = [sums[key] for key in sorted(k for k in sums if k[0] == role)]
+        rows.append({
+            "agent": label,
+            "iterations": "/".join(str(e[0]) for e in rounds) or "--",
+            "tool_calls": "/".join(str(e[1]) for e in rounds) or "--",
+            "tokens": sum(e[2] + e[3] for e in rounds),
+            "cost": sum(e[2] * rate_in + e[3] * rate_out for e in rounds),
+        })
+    totals = {
+        "iterations": sum(e[0] for e in sums.values()),
+        "tool_calls": sum(e[1] for e in sums.values()),
+        "tokens": sum(e[2] + e[3] for e in sums.values()),
+        "cost": sum(e[2] * rate_in + e[3] * rate_out for e in sums.values()),
+    }
+    return {"rows": rows, "totals": totals}
+
+
+def assert_accounting_from_transcripts(manifest, config):
+    rates = float(config.model["rate_in"]), float(config.model["rate_out"])
+    expected = accounting_from_transcripts(manifest, *rates)
+    actual = manifest["accounting"]
+    pairs = zip(actual["rows"] + [actual["totals"]], expected["rows"] + [expected["totals"]])
+    for got, want in pairs:
+        assert got["cost"] == pytest.approx(want["cost"], abs=1e-6)
+        assert {k: v for k, v in got.items() if k != "cost"} == {
+            k: v for k, v in want.items() if k != "cost"
+        }
+    assert len(actual["rows"]) == len(expected["rows"])
+
+
+class TestRunRecordFromTranscripts:
+    @pytest.mark.parametrize("name", sorted(DEMO_SCENARIOS))
+    def test_accounting_is_the_transcripts_sum(self, demo_config, name):
+        config = demo_config(f"scripts/{name}.json", DEMO_SCENARIOS[name])
+        manifest = run_workflow(TargetSpec.from_config(config), config)
+        assert manifest["accounting"]["totals"]["iterations"] > 0
+        assert_accounting_from_transcripts(manifest, config)
+
+    def test_cut_script_keeps_the_turns_it_was_charged_for(self, demo_config, tmp_path):
+        turns = json.loads((DEMO_DIR / "scripts" / "happy.json").read_text())["turns"]
+        cut = tmp_path / "cut.json"
+        cut.write_text(json.dumps({"turns": turns[:4]}))  # RSH 2, GEN 1, CVA's tool turn
+        config = demo_config(str(cut))
+        manifest = run_workflow(TargetSpec.from_config(config), config)
+        assert manifest["outcome"] == "model_failed"
+        assert manifest["error"].startswith("SCRIPT_EXHAUSTED")
+        cva = json.loads((Path(manifest["run_dir"]) / "transcripts" / "CVA-r0.json").read_text())
+        assert cva["iterations"] == 1 and cva["tool_call_count"] == 1 and len(cva["steps"]) == 1
+        assert accounting_row(manifest, "CVA")["iterations"] == "1"
+        assert_accounting_from_transcripts(manifest, config)
+
+    @pytest.mark.parametrize("name", sorted(DEMO_SCENARIOS))
+    def test_timings_cover_the_phases_entered(self, demo_config, name):
+        config = demo_config(f"scripts/{name}.json", DEMO_SCENARIOS[name])
+        started = time.monotonic()
+        manifest = run_workflow(TargetSpec.from_config(config), config)
+        wall = time.monotonic() - started
+        assert set(manifest["timings"]) == set(manifest["transitions"]) - {"done", "failed"}
+        assert all(v >= 0 for v in manifest["timings"].values())
+        assert sum(manifest["timings"].values()) <= wall
+
+    def test_transition_charges_the_phase_it_leaves(self, monkeypatch):
+        clock = iter([10.0, 10.5, 12.0, 12.25])
+        monkeypatch.setattr(orchestrator, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+        state = WorkflowState()
+        for phase in ("research", "generate", "compile", "failed"):
+            state.transition(phase)
+        assert state.timings == {"research": 0.5, "generate": 1.5, "compile": 0.25}
