@@ -38,9 +38,14 @@ class CallGraph:
     depth_limit: int
     nodes: dict[str, CallGraphNode] = field(default_factory=dict)
     edges: set[tuple[str, str]] = field(default_factory=set)
-    # sorted adjacency over `edges`, filled once by build(); do not mutate
+    # sorted adjacency over `edges`, and the node ids of each depth in id
+    # order, filled once by build(); do not mutate
     succ: dict[str, list[str]] = field(default_factory=dict)
     pred: dict[str, list[str]] = field(default_factory=dict)
+    by_depth: dict[int, list[str]] = field(default_factory=dict)
+    # (totals table, lines, branches) of the nodes in the table, summed and
+    # kept by coverage.merge_with_callgraph
+    coverage_totals: tuple | None = field(default=None, repr=False, compare=False)
 
     def successors(self, node_id: str) -> list[str]:
         return self.succ.get(node_id, [])
@@ -55,15 +60,19 @@ def load_facts(path: str | Path) -> CallFacts:
     except json.JSONDecodeError as exc:
         raise EngineError("PARSE", f"{path}: {exc}") from exc
     methods: dict[str, str] = {}
+    # each id's one string: the decoder makes a new one per occurrence, and
+    # the calls, the graph's edges and its adjacency would keep them all
+    ids: dict[str, str] = {}
     for entry in raw.get("methods", []):
         methods[entry["id"]] = entry.get("class", "")
+        ids[entry["id"]] = entry["id"]
     calls: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     for frm, to in raw.get("calls", []):
-        for end in (frm, to):
-            if end not in methods:
-                raise EngineError("PARSE", f"call references unknown method id: {end}")
-        pair = (frm, to)
+        try:
+            pair = (ids[frm], ids[to])
+        except KeyError as exc:
+            raise EngineError("PARSE", f"call references unknown method id: {exc.args[0]}") from None
         if pair not in seen:
             seen.add(pair)
             calls.append(pair)
@@ -96,6 +105,9 @@ def build(facts: CallFacts, root: str, depth_limit: int = DEFAULT_DEPTH_LIMIT) -
             enclosing_class=facts.methods[method_id],
             depth=depth,
         )
+        graph.by_depth.setdefault(depth, []).append(method_id)
+    for ids in graph.by_depth.values():
+        ids.sort()
     graph.edges = {
         (frm, to) for frm, to in facts.calls if frm in depths and to in depths
     }
@@ -127,31 +139,37 @@ def reach_methods(graph: CallGraph, from_id: str, max_depth: int) -> list[dict]:
 
 
 def path_to_method(graph: CallGraph, target: str) -> list[str]:
-    """Shortest root-to-target path; ties broken lexicographically."""
+    """Shortest root-to-target path; ties broken lexicographically.
+
+    A node's depth is its distance from the root, so a shortest path
+    steps one depth deeper per call: only predecessors one depth
+    shallower are walked back from the target, and the cost is the nodes
+    on shortest paths, not every ancestor.
+    """
     if target not in graph.nodes:
         raise EngineError("NOT_FOUND", f"method not in callgraph: {target}")
-    # distance of every node to the target along graph edges
-    dist_to_target = {target: 0}
-    queue = deque([target])
-    while queue:
-        current = queue.popleft()
-        for caller in graph.pred.get(current, []):
-            if caller not in dist_to_target:
-                dist_to_target[caller] = dist_to_target[current] + 1
-                queue.append(caller)
-    if graph.root not in dist_to_target:
-        raise EngineError("NOT_FOUND", f"no path from root to {target}")
-    # walk forward, always taking the smallest id that stays on a shortest path
+    nodes = graph.nodes
+    # every node on some shortest root-to-target path
+    on_path = {target}
+    layer = [target]
+    while layer:
+        above = []
+        for current in layer:
+            depth = nodes[current].depth - 1
+            for caller in graph.pred.get(current, ()):
+                if caller not in on_path and nodes[caller].depth == depth:
+                    on_path.add(caller)
+                    above.append(caller)
+        layer = above
+    # walk forward, always taking the smallest id that stays on a shortest
+    # path; every node on one but the target has such a successor
     path = [graph.root]
     current = graph.root
     while current != target:
-        remaining = dist_to_target[current]
-        nxt = min(
-            s
-            for s in graph.successors(current)
-            if dist_to_target.get(s, -1) == remaining - 1
-        )
+        depth = nodes[current].depth + 1
+        for nxt in graph.successors(current):
+            if nxt in on_path and nodes[nxt].depth == depth:
+                break
         path.append(nxt)
         current = nxt
     return path
-

@@ -1,14 +1,18 @@
 """Per-method coverage counters, recording-window filtering, and the
 depth-grouped annotated view fed to the coverage analysis agent.
 
-All values are immutable and every operation is pure.
+Reports and views are not changed once built; a view fills its derived
+fields on first use, and a graph keeps the sums over the totals table of
+its last merge.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .callgraph import CallGraph, CallGraphNode
@@ -37,26 +41,95 @@ class MethodCoverage:
             raise EngineError("BAD_ARGS", f"negative counter for {self.id}")
 
 
-@dataclass(frozen=True)
 class CoverageReport:
-    scope: str  # method_targeted | full
-    methods: tuple[MethodCoverage, ...] = ()
-    campaign_seconds: float = 0.0
-    dropped_events: int = 0
+    """One campaign's per-method counters.
 
-    def __post_init__(self) -> None:
-        ids = [m.id for m in self.methods]
-        if len(ids) != len(set(ids)):
-            raise EngineError("BAD_ARGS", "duplicate method ids in coverage report")
+    A report keeps the counters of the methods it hit and a reference to a
+    totals table (method id -> (lines, branches)) that the reports of one
+    run share; every other method in the table has zero covered counters.
+    Built from `methods` alone, the report is dense: each method brings its
+    totals and the table is made from them. With `totals`, `methods` lists
+    hit methods whose totals must agree with the table. Equality is by the
+    facts, so a dense and a sparse report with the same counters are equal.
+    Tables are never mutated once a report refers to them.
+    """
+
+    def __init__(
+        self,
+        scope: str,  # method_targeted | full
+        methods: Iterable[MethodCoverage] = (),
+        campaign_seconds: float = 0.0,
+        dropped_events: int = 0,
+        totals: Mapping[str, tuple[int, int]] | None = None,
+    ) -> None:
+        methods = tuple(methods)
+        if totals is None:
+            totals = {m.id: (m.lines_total, m.branches_total) for m in methods}
+            if len(totals) != len(methods):
+                raise EngineError("BAD_ARGS", "duplicate method ids in coverage report")
+        hits: dict[str, MethodCoverage] = {}
+        for m in methods:
+            if totals.get(m.id) != (m.lines_total, m.branches_total):
+                raise EngineError("BAD_ARGS", f"totals of {m.id} differ from the totals table")
+            if m.lines_covered or m.branches_covered:
+                if m.id in hits:
+                    raise EngineError("BAD_ARGS", "duplicate method ids in coverage report")
+                hits[m.id] = m
+        self.scope = scope
+        self.totals = totals
+        self.hits = hits  # id -> counters of each method with a covered site
+        self.campaign_seconds = campaign_seconds
+        self.dropped_events = dropped_events
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoverageReport):
+            return NotImplemented
+        return (
+            (self.scope, self.campaign_seconds, self.dropped_events, self.hits)
+            == (other.scope, other.campaign_seconds, other.dropped_events, other.hits)
+            and (self.totals is other.totals or self.totals == other.totals)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"CoverageReport(scope={self.scope!r}, hits={len(self.hits)}, "
+            f"known={len(self.totals)}, campaign_seconds={self.campaign_seconds!r}, "
+            f"dropped_events={self.dropped_events!r})"
+        )
 
     def by_id(self) -> dict[str, MethodCoverage]:
-        return {m.id: m for m in self.methods}
-
-    def to_json(self) -> dict:
+        """Counters of every method in the totals table, zero where not hit."""
+        hits = self.hits
         return {
+            mid: hits.get(mid) or MethodCoverage(mid, lines, 0, branches, 0)
+            for mid, (lines, branches) in self.totals.items()
+        }
+
+    @property
+    def methods(self) -> tuple[MethodCoverage, ...]:
+        return tuple(self.by_id().values())
+
+    def to_json(self, totals_file: str | None = None) -> dict:
+        """The dense form, every method with its totals; with `totals_file`,
+        the sparse form: the hit methods' covered counters and the name of
+        the file, beside this one, that holds the totals table."""
+        head = {
             "scope": self.scope,
             "campaign_seconds": self.campaign_seconds,
             "dropped_events": self.dropped_events,
+        }
+        if totals_file is not None:
+            return {
+                **head,
+                "totals": totals_file,
+                "methods": [
+                    {"id": m.id, "lines_covered": m.lines_covered,
+                     "branches_covered": m.branches_covered}
+                    for m in self.hits.values()
+                ],
+            }
+        return {
+            **head,
             "methods": [
                 {
                     "id": m.id,
@@ -70,30 +143,45 @@ class CoverageReport:
         }
 
     @classmethod
-    def from_json(cls, raw: dict) -> "CoverageReport":
+    def from_json(
+        cls, raw: dict, totals: Mapping[str, tuple[int, int]] | None = None
+    ) -> "CoverageReport":
+        """Either form of `to_json`; the sparse one takes its `totals` table."""
+
+        def total(m: dict, key: str, index: int) -> int:
+            return int(m.get(key, 0)) if totals is None else totals[m["id"]][index]
+
         return cls(
             scope=raw["scope"],
             campaign_seconds=float(raw.get("campaign_seconds", 0.0)),
             dropped_events=int(raw.get("dropped_events", 0)),
-            methods=tuple(
+            methods=(
                 MethodCoverage(
                     id=m["id"],
-                    lines_total=int(m.get("lines_total", 0)),
+                    lines_total=total(m, "lines_total", 0),
                     lines_covered=int(m.get("lines_covered", 0)),
-                    branches_total=int(m.get("branches_total", 0)),
+                    branches_total=total(m, "branches_total", 1),
                     branches_covered=int(m.get("branches_covered", 0)),
                 )
                 for m in raw.get("methods", [])
             ),
+            totals=totals,
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "CoverageReport":
+        """A dense report file, or a sparse one with the totals file it names."""
+        path = Path(path)
         try:
-            return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+            raw = json.loads(path.read_text(encoding="utf-8"))
+            totals = None
+            if "totals" in raw:
+                table = json.loads((path.parent / raw["totals"]).read_text(encoding="utf-8"))
+                totals = {mid: (int(line), int(branch)) for mid, (line, branch) in table.items()}
+            return cls.from_json(raw, totals)
         except FileNotFoundError as exc:
-            raise EngineError("IO", f"coverage report not found: {path}") from exc
-        except (json.JSONDecodeError, KeyError) as exc:
+            raise EngineError("IO", f"coverage report not found: {exc.filename}") from exc
+        except (ValueError, TypeError, KeyError) as exc:
             raise EngineError("PARSE", f"{path}: {exc}") from exc
 
 
@@ -128,30 +216,130 @@ class ViewEntry:
     counters: MethodCoverage | None
 
 
-@dataclass(frozen=True)
+def _graph_totals(graph: CallGraph, totals: Mapping[str, tuple[int, int]]) -> tuple[int, int]:
+    """Lines and branches of the graph's nodes in `totals`, summed once per
+    graph and table: the graph keeps the sums of the last table it met."""
+    kept = graph.coverage_totals
+    if kept is None or kept[0] is not totals:
+        known = [totals[mid] for mid in graph.nodes if mid in totals]
+        kept = graph.coverage_totals = (
+            totals, sum(lines for lines, _ in known), sum(branches for _, branches in known)
+        )
+    return kept[1], kept[2]
+
+
 class AnnotatedCoverageView:
-    root: str
-    groups: dict[int, tuple[ViewEntry, ...]]
-    unmatched_ids: tuple[str, ...] = ()
+    """A report merged with the depth-bounded callgraph.
+
+    The view holds the status of each hit node; every other node is
+    uncovered, and its entry is made from the graph and the report's totals
+    table when it is read. So merging, percent and diff cost what the round
+    hit, and `ranked` what is read. `groups`, `entries()`, `node_ids()` and
+    `unmatched_ids` are built on first use.
+    """
+
+    def __init__(
+        self,
+        graph: CallGraph,
+        report: CoverageReport,
+        hit_status: dict[str, str],
+        unmatched_hits: tuple[str, ...],
+        lines: tuple[int, int],
+        branches: tuple[int, int],
+    ) -> None:
+        self.root = graph.root
+        self.graph = graph
+        self.report = report
+        self.hit_status = hit_status  # hit node id -> status
+        self.unmatched_hits = unmatched_hits  # hit ids outside the graph, sorted
+        self.lines = lines  # (covered, total) over the nodes in the totals table
+        self.branches = branches
+
+    def _entry(self, mid: str, status: str) -> ViewEntry:
+        counters = self.report.hits.get(mid)
+        if counters is None and mid in self.report.totals:
+            lines, branches = self.report.totals[mid]
+            counters = MethodCoverage(mid, lines, 0, branches, 0)
+        return ViewEntry(node=self.graph.nodes[mid], status=status, counters=counters)
+
+    @cached_property
+    def groups(self) -> dict[int, tuple[ViewEntry, ...]]:
+        """Entries per depth, by id."""
+        status = self.hit_status
+        return {
+            depth: tuple(self._entry(mid, status.get(mid, STATUS_UNCOVERED)) for mid in ids)
+            for depth, ids in sorted(self.graph.by_depth.items())
+        }
+
+    @cached_property
+    def unmatched_ids(self) -> tuple[str, ...]:
+        """Methods of the totals table outside the graph, hit or not."""
+        return tuple(sorted(set(self.report.totals) - self.graph.nodes.keys()))
+
+    @cached_property
+    def _hits_by_depth(self) -> dict[int, tuple[list[str], list[str]]]:
+        """depth -> (partial ids, covered ids), each by id."""
+        ranked: dict[int, tuple[list[str], list[str]]] = {}
+        nodes = self.graph.nodes
+        for mid, status in self.hit_status.items():
+            if status != STATUS_UNCOVERED:
+                partial, covered = ranked.setdefault(nodes[mid].depth, ([], []))
+                (covered if status == STATUS_COVERED else partial).append(mid)
+        for partial, covered in ranked.values():
+            partial.sort()
+            covered.sort()
+        return ranked
 
     def entries(self) -> list[ViewEntry]:
         return [e for depth in sorted(self.groups) for e in self.groups[depth]]
 
     def node_ids(self) -> set[str]:
-        return {e.node.id for e in self.entries()}
+        return set(self.graph.nodes)
 
     def status_of(self, method_id: str) -> str:
-        for entry in self.entries():
-            if entry.node.id == method_id:
-                return entry.status
-        raise EngineError("NOT_FOUND", f"method not in view: {method_id}")
+        if method_id not in self.graph.nodes:
+            raise EngineError("NOT_FOUND", f"method not in view: {method_id}")
+        return self.hit_status.get(method_id, STATUS_UNCOVERED)
+
+    def depths(self) -> list[int]:
+        return sorted(self.graph.by_depth)
+
+    def status_counts(self, depth: int) -> Counter:
+        """Nodes at `depth` per status."""
+        partial, covered = self._hits_by_depth.get(depth, ((), ()))
+        size = len(self.graph.by_depth[depth])
+        return Counter(
+            {
+                STATUS_UNCOVERED: size - len(partial) - len(covered),
+                STATUS_PARTIAL: len(partial),
+                STATUS_COVERED: len(covered),
+            }
+        )
+
+    def ranked(self, depth: int) -> Iterator[ViewEntry]:
+        """The entries at `depth`, uncovered before partial before covered,
+        ties by id, made as they are read."""
+        status = self.hit_status
+        for mid in self.graph.by_depth[depth]:
+            if status.get(mid, STATUS_UNCOVERED) == STATUS_UNCOVERED:
+                yield self._entry(mid, STATUS_UNCOVERED)
+        partial, covered = self._hits_by_depth.get(depth, ((), ()))
+        for mid in partial:
+            yield self._entry(mid, STATUS_PARTIAL)
+        for mid in covered:
+            yield self._entry(mid, STATUS_COVERED)
 
 
 _KIND_INDEX = {"line_hit": 0, "branch_hit": 1}
 
 
-def apply_recording_windows(trace: RecordingTrace, warn=None) -> CoverageReport:
-    """Aggregate a trace into a method-targeted report.
+def apply_recording_windows(
+    trace: RecordingTrace,
+    warn=None,
+    scope: str = "method_targeted",
+    campaign_seconds: float = 0.0,
+) -> CoverageReport:
+    """Aggregate a trace into a report over the trace's totals table.
 
     Only events inside a recording window count; distinct hit sites per
     method and kind become the covered counters, capped at the declared
@@ -174,17 +362,15 @@ def apply_recording_windows(trace: RecordingTrace, warn=None) -> CoverageReport:
                 sites.add((mid, _KIND_INDEX[event.kind], event.line))
                 break
     hits = Counter((mid, kind) for mid, kind, _ in sites)
-    methods = tuple(
-        MethodCoverage(
-            id=mid,
-            lines_total=lines,
-            lines_covered=min(lines, hits[mid, 0]),
-            branches_total=branches,
-            branches_covered=min(branches, hits[mid, 1]),
+    methods = []
+    for mid in sorted({mid for mid, _ in hits}):
+        lines, branches = totals[mid]
+        methods.append(
+            MethodCoverage(
+                mid, lines, min(lines, hits[mid, 0]), branches, min(branches, hits[mid, 1])
+            )
         )
-        for mid, (lines, branches) in sorted(totals.items())
-    )
-    return CoverageReport(scope="method_targeted", methods=methods, dropped_events=dropped)
+    return CoverageReport(scope, methods, campaign_seconds, dropped, totals=totals)
 
 
 def classify(counters: MethodCoverage | None) -> str:
@@ -198,21 +384,26 @@ def classify(counters: MethodCoverage | None) -> str:
 
 
 def merge_with_callgraph(report: CoverageReport, graph: CallGraph) -> AnnotatedCoverageView:
-    by_id = report.by_id()
-    groups: dict[int, list[ViewEntry]] = {}
-    for node in graph.nodes.values():
-        counters = by_id.get(node.id)
-        groups.setdefault(node.depth, []).append(
-            ViewEntry(node=node, status=classify(counters), counters=counters)
-        )
-    unmatched = tuple(sorted(set(by_id) - set(graph.nodes)))
+    """The report over the graph, in O(hits) once the graph has met its totals table."""
+    lines_total, branches_total = _graph_totals(graph, report.totals)
+    nodes = graph.nodes
+    hit_status: dict[str, str] = {}
+    unmatched: list[str] = []
+    lines = branches = 0
+    for mid, counters in report.hits.items():
+        if mid in nodes:
+            hit_status[mid] = classify(counters)
+            lines += counters.lines_covered
+            branches += counters.branches_covered
+        else:
+            unmatched.append(mid)
     return AnnotatedCoverageView(
-        root=graph.root,
-        groups={
-            depth: tuple(sorted(entries, key=lambda e: e.node.id))
-            for depth, entries in groups.items()
-        },
-        unmatched_ids=unmatched,
+        graph,
+        report,
+        hit_status,
+        tuple(sorted(unmatched)),
+        (lines, lines_total),
+        (branches, branches_total),
     )
 
 
@@ -226,18 +417,20 @@ class CoveragePercent:
 
 
 def coverage_percent(view_or_report, metric: str = METRIC_LINE) -> CoveragePercent:
+    """Percent covered of the view's nodes in the totals table (O(1)), or
+    of every method in the report's table."""
     if metric not in (METRIC_LINE, METRIC_BRANCH):
         raise EngineError("BAD_ARGS", f"unknown metric: {metric}")
+    line = metric == METRIC_LINE
     if isinstance(view_or_report, AnnotatedCoverageView):
-        counters = [e.counters for e in view_or_report.entries() if e.counters is not None]
+        covered, total = view_or_report.lines if line else view_or_report.branches
     else:
-        counters = list(view_or_report.methods)
-    if metric == METRIC_LINE:
-        total = sum(c.lines_total for c in counters)
-        covered = sum(c.lines_covered for c in counters)
-    else:
-        total = sum(c.branches_total for c in counters)
-        covered = sum(c.branches_covered for c in counters)
+        index = 0 if line else 1
+        total = sum(t[index] for t in view_or_report.totals.values())
+        covered = sum(
+            c.lines_covered if line else c.branches_covered
+            for c in view_or_report.hits.values()
+        )
     if total == 0:
         return CoveragePercent(0.0, zero_denominator=True)
     return CoveragePercent(100.0 * covered / total)
@@ -250,24 +443,20 @@ class ViewDiff:
     delta_percent: float
 
 
+def _covered_ids(view: AnnotatedCoverageView) -> set[str]:
+    return {mid for mid, status in view.hit_status.items() if status == STATUS_COVERED}
+
+
 def diff_views(prev: AnnotatedCoverageView, curr: AnnotatedCoverageView) -> ViewDiff:
-    prev_status = {e.node.id: e.status for e in prev.entries()}
-    curr_status = {e.node.id: e.status for e in curr.entries()}
-    if prev.root != curr.root or prev_status.keys() != curr_status.keys():
+    """What changed between two views of one graph, in O(hits of both)."""
+    if prev.root != curr.root or (
+        prev.graph is not curr.graph and prev.graph.nodes.keys() != curr.graph.nodes.keys()
+    ):
         raise EngineError("BAD_ARGS", "views cover different node sets")
-    newly = tuple(
-        sorted(
-            mid
-            for mid, status in curr_status.items()
-            if status == STATUS_COVERED and prev_status[mid] != STATUS_COVERED
-        )
-    )
-    regressed = tuple(
-        sorted(
-            mid
-            for mid, status in prev_status.items()
-            if status == STATUS_COVERED and curr_status[mid] != STATUS_COVERED
-        )
-    )
+    prev_covered, curr_covered = _covered_ids(prev), _covered_ids(curr)
     delta = coverage_percent(curr, METRIC_LINE).value - coverage_percent(prev, METRIC_LINE).value
-    return ViewDiff(newly_covered=newly, regressed=regressed, delta_percent=delta)
+    return ViewDiff(
+        newly_covered=tuple(sorted(curr_covered - prev_covered)),
+        regressed=tuple(sorted(prev_covered - curr_covered)),
+        delta_percent=delta,
+    )

@@ -216,7 +216,8 @@ class SandboxAdapter:
 
         A rule covering fraction f of a method hits line sites 1..ceil(f*total);
         overlapping rules union naturally through the site sets. The events
-        are the matched rules' events in rule order.
+        are the matched rules' events in rule order. The trace refers to the
+        spec's totals table, so every round's report shares it.
         """
         events = tuple(
             chain.from_iterable(
@@ -226,9 +227,7 @@ class SandboxAdapter:
             )
         )
         return RecordingTrace(
-            events=events,
-            windows=(_WINDOW,),
-            method_totals=dict(self.spec.method_totals),
+            events=events, windows=(_WINDOW,), method_totals=self.spec.method_totals
         )
 
     def fuzz(
@@ -243,8 +242,8 @@ class SandboxAdapter:
         if scope == "full":
             # every event counts regardless of recording windows
             trace = replace(trace, windows=((float("-inf"), float("inf")),))
-        report = replace(
-            apply_recording_windows(trace), scope=scope, campaign_seconds=float(duration_seconds)
+        report = apply_recording_windows(
+            trace, scope=scope, campaign_seconds=float(duration_seconds)
         )
         matched_cov = sum(
             1 for r in self.spec.coverage_rules if _pattern_matches(r.pattern, harness.source)

@@ -34,6 +34,7 @@ from .code_index import CodeIndex
 from .config import Config
 from .coverage import (
     AnnotatedCoverageView,
+    CoverageReport,
     ViewDiff,
     ViewEntry,
     coverage_percent,
@@ -73,7 +74,7 @@ OUTCOME_TOOLCHAIN_FAILED = "toolchain_failed"
 OUTCOME_INTERNAL_ERROR = "internal_error"
 OUTCOME_INTERRUPTED = "interrupted"
 
-_STATUS_ORDER = {"uncovered": 0, "partial": 1, "covered": 2}
+TOTALS_FILE = "totals.json"  # the run's coverage totals table, under coverage/
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,9 @@ class RoundRow:
     decision: str
     harness_hash: str
     crash_count: int
+    executions: int
+    unique_crashes: int  # distinct crash dedup keys
+    unmatched_methods: int  # hit methods outside the depth-bounded callgraph
 
 
 @dataclass
@@ -143,6 +147,12 @@ def _count_line(depth: int, counts: Counter) -> str:
     )
 
 
+def _full_view_lines(view: AnnotatedCoverageView):
+    for depth in view.depths():
+        yield f"## depth {depth}"
+        yield from map(_entry_line, view.ranked(depth))
+
+
 def render_annotated_view(
     view: AnnotatedCoverageView, budget: int = DEFAULT_RESPONSE_BUDGET
 ) -> str:
@@ -154,40 +164,41 @@ def render_annotated_view(
     still owed, and the rest of its depth, become one status-count line,
     and each deeper depth shows only its header and count line: every node
     is still counted. A budget below that header-and-count skeleton yields
-    the skeleton alone.
+    the skeleton alone. Entries are made only as far as they are shown, so
+    the cost is the budget plus the round's hits.
     """
-    groups = [
-        (depth, sorted(view.groups[depth], key=lambda e: (_STATUS_ORDER[e.status], e.node.id)))
-        for depth in sorted(view.groups)
-    ]
     full: list[str] = []
-    size = -1  # len("\n".join(full)); depths past the one that overflows go unformatted
-    for depth, entries in groups:
-        block = [f"## depth {depth}", *map(_entry_line, entries)]
-        size += sum(map(len, block)) + len(block)
+    size = -1  # len("\n".join(full))
+    for line in _full_view_lines(view):
+        size += len(line) + 1
         if size > budget:
             break
-        full += block
+        full.append(line)
     else:
         return "\n".join(full)
-    counts = [Counter(e.status for e in entries) for _, entries in groups]
+    depths = view.depths()
+    counts = [view.status_counts(depth) for depth in depths]
     # owed[k]: header and all-entries count line of depths k.., one newline each
-    owed = [0] * (len(groups) + 1)
-    for k in range(len(groups) - 1, -1, -1):
-        depth = groups[k][0]
+    owed = [0] * (len(depths) + 1)
+    for k in range(len(depths) - 1, -1, -1):
+        depth = depths[k]
         owed[k] = len(f"## depth {depth}") + len(_count_line(depth, counts[k])) + 2 + owed[k + 1]
     cut = owed[0] - 1 > budget
     lines: list[str] = []
     used = 0  # characters in `lines`, one newline each
-    for k, (depth, entries) in enumerate(groups):
+    for k, depth in enumerate(depths):
         lines.append(f"## depth {depth}")
         used += len(lines[-1]) + 1
         left = counts[k]
-        for i, entry in enumerate(entries):
+        if cut:
+            lines.append(_count_line(depth, left))
+            continue
+        n_entries = sum(left.values())
+        for i, entry in enumerate(view.ranked(depth)):
             line = _entry_line(entry)
             left[entry.status] -= 1
-            rest = len(_count_line(depth, left)) + 1 if i + 1 < len(entries) else 0
-            if cut or used + len(line) + rest + owed[k + 1] > budget:
+            rest = len(_count_line(depth, left)) + 1 if i + 1 < n_entries else 0
+            if used + len(line) + rest + owed[k + 1] > budget:
                 left[entry.status] += 1
                 lines.append(_count_line(depth, left))
                 cut = True
@@ -283,6 +294,7 @@ class WorkflowRunner:
         self.state = WorkflowState()
         # (role, round) -> [iterations, tool_calls, tokens_in, tokens_out], summed from transcripts
         self.usage: dict[tuple[AgentRole, int], list[int]] = {}
+        self._saved_totals = None  # the totals table in coverage/totals.json
         self._started = time.monotonic()
         self.adapter, self.docs, self.code, self.graph, self.registry = build_services(
             config, target
@@ -328,10 +340,17 @@ class WorkflowRunner:
         path = self.run_dir / "harness" / f"v{self.state.harness_versions}.src"
         path.write_text(harness.source, encoding="utf-8")
 
-    def _save_coverage(self, report, round_index: int) -> None:
-        path = self.run_dir / "coverage" / f"r{round_index}.json"
-        # compact: the C encoder; with `indent` json falls back to pure Python
-        path.write_text(json.dumps(report.to_json()), encoding="utf-8")
+    def _save_coverage(self, report: CoverageReport, round_index: int) -> None:
+        """`coverage/r{n}.json` with the hit methods only, over the run's one
+        `coverage/totals.json`; a report over another table is saved dense."""
+        coverage = self.run_dir / "coverage"
+        if self._saved_totals is None:
+            # compact: the C encoder; with `indent` json falls back to pure Python
+            (coverage / TOTALS_FILE).write_text(json.dumps(report.totals), encoding="utf-8")
+            self._saved_totals = report.totals
+        shared = report.totals is self._saved_totals or report.totals == self._saved_totals
+        raw = report.to_json(TOTALS_FILE if shared else None)
+        (coverage / f"r{round_index}.json").write_text(json.dumps(raw), encoding="utf-8")
 
     def _toolchain(self, fn, *args, **kwargs):
         """An adapter call; its errors but the timeouts become ToolchainError."""
@@ -497,6 +516,9 @@ class WorkflowRunner:
                 decision="model_failed" if cva_failed else decision.decision,
                 harness_hash=state.harness.normalized_hash,
                 crash_count=len(fuzz.crashes),
+                executions=fuzz.executions,
+                unique_crashes=len({c.dedup_key for c in fuzz.crashes}),
+                unmatched_methods=len(view.unmatched_hits),
             )
             state.rows.append(row)
             if cva_failed:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+from collections import Counter
 
 import pytest
 
@@ -63,3 +64,19 @@ def test_traced_run_records_each_agent_run(tracing, demo_config):
     )
     assert traced == transcripts
     assert {role for role, _ in traced} == {"RSH", "GEN", "CVA", "REF"}
+
+
+def test_traced_run_records_the_coverage_layers_per_round(tracing, demo_config):
+    """The per-layer coverage metrics read these spans; a refactor that moves
+    the calls would otherwise zero them without a failure."""
+    tracer = tracing.Tracer()
+    with tracer.module_boundaries(0):
+        runner = demo_runner(demo_config)
+        with tracer.runner_boundaries(runner):
+            manifest = runner.run()
+    names = Counter(s[0] for s in tracer.spans)
+    rounds = len(manifest["rounds"])
+    assert rounds == 2
+    assert names["coverage.apply_recording_windows"] == rounds
+    assert names["coverage.merge_with_callgraph"] == rounds
+    assert names["coverage.render_annotated_view"] >= 1

@@ -50,6 +50,26 @@ class TestLoadFacts:
         facts = load_facts(path)
         assert len(facts.methods) == 3 and len(facts.calls) == 2
 
+    def test_calls_share_the_method_id_strings(self, tmp_path):
+        ids = ["pkg.Alpha.run(String)", "pkg.Beta.stop(int)", "pkg.Gamma.wait()"]
+        payload = {
+            "methods": [{"id": mid, "class": mid.rsplit(".", 1)[0]} for mid in ids],
+            "calls": [[ids[0], ids[1]], [ids[1], ids[2]], [ids[2], ids[0]]],
+        }
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps(payload))
+        facts = load_facts(path)
+        own = {mid: mid for mid in facts.methods}
+        assert all(frm is own[frm] and to is own[to] for frm, to in facts.calls)
+
+    def test_unknown_call_end_rejected(self, tmp_path):
+        payload = {"methods": [{"id": "a", "class": "A"}], "calls": [["a", "ghost"]]}
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(EngineError) as exc:
+            load_facts(path)
+        assert exc.value.code == "PARSE" and "ghost" in exc.value.message
+
     def test_duplicate_call_deduplicated(self, tmp_path):
         payload = {
             "methods": [{"id": "a", "class": "A"}, {"id": "b", "class": "B"}],

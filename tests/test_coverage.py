@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +15,13 @@ from harnessgen.callgraph import CallFacts, build
 from harnessgen.coverage import (
     STATUS_COVERED,
     AnnotatedCoverageView,
+    CoveragePercent,
     CoverageReport,
     MethodCoverage,
     RecordingTrace,
     TraceEvent,
     ViewDiff,
+    ViewEntry,
     apply_recording_windows,
     classify,
     coverage_percent,
@@ -23,6 +29,7 @@ from harnessgen.coverage import (
     merge_with_callgraph,
 )
 from harnessgen.errors import EngineError
+from harnessgen.orchestrator import render_annotated_view
 
 
 def mk(mid, lt=0, lc=0, bt=0, bc=0):
@@ -445,3 +452,288 @@ class TestDiffEquivalence:
                 with pytest.raises(EngineError) as exc:
                     diff(prev, curr)
                 assert exc.value.code == "BAD_ARGS"
+
+
+# -- the sparse report and view against the dense code they replaced ---------------
+
+
+@dataclass(frozen=True)
+class OldView:
+    """`AnnotatedCoverageView` as it was before it held only the hits."""
+
+    root: str
+    groups: dict
+    unmatched_ids: tuple = ()
+
+    def entries(self):
+        return [e for depth in sorted(self.groups) for e in self.groups[depth]]
+
+    def node_ids(self):
+        return {e.node.id for e in self.entries()}
+
+
+def old_merge_with_callgraph(report: CoverageReport, graph) -> OldView:
+    """The merge that built one entry per node; the reference for the sparse one."""
+    by_id = report.by_id()
+    groups: dict = {}
+    for node in graph.nodes.values():
+        counters = by_id.get(node.id)
+        groups.setdefault(node.depth, []).append(
+            ViewEntry(node=node, status=classify(counters), counters=counters)
+        )
+    return OldView(
+        root=graph.root,
+        groups={
+            depth: tuple(sorted(entries, key=lambda e: e.node.id))
+            for depth, entries in groups.items()
+        },
+        unmatched_ids=tuple(sorted(set(by_id) - set(graph.nodes))),
+    )
+
+
+def old_coverage_percent(view_or_report, metric="line") -> CoveragePercent:
+    """`coverage_percent` summing every entry or every method, as it was."""
+    if isinstance(view_or_report, OldView):
+        counters = [e.counters for e in view_or_report.entries() if e.counters is not None]
+    else:
+        counters = list(view_or_report.methods)
+    if metric == "line":
+        total = sum(c.lines_total for c in counters)
+        covered = sum(c.lines_covered for c in counters)
+    else:
+        total = sum(c.branches_total for c in counters)
+        covered = sum(c.branches_covered for c in counters)
+    if total == 0:
+        return CoveragePercent(0.0, zero_denominator=True)
+    return CoveragePercent(100.0 * covered / total)
+
+
+def old_diff_of_old_views(prev: OldView, curr: OldView) -> ViewDiff:
+    """`diff_views` over two whole status dicts, as it was."""
+    prev_status = {e.node.id: e.status for e in prev.entries()}
+    curr_status = {e.node.id: e.status for e in curr.entries()}
+    if prev.root != curr.root or prev_status.keys() != curr_status.keys():
+        raise EngineError("BAD_ARGS", "views cover different node sets")
+    newly = tuple(sorted(
+        mid for mid, status in curr_status.items()
+        if status == STATUS_COVERED and prev_status[mid] != STATUS_COVERED
+    ))
+    regressed = tuple(sorted(
+        mid for mid, status in prev_status.items()
+        if status == STATUS_COVERED and curr_status[mid] != STATUS_COVERED
+    ))
+    delta = old_coverage_percent(curr).value - old_coverage_percent(prev).value
+    return ViewDiff(newly_covered=newly, regressed=regressed, delta_percent=delta)
+
+
+_OLD_STATUS_ORDER = {"uncovered": 0, "partial": 1, "covered": 2}
+
+
+def _old_entry_line(entry) -> str:
+    c = entry.counters
+    lc, lt = (c.lines_covered, c.lines_total) if c else (0, 0)
+    bc, bt = (c.branches_covered, c.branches_total) if c else (0, 0)
+    return f"{entry.status} {entry.node.id} lines {lc}/{lt} branches {bc}/{bt}"
+
+
+def _old_count_line(depth, counts) -> str:
+    return (
+        f"... {sum(counts.values())} more at depth {depth}: {counts['uncovered']} uncovered, "
+        f"{counts['partial']} partial, {counts['covered']} covered"
+    )
+
+
+def old_render_annotated_view(view: OldView, budget: int = 8000) -> str:
+    """`render_annotated_view` sorting and formatting every entry, as it was."""
+    groups = [
+        (depth, sorted(view.groups[depth], key=lambda e: (_OLD_STATUS_ORDER[e.status], e.node.id)))
+        for depth in sorted(view.groups)
+    ]
+    full: list[str] = []
+    size = -1
+    for depth, entries in groups:
+        block = [f"## depth {depth}", *map(_old_entry_line, entries)]
+        size += sum(map(len, block)) + len(block)
+        if size > budget:
+            break
+        full += block
+    else:
+        return "\n".join(full)
+    counts = [Counter(e.status for e in entries) for _, entries in groups]
+    owed = [0] * (len(groups) + 1)
+    for k in range(len(groups) - 1, -1, -1):
+        depth = groups[k][0]
+        owed[k] = len(f"## depth {depth}") + len(_old_count_line(depth, counts[k])) + 2 + owed[k + 1]
+    cut = owed[0] - 1 > budget
+    lines: list[str] = []
+    used = 0
+    for k, (depth, entries) in enumerate(groups):
+        lines.append(f"## depth {depth}")
+        used += len(lines[-1]) + 1
+        left = counts[k]
+        for i, entry in enumerate(entries):
+            line = _old_entry_line(entry)
+            left[entry.status] -= 1
+            rest = len(_old_count_line(depth, left)) + 1 if i + 1 < len(entries) else 0
+            if cut or used + len(line) + rest + owed[k + 1] > budget:
+                left[entry.status] += 1
+                lines.append(_old_count_line(depth, left))
+                cut = True
+                break
+            lines.append(line)
+            used += len(line) + 1
+    return "\n".join(lines)
+
+
+def counters_for(draw, mid, totals=None):
+    """Random counters for `mid`, within `totals` when given; zero totals are common."""
+    if totals is None:
+        totals = (draw(st.integers(0, 5)), draw(st.integers(0, 3)))
+    lines, branches = totals
+    return mk(mid, lines, draw(st.integers(0, lines)), branches, draw(st.integers(0, branches)))
+
+
+@st.composite
+def graph_and_reports(draw):
+    """A random graph and three reports over it: two sparse over one shared
+    totals table, and one dense (the shell adapter's format). Tables and
+    dense reports miss some nodes and hold ids outside the graph."""
+    n = draw(st.integers(1, 14))
+    ids = [f"m{i:02d}" for i in range(n)]
+    calls = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3 * n))
+    facts = CallFacts(
+        methods={i: f"C.{i}" for i in ids}, calls=tuple(zip(ids, ids[1:])) + tuple(calls)
+    )
+    graph = build(facts, "m00", draw(st.integers(1, 6)))  # a low limit leaves methods outside
+    known = ids + ["stray1", "stray2"]
+    table = {
+        mid: (draw(st.integers(0, 5)), draw(st.integers(0, 3)))
+        for mid in draw(st.lists(st.sampled_from(known), unique=True))
+    }
+
+    def sparse():
+        hit = draw(st.lists(st.sampled_from(sorted(table) or ["-"]), unique=True))
+        methods = [counters_for(draw, mid, table[mid]) for mid in hit if mid in table]
+        return CoverageReport("method_targeted", methods, totals=table)
+
+    dense = CoverageReport(
+        "method_targeted",
+        [counters_for(draw, mid) for mid in draw(st.lists(st.sampled_from(known), unique=True))],
+    )
+    return graph, [sparse(), sparse(), dense]
+
+
+def unmatched_hit_oracle(report, graph):
+    return sorted(
+        m.id for m in report.methods
+        if (m.lines_covered or m.branches_covered) and m.id not in graph.nodes
+    )
+
+
+class TestSparseEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(case=graph_and_reports())
+    def test_merge_and_percent_match_old(self, case):
+        graph, reports = case
+        for report in reports + reports[::-1]:  # the graph meets each table more than once
+            view, old = merge_with_callgraph(report, graph), old_merge_with_callgraph(report, graph)
+            assert view.root == old.root
+            assert view.groups == old.groups
+            assert view.entries() == old.entries()
+            assert view.node_ids() == old.node_ids()
+            assert view.unmatched_ids == old.unmatched_ids
+            assert list(view.unmatched_hits) == unmatched_hit_oracle(report, graph)
+            for entry in old.entries():
+                assert view.status_of(entry.node.id) == entry.status
+            for metric in ("line", "branch"):
+                assert coverage_percent(view, metric) == old_coverage_percent(old, metric)
+                assert coverage_percent(report, metric) == old_coverage_percent(report, metric)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=graph_and_reports())
+    def test_diff_matches_old(self, case):
+        graph, reports = case
+        for prev in reports:
+            for curr in reports:
+                assert diff_views(
+                    merge_with_callgraph(prev, graph), merge_with_callgraph(curr, graph)
+                ) == old_diff_of_old_views(
+                    old_merge_with_callgraph(prev, graph), old_merge_with_callgraph(curr, graph)
+                )
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=graph_and_reports(), data=st.data())
+    def test_render_matches_old(self, case, data):
+        graph, reports = case
+        report = data.draw(st.sampled_from(reports))
+        view, old = merge_with_callgraph(report, graph), old_merge_with_callgraph(report, graph)
+        full = old_render_annotated_view(old, 10**9)
+        # from below the header-and-count skeleton to past the whole view
+        for budget in (data.draw(st.integers(0, len(full) + 10)), 0, len(full), len(full) - 1, 8000):
+            assert render_annotated_view(view, budget) == old_render_annotated_view(old, budget)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=graph_and_reports())
+    def test_load_reads_dense_and_sparse_files_alike(self, case):
+        _, reports = case
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for report in reports:
+                (root / "dense.json").write_text(json.dumps(report.to_json()))
+                (root / "totals.json").write_text(json.dumps(report.totals))
+                (root / "sparse.json").write_text(json.dumps(report.to_json("totals.json")))
+                dense = CoverageReport.load(root / "dense.json")
+                sparse = CoverageReport.load(root / "sparse.json")
+                assert dense == sparse == report
+                assert dense.by_id() == sparse.by_id() == report.by_id()
+
+
+class TestSparseReport:
+    TOTALS = {"a": (4, 2), "b": (3, 0), "c": (0, 0)}
+
+    def test_dense_and_sparse_with_the_same_counters_are_equal(self):
+        sparse = CoverageReport("full", [mk("a", 4, 2, 2, 0)], totals=self.TOTALS)
+        dense = CoverageReport("full", [mk("a", 4, 2, 2, 0), mk("b", 3), mk("c")])
+        assert sparse == dense
+        assert sparse.hits == {"a": mk("a", 4, 2, 2, 0)}
+        assert sparse.by_id()["b"] == mk("b", 3) and sparse.by_id()["c"] == mk("c")
+        assert CoverageReport("full", [mk("a", 4, 3, 2, 0)], totals=self.TOTALS) != dense
+        assert CoverageReport("method_targeted", [mk("a", 4, 2, 2, 0)], totals=self.TOTALS) != dense
+        assert CoverageReport("full", [mk("a", 4, 2, 2, 0)], totals={"a": (4, 2)}) != dense
+
+    @pytest.mark.parametrize("counters", [mk("a", 5, 1), mk("ghost", 2, 1)])
+    def test_counters_must_agree_with_the_table(self, counters):
+        with pytest.raises(EngineError) as exc:
+            CoverageReport("full", [counters], totals=self.TOTALS)
+        assert exc.value.code == "BAD_ARGS"
+
+    def test_windows_keep_the_traces_table_and_only_hit_methods(self):
+        trace = RecordingTrace(
+            events=(TraceEvent("a", 1, "branch_hit", 150.0), TraceEvent("b", 1, "line_hit", 50.0)),
+            windows=((100.0, 200.0),),
+            method_totals=self.TOTALS,
+        )
+        report = apply_recording_windows(trace, scope="full", campaign_seconds=3.0)
+        assert report.totals is self.TOTALS
+        assert list(report.hits) == ["a"]
+        assert (report.scope, report.campaign_seconds) == ("full", 3.0)
+
+    def test_merge_sums_each_table_once_per_graph(self):
+        graph = small_graph()
+        table = {"r": (4, 0), "x": (2, 0)}
+        merge_with_callgraph(CoverageReport("full", [mk("x", 2, 1)], totals=table), graph)
+        kept = graph.coverage_totals
+        view = merge_with_callgraph(CoverageReport("full", [mk("x", 2, 2)], totals=table), graph)
+        assert graph.coverage_totals is kept
+        assert view.lines == (2, 6)
+        other = merge_with_callgraph(CoverageReport("full", [mk("r", 4, 4)]), graph)
+        assert graph.coverage_totals is not kept
+        assert other.lines == (4, 4)
+
+    def test_sparse_file_without_its_totals_file(self, tmp_path):
+        report = CoverageReport("full", [mk("a", 4, 1, 2, 0)], totals=self.TOTALS)
+        path = tmp_path / "r0.json"
+        path.write_text(json.dumps(report.to_json("totals.json")))
+        with pytest.raises(EngineError) as exc:
+            CoverageReport.load(path)
+        assert exc.value.code == "IO"

@@ -175,6 +175,15 @@ class TestKeptRuleEvents:
                 assert first.crashes == second.crashes == fresh.crashes
                 assert first.executions == second.executions == fresh.executions
 
+    def test_reports_share_the_specs_totals_table(self):
+        adapter = load_sandbox(DEMO_DIR / "sandbox.json")
+        tables = {
+            id(adapter.fuzz(make_harness(source), 3, scope=scope).coverage.totals)
+            for source in self.HARNESSES
+            for scope in ("method_targeted", "full")
+        }
+        assert tables == {id(adapter.spec.method_totals)}
+
     def test_trace_equals_old_build(self):
         adapter = load_sandbox(DEMO_DIR / "sandbox.json")
         for source in self.HARNESSES:

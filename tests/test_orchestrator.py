@@ -255,7 +255,9 @@ class TestHappyPath:
         assert transcripts == [
             "CVA-r0.json", "CVA-r1.json", "GEN-r0.json", "REF-r0.json", "RSH-r0.json",
         ]
-        assert sorted(p.name for p in (root / "coverage").iterdir()) == ["r0.json", "r1.json"]
+        assert sorted(p.name for p in (root / "coverage").iterdir()) == [
+            "r0.json", "r1.json", "totals.json",
+        ]
         # persisted manifest matches the returned one apart from run_dir
         on_disk = json.loads((root / "manifest.json").read_text())
         in_memory = {k: v for k, v in manifest.items() if k != "run_dir"}
@@ -288,6 +290,48 @@ class TestCoverageFiles:
             path = runner.run_dir / "coverage" / f"r{n}.json"
             assert CoverageReport.load(path) == report
             assert "\n" not in path.read_text(encoding="utf-8")  # compact, one line
+
+
+    def test_unmatched_methods_counts_hits_outside_the_graph(self, demo_config):
+        config = demo_config("scripts/happy.json", ["budgets.depth_limit=1"])
+        runner = WorkflowRunner(TargetSpec.from_config(config), config)
+        manifest = runner.run()
+        counts = []
+        for n, _ in enumerate(manifest["rounds"]):
+            report = CoverageReport.load(runner.run_dir / "coverage" / f"r{n}.json")
+            outside = {mid for mid, c in report.by_id().items() if c.lines_covered or c.branches_covered}
+            counts.append(len(outside - runner.graph.nodes.keys()))
+        assert [row["unmatched_methods"] for row in manifest["rounds"]] == counts
+        assert counts[-1] > 0
+
+    def test_report_over_another_table_is_saved_dense(self, demo_config):
+        config = demo_config("scripts/happy.json")
+        runner = WorkflowRunner(TargetSpec.from_config(config), config)
+        table = {"a": (4, 2), "b": (3, 0)}
+        reports = [
+            CoverageReport("full", [MethodCoverage("a", 4, 1, 2, 0)], totals=table),
+            CoverageReport("full", [MethodCoverage("b", 3, 3, 0, 0)], totals=dict(table)),
+            CoverageReport("full", [MethodCoverage("a", 5, 5, 0, 0)]),  # as a shell file loads
+        ]
+        coverage = runner.run_dir / "coverage"
+        for n, report in enumerate(reports):
+            runner._save_coverage(report, n)
+        raw = [json.loads((coverage / f"r{n}.json").read_text(encoding="utf-8")) for n in range(3)]
+        assert [r.get("totals") for r in raw] == ["totals.json", "totals.json", None]
+        for n, report in enumerate(reports):
+            assert CoverageReport.load(coverage / f"r{n}.json") == report
+
+    def test_round_files_are_sparse_over_one_totals_file(self, demo_config):
+        manifest = run_demo(demo_config, "scripts/happy.json")
+        coverage = Path(manifest["run_dir"]) / "coverage"
+        totals = json.loads((coverage / "totals.json").read_text(encoding="utf-8"))
+        for n in range(len(manifest["rounds"])):
+            raw = json.loads((coverage / f"r{n}.json").read_text(encoding="utf-8"))
+            assert raw["totals"] == "totals.json"
+            assert raw["methods"] and all(
+                (m["lines_covered"] or m["branches_covered"]) and m["id"] in totals
+                for m in raw["methods"]
+            )
 
 
 class TestPatchLoop:
@@ -344,6 +388,14 @@ class TestTermination:
         manifest = run_demo(demo_config, "scripts/crash.json")
         assert manifest["outcome"] == "success"
         assert manifest["rounds"][0]["crash_count"] == 3
+
+    def test_rows_count_unique_crashes_and_executions(self, demo_config):
+        row = run_demo(demo_config, "scripts/crash.json")["rounds"][0]
+        # two of the three crash rules share a summary, so a dedup key
+        assert (row["crash_count"], row["unique_crashes"]) == (3, 2)
+        # the sandbox runs int(fuzz_seconds) * 1000 plus 37 per matched coverage rule
+        assert row["executions"] == 5 * 1000 + 37
+        assert row["unmatched_methods"] == 0
 
 
 class TestScopes:
