@@ -26,6 +26,7 @@ _FIELD_RE = re.compile(
 _CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch", "return", "new", "else", "do"}
 _STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 _WORD_RE = re.compile(r"\w+")
+_BRACE_RE = re.compile(r"[{}]")
 
 
 @dataclass
@@ -125,8 +126,13 @@ def _signature(name: str, params: str) -> str:
 def _scan_file(path: str, text: str) -> list[SymbolEntry]:
     symbols: list[SymbolEntry] = []
     stack: list[tuple[SymbolEntry, int]] = []  # (symbol, depth before its brace)
+    open_methods = 0  # method symbols on the stack: their bodies hold no fields
     depth = 0
     in_block_comment = False
+
+    def container() -> str | None:
+        return next((sym.name for sym, _ in reversed(stack) if sym.kind == "class"), None)
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw
         if in_block_comment:
@@ -144,9 +150,6 @@ def _scan_file(path: str, text: str) -> list[SymbolEntry]:
             else:
                 line = line[:start] + line[end + 2 :]
         clean = _strip_line_noise(line)
-        container = next(
-            (sym.name for sym, _ in reversed(stack) if sym.kind == "class"), None
-        )
         pending: SymbolEntry | None = None
         # Each regex runs only on lines holding the literals it requires:
         # _METHOD_RE backtracks heavily on statement lines it cannot match.
@@ -156,43 +159,41 @@ def _scan_file(path: str, text: str) -> list[SymbolEntry]:
             else None
         )
         if m:
-            pending = SymbolEntry(m.group(1), "class", path, lineno, lineno, container)
+            pending = SymbolEntry(m.group(1), "class", path, lineno, lineno, container())
             symbols.append(pending)
         else:
             m = _METHOD_RE.match(clean) if "(" in clean and "{" in clean else None
             if m and m.group(1) not in _CONTROL_KEYWORDS:
                 pending = SymbolEntry(
-                    _signature(m.group(1), m.group(2)), "method", path, lineno, lineno, container
+                    _signature(m.group(1), m.group(2)), "method", path, lineno, lineno,
+                    container(),
                 )
                 symbols.append(pending)
-            else:
-                m = _FIELD_RE.match(clean) if ";" in clean else None
-                if m and container is not None and not stack_has_method(stack):
-                    symbols.append(
-                        SymbolEntry(m.group(1), "field", path, lineno, lineno, container)
-                    )
+            elif not open_methods and ";" in clean:
+                m = _FIELD_RE.match(clean)
+                owner = container() if m else None
+                if owner is not None:
+                    symbols.append(SymbolEntry(m.group(1), "field", path, lineno, lineno, owner))
         if "{" not in clean and "}" not in clean:
             continue
-        for ch in clean:
+        for ch in _BRACE_RE.findall(clean):
             if ch == "{":
                 if pending is not None:
                     stack.append((pending, depth))
+                    open_methods += pending.kind == "method"
                     pending = None
                 depth += 1
-            elif ch == "}":
+            else:
                 depth -= 1
                 if stack and depth == stack[-1][1]:
                     sym, _ = stack.pop()
+                    open_methods -= sym.kind == "method"
                     sym.line_end = lineno
     # unbalanced input: close any leftovers at EOF
     total_lines = text.count("\n") + 1
     for sym, _ in stack:
         sym.line_end = total_lines
     return symbols
-
-
-def stack_has_method(stack: list[tuple[SymbolEntry, int]]) -> bool:
-    return any(sym.kind == "method" for sym, _ in stack)
 
 
 class CodeIndex:

@@ -13,7 +13,10 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .callgraph import CallGraph, CallGraphNode
 from .errors import EngineError
@@ -185,8 +188,7 @@ class CoverageReport:
             raise EngineError("PARSE", f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     method_id: str
     line: int
     kind: str  # line_hit | branch_hit
@@ -331,6 +333,8 @@ class AnnotatedCoverageView:
 
 
 _KIND_INDEX = {"line_hit": 0, "branch_hit": 1}
+_RUN_KEY = itemgetter(0, 2, 3)  # method id, kind, timestamp
+_LINE = itemgetter(1)
 
 
 def apply_recording_windows(
@@ -344,30 +348,42 @@ def apply_recording_windows(
     Only events inside a recording window count; distinct hit sites per
     method and kind become the covered counters, capped at the declared
     totals. An in-window event of another kind raises KeyError.
+
+    The trace is walked in runs of consecutive events that share method,
+    kind and timestamp: each run gets one method, window and kind check,
+    and its lines go into the (method, kind) site set in one C-level
+    `update`.
     """
     totals = trace.method_totals
     windows = trace.windows
-    sites: set[tuple[str, int, int]] = set()  # (method id, kind index, line)
+    sites: dict[tuple[str, int], set[int]] = {}  # (method id, kind index) -> lines
     dropped = 0
-    for event in trace.events:
-        mid = event.method_id
+    for (mid, kind, ts), run in groupby(trace.events, _RUN_KEY):
         if mid not in totals:
-            dropped += 1
+            count = len(list(run))
+            dropped += count
             if warn is not None:
-                warn(f"dropping event for unknown method {mid}")
+                for _ in range(count):
+                    warn(f"dropping event for unknown method {mid}")
             continue
-        ts = event.timestamp
         for start, end in windows:
             if start <= ts <= end:
-                sites.add((mid, _KIND_INDEX[event.kind], event.line))
+                key = (mid, _KIND_INDEX[kind])
+                lines = sites.get(key)
+                if lines is None:
+                    lines = sites[key] = set()
+                lines.update(map(_LINE, run))
                 break
-    hits = Counter((mid, kind) for mid, kind, _ in sites)
     methods = []
-    for mid in sorted({mid for mid, _ in hits}):
+    for mid in sorted({mid for mid, _ in sites}):
         lines, branches = totals[mid]
         methods.append(
             MethodCoverage(
-                mid, lines, min(lines, hits[mid, 0]), branches, min(branches, hits[mid, 1])
+                mid,
+                lines,
+                min(lines, len(sites.get((mid, 0), ()))),
+                branches,
+                min(branches, len(sites.get((mid, 1), ()))),
             )
         )
     return CoverageReport(scope, methods, campaign_seconds, dropped, totals=totals)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -7,13 +8,27 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DEMO_DIR, REPO_ROOT
-from harnessgen.cli import main, render_report_csv, render_report_text
+from harnessgen.cli import (
+    _OUTCOME_EXITS,
+    EXIT_INTERRUPTED,
+    main,
+    render_report_csv,
+    render_report_text,
+)
+from harnessgen.ecosystem import SandboxAdapter
+from harnessgen.errors import EngineError
 from harnessgen.model_backend import ScriptedBackend
+from harnessgen.orchestrator import PHASE_GRAPH
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +166,85 @@ class TestRun:
     def test_missing_config_exit_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", str(tmp_path / "nope.json"))
         assert code == 1 and "config error" in err
+
+
+# site -> (owner, method, the most calls a demo run below makes to it)
+FAULT_SITES = {
+    "compile": (SandboxAdapter, "compile", 3),
+    "fuzz": (SandboxAdapter, "fuzz", 2),
+    "complete": (ScriptedBackend, "complete", 9),
+}
+# the codes `WorkflowRunner.run` tells apart, and one it does not name
+FAULT_CODES = ("FUZZ_TIMEOUT", "COMPILE_TIMEOUT", "COMPILE_FAILED", "EXEC", "MODEL_PROTOCOL")
+faults = st.one_of(
+    st.sampled_from(FAULT_CODES).map(lambda code: EngineError(code, "injected")),
+    st.just(RuntimeError("injected")),
+    st.just(KeyboardInterrupt()),
+)
+
+
+def outcome_of(site: str, fault: BaseException) -> str:
+    """The outcome `WorkflowRunner.run` gives a run that `fault` ends."""
+    if isinstance(fault, KeyboardInterrupt):
+        return "interrupted"
+    if not isinstance(fault, EngineError):
+        return "internal_error"
+    if fault.code in ("FUZZ_TIMEOUT", "COMPILE_TIMEOUT"):
+        return "budget_exhausted"
+    if site != "complete":  # adapter errors are toolchain errors
+        return "toolchain_failed"
+    return "compile_failed" if fault.code == "COMPILE_FAILED" else "model_failed"
+
+
+fault_points = st.sampled_from(sorted(FAULT_SITES)).flatmap(
+    lambda site: st.tuples(st.just(site), st.integers(0, FAULT_SITES[site][2]))
+)
+
+
+class TestFaultInjection:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        script=st.sampled_from(["happy", "crash", "patch_fix", "converge"]),
+        point=fault_points,
+        fault=faults,
+    )
+    def test_any_fault_leaves_a_legal_run_record(self, script, point, fault):
+        """A fault at the `nth` call of an adapter or backend method (none if
+        the run makes fewer calls) still leaves a manifest whose transitions
+        are legal and whose outcome is the exit code's."""
+        site, nth = point
+        owner, name, _ = FAULT_SITES[site]
+        real = getattr(owner, name)
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == nth + 1:
+                raise fault
+            return real(*args, **kwargs)
+
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(owner, name, flaky):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([
+                    "run", str(DEMO_DIR / "config.json"),
+                    "--set", f"output_dir={tmp}",
+                    "--set", f"model.script=scripts/{script}.json",
+                ])
+            (manifest_path,) = Path(tmp).glob("*/manifest.json")
+            manifest = json.loads(manifest_path.read_text())
+        transitions = ["init", *manifest["transitions"]]
+        assert all(b in PHASE_GRAPH[a] for a, b in zip(transitions, transitions[1:]))
+        assert transitions[-1] in ("done", "failed")
+        exits = {**_OUTCOME_EXITS, "interrupted": EXIT_INTERRUPTED}
+        assert code == exits[manifest["outcome"]]
+        if len(calls) > nth:
+            assert manifest["outcome"] == outcome_of(site, fault)
+            assert manifest["fuzz_timeout"] == (getattr(fault, "code", None) == "FUZZ_TIMEOUT")
+            if not isinstance(fault, KeyboardInterrupt):
+                assert manifest["error"].endswith("injected")
+        else:
+            assert out.getvalue().splitlines()[0] == str(manifest_path.parent)
 
 
 class TestTools:

@@ -6,7 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harnessgen.code_index import CodeIndex, SourceUnit, _required_literal
+from harnessgen.code_index import (
+    _CLASS_RE,
+    _CONTROL_KEYWORDS,
+    _FIELD_RE,
+    _METHOD_RE,
+    CodeIndex,
+    SourceUnit,
+    SymbolEntry,
+    _required_literal,
+    _scan_file,
+    _signature,
+    _strip_line_noise,
+)
 from harnessgen.errors import EngineError
 
 NESTED_SOURCE = """\
@@ -300,3 +312,125 @@ class TestGrepPrefilter:
             assert exc.value.code == "BAD_ARGS"
             return
         assert index.render_search("text", pattern, max_results) == expected
+
+
+def old_scan_file(path: str, text: str) -> list[SymbolEntry]:
+    """`_scan_file` as it was before it made the container only per symbol,
+    counted open method scopes and walked only the brace characters."""
+    symbols: list[SymbolEntry] = []
+    stack: list[tuple[SymbolEntry, int]] = []
+    depth = 0
+    in_block_comment = False
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw
+        if in_block_comment:
+            end = line.find("*/")
+            if end < 0:
+                continue
+            line = line[end + 2 :]
+            in_block_comment = False
+        start = line.find("/*")
+        if start >= 0:
+            end = line.find("*/", start + 2)
+            if end < 0:
+                in_block_comment = True
+                line = line[:start]
+            else:
+                line = line[:start] + line[end + 2 :]
+        clean = _strip_line_noise(line)
+        container = next((sym.name for sym, _ in reversed(stack) if sym.kind == "class"), None)
+        pending: SymbolEntry | None = None
+        m = (
+            _CLASS_RE.match(clean)
+            if "class" in clean or "interface" in clean or "enum" in clean
+            else None
+        )
+        if m:
+            pending = SymbolEntry(m.group(1), "class", path, lineno, lineno, container)
+            symbols.append(pending)
+        else:
+            m = _METHOD_RE.match(clean) if "(" in clean and "{" in clean else None
+            if m and m.group(1) not in _CONTROL_KEYWORDS:
+                pending = SymbolEntry(
+                    _signature(m.group(1), m.group(2)), "method", path, lineno, lineno, container
+                )
+                symbols.append(pending)
+            else:
+                m = _FIELD_RE.match(clean) if ";" in clean else None
+                if m and container is not None and not any(
+                    sym.kind == "method" for sym, _ in stack
+                ):
+                    symbols.append(
+                        SymbolEntry(m.group(1), "field", path, lineno, lineno, container)
+                    )
+        if "{" not in clean and "}" not in clean:
+            continue
+        for ch in clean:
+            if ch == "{":
+                if pending is not None:
+                    stack.append((pending, depth))
+                    pending = None
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if stack and depth == stack[-1][1]:
+                    sym, _ = stack.pop()
+                    sym.line_end = lineno
+    total_lines = text.count("\n") + 1
+    for sym, _ in stack:
+        sym.line_end = total_lines
+    return symbols
+
+
+JAVA_LINES = (
+    "public class Outer {",
+    "final class Leaf { }",
+    "interface Shape {",
+    "enum Kind { A, B }",
+    "static class Inner {",
+    "  public int size(String s, int n) {",
+    "  void run() { go(); }",
+    "  private static <T> List<T> all(Map<K, V> m) {",
+    "  public void header(int a)",
+    "  {",
+    "  int count = 0;",
+    "  private final String name;",
+    "  static int[] table = new int[3];",
+    "    int local = 1;",
+    "    if (a > 0) {",
+    "    for (int i = 0; i < n; i++) {",
+    "    } else {",
+    "    return size(s, n);",
+    "  }",
+    "}",
+    "}}",
+    "{",
+    "{ {",
+    "/* a block comment opens { here",
+    "   and closes } here */ int after = 2;",
+    "int x; /* inline { */ int y;",
+    "  */",
+    "/** docs */",
+    'String s = "a { brace";',
+    'String t = "// not a comment";',
+    'log("}"); // } tail',
+    "x = 1; // class Hidden {",
+    "",
+)
+
+
+class TestScanEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.lists(st.sampled_from(JAVA_LINES), min_size=1, max_size=2).map(" ".join),
+            max_size=40,
+        )
+    )
+    def test_matches_old_scanner(self, lines):
+        """Java-like line mixes, some lines two fragments joined: headers with
+        `{` on the same or the next line, fields in and out of methods, block
+        comments opening and closing mid-line, braces and `//` in strings,
+        unbalanced braces."""
+        text = "\n".join(lines)
+        assert _scan_file("F.java", text) == old_scan_file("F.java", text)

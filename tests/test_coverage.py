@@ -345,10 +345,58 @@ def traces(draw):
     return RecordingTrace(events=tuple(events), windows=tuple(windows), method_totals=totals)
 
 
+@st.composite
+def run_traces(draw):
+    """Traces shaped like the sandbox's: runs of consecutive events sharing
+    method, kind and timestamp, with repeated lines, runs of unknown methods,
+    runs on and off the window bounds, and runs of an unknown kind that lie
+    outside every window or belong to an unknown method."""
+    windows = []
+    start = float(draw(st.integers(0, 5)))
+    for _ in range(draw(st.integers(0, 3))):
+        end = start + draw(st.integers(0, 6))
+        windows.append((start, end))
+        start = end + draw(st.sampled_from([0, 1, 3]))
+    bounds = [t for w in windows for t in w]
+    totals = draw(
+        st.dictionaries(
+            st.sampled_from(["a", "b", "c"]),
+            st.tuples(st.integers(0, 6), st.integers(0, 4)),
+            max_size=3,
+        )
+    )
+    events = []
+    for _ in range(draw(st.integers(0, 12))):
+        mid = draw(st.sampled_from(["a", "b", "c", "ghost"]))
+        kind = draw(st.sampled_from(["line_hit", "branch_hit", "stmt_hit"]))
+        if kind == "stmt_hit" and mid != "ghost":
+            ts = -1.0  # before every window
+        else:
+            ts = draw(st.one_of(st.sampled_from(bounds or [0.0]), st.integers(-2, 30).map(float)))
+        lines = draw(
+            st.one_of(
+                st.integers(0, 8).map(lambda k: list(range(1, k + 1))),
+                st.lists(st.integers(0, 7), min_size=1, max_size=10),
+            )
+        )
+        events.extend(TraceEvent(mid, line, kind, ts) for line in lines)
+    return RecordingTrace(events=tuple(events), windows=tuple(windows), method_totals=totals)
+
+
 class TestWindowsEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(trace=traces())
     def test_matches_old_filter(self, trace):
+        warned: list[str] = []
+        old_warned: list[str] = []
+        report = apply_recording_windows(trace, warn=warned.append)
+        assert report == old_apply_recording_windows(trace, warn=old_warned.append)
+        assert warned == old_warned
+        assert len(warned) == report.dropped_events
+
+    @settings(max_examples=300, deadline=None)
+    @given(trace=run_traces())
+    def test_matches_old_filter_on_runs(self, trace):
         warned: list[str] = []
         old_warned: list[str] = []
         report = apply_recording_windows(trace, warn=warned.append)

@@ -194,6 +194,18 @@ class TestKeptRuleEvents:
                 assert trace.events == old.events
                 assert (trace.windows, trace.method_totals) == (old.windows, old.method_totals)
 
+    def test_events_are_trace_events(self):
+        adapter = load_sandbox(DEMO_DIR / "sandbox.json")
+        events = [
+            e for source in self.HARNESSES for e in adapter.build_trace(make_harness(source)).events
+        ]
+        assert events
+        for e in events:
+            # `==` cannot tell a TraceEvent from a plain tuple of the same fields
+            assert type(e) is TraceEvent
+            assert e.kind in ("line_hit", "branch_hit")
+            assert e.method_id in adapter.spec.method_totals
+
 
 class TestCrashes:
     def test_dedup_key_normalizes(self):
