@@ -11,6 +11,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import EngineError
 
@@ -24,8 +25,7 @@ class CallFacts:
     calls: tuple[tuple[str, str], ...]  # deduplicated (caller, callee)
 
 
-@dataclass(frozen=True)
-class CallGraphNode:
+class CallGraphNode(NamedTuple):
     id: str
     signature: str
     enclosing_class: str
@@ -40,15 +40,15 @@ class CallGraph:
     edges: set[tuple[str, str]] = field(default_factory=set)
     # sorted adjacency over `edges`, and the node ids of each depth in id
     # order, filled once by build(); do not mutate
-    succ: dict[str, list[str]] = field(default_factory=dict)
-    pred: dict[str, list[str]] = field(default_factory=dict)
-    by_depth: dict[int, list[str]] = field(default_factory=dict)
+    succ: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    pred: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    by_depth: dict[int, tuple[str, ...]] = field(default_factory=dict)
     # (totals table, lines, branches) of the nodes in the table, summed and
     # kept by coverage.merge_with_callgraph
     coverage_totals: tuple | None = field(default=None, repr=False, compare=False)
 
-    def successors(self, node_id: str) -> list[str]:
-        return self.succ.get(node_id, [])
+    def successors(self, node_id: str) -> tuple[str, ...]:
+        return self.succ.get(node_id, ())
 
 
 def load_facts(path: str | Path) -> CallFacts:
@@ -59,24 +59,17 @@ def load_facts(path: str | Path) -> CallFacts:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise EngineError("PARSE", f"{path}: {exc}") from exc
-    methods: dict[str, str] = {}
+    entries = raw.get("methods", [])
+    methods = {entry["id"]: entry.get("class", "") for entry in entries}
     # each id's one string: the decoder makes a new one per occurrence, and
     # the calls, the graph's edges and its adjacency would keep them all
-    ids: dict[str, str] = {}
-    for entry in raw.get("methods", []):
-        methods[entry["id"]] = entry.get("class", "")
-        ids[entry["id"]] = entry["id"]
-    calls: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for frm, to in raw.get("calls", []):
-        try:
-            pair = (ids[frm], ids[to])
-        except KeyError as exc:
-            raise EngineError("PARSE", f"call references unknown method id: {exc.args[0]}") from None
-        if pair not in seen:
-            seen.add(pair)
-            calls.append(pair)
-    return CallFacts(methods=methods, calls=tuple(calls))
+    ids = {entry["id"]: entry["id"] for entry in entries}
+    try:
+        calls = [(ids[frm], ids[to]) for frm, to in raw.get("calls", [])]
+    except KeyError as exc:
+        raise EngineError("PARSE", f"call references unknown method id: {exc.args[0]}") from None
+    # dict.fromkeys drops the repeats and keeps the first-seen order
+    return CallFacts(methods=methods, calls=tuple(dict.fromkeys(calls)))
 
 
 def build(facts: CallFacts, root: str, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> CallGraph:
@@ -98,22 +91,29 @@ def build(facts: CallFacts, root: str, depth_limit: int = DEFAULT_DEPTH_LIMIT) -
                 depths[callee] = depths[current] + 1
                 queue.append(callee)
     graph = CallGraph(root=root, depth_limit=depth_limit)
-    for method_id, depth in depths.items():
-        graph.nodes[method_id] = CallGraphNode(
-            id=method_id,
-            signature=method_id.rpartition(".")[2] or method_id,
-            enclosing_class=facts.methods[method_id],
-            depth=depth,
-        )
-        graph.by_depth.setdefault(depth, []).append(method_id)
-    for ids in graph.by_depth.values():
-        ids.sort()
-    graph.edges = {
-        (frm, to) for frm, to in facts.calls if frm in depths and to in depths
+    methods = facts.methods
+    graph.nodes = {
+        mid: CallGraphNode(mid, mid.rpartition(".")[2] or mid, methods[mid], d)
+        for mid, d in depths.items()
     }
-    for frm, to in sorted(graph.edges):
-        graph.succ.setdefault(frm, []).append(to)
-        graph.pred.setdefault(to, []).append(frm)
+    # the search meets the depths in order: the last node met is the deepest
+    deepest = next(reversed(depths.values()))
+    by_depth: dict[int, list[str]] = {d: [] for d in range(deepest + 1)}
+    pred: dict[str, list[str]] = {}
+    edges, succ = graph.edges, graph.succ
+    # One pass over the nodes by id yields each node's callees, each depth's
+    # ids and each callee's callers already in id order: no edge is sorted.
+    for frm in sorted(depths):
+        by_depth[depths[frm]].append(frm)
+        callees = sorted({to for to in adjacency.get(frm, ()) if to in depths})
+        if callees:
+            succ[frm] = tuple(callees)
+            for to in callees:
+                pred.setdefault(to, []).append(frm)
+                edges.add((frm, to))
+    # tuples of strings, which the cycle collector stops tracking
+    graph.pred = {to: tuple(callers) for to, callers in pred.items()}
+    graph.by_depth = {d: tuple(ids) for d, ids in by_depth.items()}
     return graph
 
 

@@ -24,6 +24,7 @@ _FIELD_RE = re.compile(
     rf"^\s*{_MODIFIERS}[\w<>\[\],.]+\s+(\w+)\s*(?:=[^;]*)?;\s*$"
 )
 _CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch", "return", "new", "else", "do"}
+_CONTROL_RE = re.compile(rf"\s*(?:{'|'.join(sorted(_CONTROL_KEYWORDS))})\s*\(")
 _STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 _WORD_RE = re.compile(r"\w+")
 _BRACE_RE = re.compile(r"[{}]")
@@ -113,14 +114,8 @@ def _required_literal(pattern: str) -> str:
 
 
 def _signature(name: str, params: str) -> str:
-    types = []
-    for part in params.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        tokens = part.split()
-        types.append(tokens[0] if len(tokens) > 1 else part)
-    return f"{name}({','.join(types)})"
+    # each parameter's first token, its type; a one-token parameter is its own
+    return f"{name}({','.join([t[0] for t in map(str.split, params.split(',')) if t])})"
 
 
 def _scan_file(path: str, text: str) -> list[SymbolEntry]:
@@ -134,56 +129,92 @@ def _scan_file(path: str, text: str) -> list[SymbolEntry]:
         return next((sym.name for sym, _ in reversed(stack) if sym.kind == "class"), None)
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw
-        if in_block_comment:
-            end = line.find("*/")
-            if end < 0:
-                continue
-            line = line[end + 2 :]
-            in_block_comment = False
-        start = line.find("/*")
-        if start >= 0:
-            end = line.find("*/", start + 2)
-            if end < 0:
-                in_block_comment = True
-                line = line[:start]
-            else:
-                line = line[:start] + line[end + 2 :]
-        clean = _strip_line_noise(line)
-        pending: SymbolEntry | None = None
-        # Each regex runs only on lines holding the literals it requires:
-        # _METHOD_RE backtracks heavily on statement lines it cannot match.
-        m = (
-            _CLASS_RE.match(clean)
-            if "class" in clean or "interface" in clean or "enum" in clean
-            else None
-        )
-        if m:
-            pending = SymbolEntry(m.group(1), "class", path, lineno, lineno, container())
-            symbols.append(pending)
-        else:
-            m = _METHOD_RE.match(clean) if "(" in clean and "{" in clean else None
-            if m and m.group(1) not in _CONTROL_KEYWORDS:
-                pending = SymbolEntry(
-                    _signature(m.group(1), m.group(2)), "method", path, lineno, lineno,
-                    container(),
-                )
-                symbols.append(pending)
-            elif not open_methods and ";" in clean:
-                m = _FIELD_RE.match(clean)
-                owner = container() if m else None
-                if owner is not None:
-                    symbols.append(SymbolEntry(m.group(1), "field", path, lineno, lineno, owner))
-        if "{" not in clean and "}" not in clean:
+        # Inside a method body a line with no brace, no `/` and no type
+        # keyword changes nothing: only a type header or a brace opens or
+        # closes a scope, fields are not read in a method, and a comment
+        # opens at `/*` and closes at `*/`.
+        if (
+            open_methods
+            and "{" not in raw
+            and "}" not in raw
+            and "/" not in raw
+            and "class" not in raw
+            and "interface" not in raw
+            and "enum" not in raw
+        ):
             continue
-        for ch in _BRACE_RE.findall(clean):
-            if ch == "{":
-                if pending is not None:
-                    stack.append((pending, depth))
-                    open_methods += pending.kind == "method"
-                    pending = None
-                depth += 1
+        if not in_block_comment and raw.strip() == "}":
+            opens, closes = 0, 1  # a lone closing brace: nothing to match
+        else:
+            line = raw
+            if in_block_comment:
+                end = line.find("*/")
+                if end < 0:
+                    continue
+                line = line[end + 2 :]
+                in_block_comment = False
+            start = line.find("/*")
+            if start >= 0:
+                end = line.find("*/", start + 2)
+                if end < 0:
+                    in_block_comment = True
+                    line = line[:start]
+                else:
+                    line = line[:start] + line[end + 2 :]
+            clean = _strip_line_noise(line)
+            pending: SymbolEntry | None = None
+            # Each regex runs only on lines holding the literals it requires:
+            # _METHOD_RE backtracks heavily on statement lines it cannot match.
+            # On a control line its name group could only be the keyword, which
+            # is no method, so it is not run there.
+            m = (
+                _CLASS_RE.match(clean)
+                if "class" in clean or "interface" in clean or "enum" in clean
+                else None
+            )
+            if m:
+                pending = SymbolEntry(m.group(1), "class", path, lineno, lineno, container())
+                symbols.append(pending)
             else:
+                m = (
+                    _METHOD_RE.match(clean)
+                    if "(" in clean and "{" in clean and not _CONTROL_RE.match(clean)
+                    else None
+                )
+                if m and m.group(1) not in _CONTROL_KEYWORDS:
+                    pending = SymbolEntry(
+                        _signature(m.group(1), m.group(2)), "method", path, lineno, lineno,
+                        container(),
+                    )
+                    symbols.append(pending)
+                elif not open_methods and ";" in clean:
+                    m = _FIELD_RE.match(clean)
+                    owner = container() if m else None
+                    if owner is not None:
+                        symbols.append(SymbolEntry(m.group(1), "field", path, lineno, lineno, owner))
+            opens = clean.count("{")
+            closes = clean.count("}")
+        if opens and closes:  # the order of the braces matters
+            for ch in _BRACE_RE.findall(clean):
+                if ch == "{":
+                    if pending is not None:
+                        stack.append((pending, depth))
+                        open_methods += pending.kind == "method"
+                        pending = None
+                    depth += 1
+                else:
+                    depth -= 1
+                    if stack and depth == stack[-1][1]:
+                        sym, _ = stack.pop()
+                        open_methods -= sym.kind == "method"
+                        sym.line_end = lineno
+        elif opens:
+            if pending is not None:
+                stack.append((pending, depth))
+                open_methods += pending.kind == "method"
+            depth += opens
+        else:
+            for _ in range(closes):
                 depth -= 1
                 if stack and depth == stack[-1][1]:
                     sym, _ = stack.pop()

@@ -10,14 +10,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import EngineError
 
 MAX_SUGGESTIONS = 5
 
 
-@dataclass(frozen=True)
-class MethodDoc:
+class MethodDoc(NamedTuple):
     signature: str
     doc: str = ""
     params: tuple[tuple[str, str], ...] = ()  # (name, description)
@@ -25,15 +25,13 @@ class MethodDoc:
     throws: tuple[tuple[str, str], ...] = ()  # (exception, condition)
 
 
-@dataclass(frozen=True)
-class ClassDoc:
+class ClassDoc(NamedTuple):
     name: str
     doc: str = ""
     methods: tuple[MethodDoc, ...] = ()
 
 
-@dataclass(frozen=True)
-class PackageDoc:
+class PackageDoc(NamedTuple):
     name: str
     doc: str = ""
     classes: tuple[ClassDoc, ...] = ()
@@ -53,13 +51,9 @@ def _parse_method(raw: dict, where: str) -> MethodDoc:
         if not exc:
             raise EngineError("PARSE", f"{where}: throws entry missing exception")
         throws.append((exc, entry.get("condition", "")))
-    params = tuple((p.get("name", ""), p.get("doc", "")) for p in raw.get("params", []))
+    params = tuple([(p.get("name", ""), p.get("doc", "")) for p in raw.get("params", [])])
     return MethodDoc(
-        signature=raw["signature"],
-        doc=raw.get("doc", ""),
-        params=params,
-        returns=raw.get("returns", ""),
-        throws=tuple(throws),
+        raw["signature"], raw.get("doc", ""), params, raw.get("returns", ""), tuple(throws)
     )
 
 

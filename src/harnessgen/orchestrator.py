@@ -244,6 +244,11 @@ class Services(NamedTuple):
     code: CodeIndex
     graph: cg.CallGraph
     registry: ToolRegistry
+    # {"seconds": wall seconds per service, "warnings": skipped sources}
+    setup: dict
+
+
+SETUP_STEPS = ("adapter", "docs", "code", "callgraph")
 
 
 def build_services(config: Config, target: TargetSpec) -> Services:
@@ -251,7 +256,10 @@ def build_services(config: Config, target: TargetSpec) -> Services:
 
     The docs, source and facts paths come from `target.*` when set, else
     from the sandbox spec; the shell adapter requires the `target.*` paths.
+    `setup` records the wall seconds of each of `SETUP_STEPS` and the
+    warnings of the code index, one per source file it skipped.
     """
+    marks = [time.monotonic()]
     keys = ("docs_bundle", "source_root", "facts")
     if config.adapter.get("sandbox_spec"):
         adapter = load_sandbox(config.resolve(config.adapter["sandbox_spec"]))
@@ -266,13 +274,20 @@ def build_services(config: Config, target: TargetSpec) -> Services:
             paths[key] = config.resolve(config.target[key])
         elif key not in paths:
             raise EngineError("CONFIG", f"target.{key} is required with the shell adapter")
-
+    marks.append(time.monotonic())
     docs = DocsIndex.from_file(paths["docs_bundle"])
-    code = CodeIndex.build(paths["source_root"])
+    marks.append(time.monotonic())
+    warnings: list[str] = []
+    code = CodeIndex.build(paths["source_root"], warn=warnings.append)
+    marks.append(time.monotonic())
     facts = cg.load_facts(paths["facts"])
     graph = cg.build(facts, _resolve_root(facts, target), config.depth_limit())
+    marks.append(time.monotonic())
     registry = register_default_tools(ToolRegistry(), docs, code, graph, adapter)
-    return Services(adapter, docs, code, graph, registry)
+    seconds = {step: end - start for step, start, end in zip(SETUP_STEPS, marks, marks[1:])}
+    return Services(
+        adapter, docs, code, graph, registry, {"seconds": seconds, "warnings": warnings}
+    )
 
 
 def _resolve_root(facts: cg.CallFacts, target: TargetSpec) -> str:
@@ -296,9 +311,9 @@ class WorkflowRunner:
         self.usage: dict[tuple[AgentRole, int], list[int]] = {}
         self._saved_totals = None  # the totals table in coverage/totals.json
         self._started = time.monotonic()
-        self.adapter, self.docs, self.code, self.graph, self.registry = build_services(
-            config, target
-        )
+        (
+            self.adapter, self.docs, self.code, self.graph, self.registry, self.setup
+        ) = build_services(config, target)
         self._setup_backend()
         self._setup_run_dir(run_dir)
 
@@ -332,6 +347,9 @@ class WorkflowRunner:
             self.run_dir = base / f"{stamp}-{self.target.library_name}"
         for sub in ("harness", "transcripts", "coverage"):
             (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
+        (self.run_dir / "setup.json").write_text(
+            json.dumps(self.setup, indent=2), encoding="utf-8"
+        )
 
     # -- persistence helpers -----------------------------------------------
 

@@ -80,3 +80,30 @@ def test_traced_run_records_the_coverage_layers_per_round(tracing, demo_config):
     assert names["coverage.apply_recording_windows"] == rounds
     assert names["coverage.merge_with_callgraph"] == rounds
     assert names["coverage.render_annotated_view"] >= 1
+
+
+SETUP_LOADERS = (
+    "ecosystem.load_sandbox",
+    "docs_index.from_file",
+    "code_index.build",
+    "callgraph.load_facts",
+    "callgraph.build",
+)
+
+
+def test_traced_set_up_records_each_loader_once(tracing, demo_config):
+    """The set-up metrics read one span per loader, sized like the services."""
+    tracer = tracing.Tracer()
+    with tracer.module_boundaries(0):
+        demo_runner(demo_config)
+    names = Counter(s[0] for s in tracer.spans)
+    assert {name: names[name] for name in SETUP_LOADERS} == dict.fromkeys(SETUP_LOADERS, 1)
+    attrs = {s[0]: s[5] for s in tracer.spans}
+    untraced = demo_runner(demo_config)
+    assert attrs["code_index.build"] == {
+        "files": len(untraced.code.units), "symbols": len(untraced.code.symbols)
+    }
+    assert attrs["callgraph.build"] == {
+        "nodes": len(untraced.graph.nodes), "edges": len(untraced.graph.edges)
+    }
+    assert attrs["docs_index.from_file"] == {"entries": sum(untraced.docs.counts().values())}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from harnessgen.callgraph import (
     CallFacts,
+    CallGraph,
+    CallGraphNode,
     build,
     load_facts,
     path_to_method,
@@ -233,3 +236,106 @@ def test_queries_match_brute_force(instance, limit, max_depth, data):
     ]
     for target in in_graph:
         assert path_to_method(graph, target) == smallest_shortest_path(methods, calls, root, target)
+
+
+def old_load_facts(raw: dict) -> CallFacts:
+    """`load_facts` after decoding, as it was before it built the pairs in
+    one comprehension and dropped repeats with `dict.fromkeys`."""
+    methods: dict[str, str] = {}
+    ids: dict[str, str] = {}
+    for entry in raw.get("methods", []):
+        methods[entry["id"]] = entry.get("class", "")
+        ids[entry["id"]] = entry["id"]
+    calls: list[tuple[str, str]] = []
+    seen: set[tuple[str, str]] = set()
+    for frm, to in raw.get("calls", []):
+        try:
+            pair = (ids[frm], ids[to])
+        except KeyError as exc:
+            raise EngineError("PARSE", f"call references unknown method id: {exc.args[0]}") from None
+        if pair not in seen:
+            seen.add(pair)
+            calls.append(pair)
+    return CallFacts(methods=methods, calls=tuple(calls))
+
+
+def old_build(facts: CallFacts, root: str, depth_limit: int) -> CallGraph:
+    """`build` as it was before it took the nodes once in id order instead
+    of sorting every edge."""
+    adjacency: dict[str, list[str]] = {}
+    for frm, to in facts.calls:
+        adjacency.setdefault(frm, []).append(to)
+    depths = {root: 0}
+    queue = deque([root])
+    while queue:
+        current = queue.popleft()
+        if depths[current] >= depth_limit:
+            continue
+        for callee in adjacency.get(current, []):
+            if callee not in depths:
+                depths[callee] = depths[current] + 1
+                queue.append(callee)
+    graph = CallGraph(root=root, depth_limit=depth_limit)
+    for method_id, depth in depths.items():
+        graph.nodes[method_id] = CallGraphNode(
+            id=method_id,
+            signature=method_id.rpartition(".")[2] or method_id,
+            enclosing_class=facts.methods[method_id],
+            depth=depth,
+        )
+        graph.by_depth.setdefault(depth, []).append(method_id)
+    for ids in graph.by_depth.values():
+        ids.sort()
+    graph.edges = {(frm, to) for frm, to in facts.calls if frm in depths and to in depths}
+    for frm, to in sorted(graph.edges):
+        graph.succ.setdefault(frm, []).append(to)
+        graph.pred.setdefault(to, []).append(frm)
+    return graph
+
+
+@st.composite
+def raw_facts(draw):
+    """Decoded facts: ids with dots or without, a repeated method entry,
+    repeated calls, self-calls, cycles, methods no call reaches, and at
+    times a call to an unknown id."""
+    n = draw(st.integers(1, 25))
+    methods = [draw(st.sampled_from(("p.C.", "p.D.", ""))) + f"m{i:02d}()" for i in range(n)]
+    entries = [{"id": m, "class": m.rpartition(".")[0]} for m in methods]
+    if draw(st.booleans()):
+        entries.append({"id": draw(st.sampled_from(methods)), "class": "Again"})
+    edge = st.tuples(st.sampled_from(methods), st.sampled_from(methods)).map(list)
+    calls = draw(st.lists(edge, max_size=3 * n))
+    calls += draw(st.lists(st.sampled_from(calls), max_size=n)) if calls else []
+    calls = draw(st.permutations(calls))
+    if draw(st.integers(0, 9)) == 0:
+        calls.insert(draw(st.integers(0, len(calls))), [methods[0], "ghost.m()"])
+    return {"methods": entries, "calls": calls}
+
+
+def as_sequences(mapping: dict) -> list:
+    return [(key, list(values)) for key, values in mapping.items()]
+
+
+class TestLinearBuildEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=raw_facts(), limit=st.integers(1, 4), data=st.data())
+    def test_matches_old_load_and_build(self, tmp_path_factory, raw, limit, data):
+        path = tmp_path_factory.mktemp("facts") / "facts.json"
+        path.write_text(json.dumps(raw))
+        try:
+            expected = old_load_facts(json.loads(path.read_text()))
+        except EngineError as exc:
+            with pytest.raises(EngineError) as got:
+                load_facts(path)
+            assert (got.value.code, got.value.message) == (exc.code, exc.message)
+            return
+        facts = load_facts(path)
+        assert list(facts.methods.items()) == list(expected.methods.items())
+        assert facts.calls == expected.calls
+        root = data.draw(st.sampled_from(sorted(facts.methods)))
+        graph, old = build(facts, root, limit), old_build(expected, root, limit)
+        assert list(graph.nodes.items()) == list(old.nodes.items())
+        assert graph.edges == old.edges  # a set: equal members, no order to compare
+        for name in ("succ", "pred", "by_depth"):
+            assert as_sequences(getattr(graph, name)) == as_sequences(getattr(old, name)), name
+            assert all(type(v) is tuple for v in getattr(graph, name).values()), name

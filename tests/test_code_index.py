@@ -434,3 +434,102 @@ class TestScanEquivalence:
         unbalanced braces."""
         text = "\n".join(lines)
         assert _scan_file("F.java", text) == old_scan_file("F.java", text)
+
+
+# Lines inside a method body that reach each path of the scanner: inert
+# statements, `/` in division and in `//` tails, control headers with and
+# without spaces, names that start or end like a keyword, one or two
+# closing braces, braces in strings, block comments across lines, and
+# local types.
+BODY_LINES = (
+    "int inert = 1;",
+    "acc = acc + Helper.run(1, \"x\");",
+    "return acc;",
+    "throw new IllegalStateException(\"x\");",
+    "half = total / 2;",
+    "x = a /b; // {",
+    "y = 1; // }",
+    "// if (a) {",
+    "if(x){",
+    "if (acc > 1) {",
+    "} else if (y) {",
+    "} else {",
+    "else {",
+    "for (int i = 0; i < n; i++) {",
+    "while (more()) {",
+    "switch (k) {",
+    "} catch (IOException e) {",
+    "do {",
+    "} while (x);",
+    "return (a);",
+    "new Runnable() {",
+    "synchronized (lock) {",
+    "format(x) {",
+    "ifx(a) {",
+    "doIt(a) {",
+    "public int inner(int a, String b) {",
+    "{",
+    "}",
+    "}}",
+    "} }",
+    "int local = 2;",
+    "private int notAField;",
+    's = "{";',
+    't = "}" + "/*";',
+    'u = "class X {";',
+    "/* a comment opens {",
+    "/* a comment opens",
+    "   runs on } here",
+    "   and ends */ x = 1;",
+    "/* one line { } */",
+    "/** docs */ int d = 3;",
+    "class Local {",
+    "enum Mode { A, B }",
+    "interface Step {",
+    "class Bare",
+    "enum BareMode",
+    "interface BareStep",
+    "classify(x);",
+    "",
+)
+
+
+class TestScanFastPaths:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        body=st.lists(
+            st.tuples(st.sampled_from(("", "    ", "\t")), st.sampled_from(BODY_LINES)).map(
+                "".join
+            ),
+            max_size=40,
+        ),
+        closers=st.integers(0, 3),
+    )
+    def test_method_bodies_match_old_scanner(self, body, closers):
+        """Bodies of a method inside a class, where the inert-line skip, the
+        control-line check and the brace counts apply."""
+        lines = ["public class F {", "  int field = 0;", "  void m(int a) {", *body]
+        lines += ["}"] * closers + ["  int after;", "  void n() {", "  }", "}"]
+        text = "\n".join(lines)
+        assert _scan_file("F.java", text) == old_scan_file("F.java", text)
+
+    @given(
+        params=st.lists(
+            st.sampled_from(("int", "String[]", "a", "b", " ", "  ", "\t", ",", "Map<K,V>")),
+            max_size=12,
+        ).map("".join)
+    )
+    def test_signature_matches_old(self, params):
+        assert _signature("f", params) == old_signature("f", params)
+
+
+def old_signature(name: str, params: str) -> str:
+    """`_signature` as it was before it was one comprehension."""
+    types = []
+    for part in params.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        tokens = part.split()
+        types.append(tokens[0] if len(tokens) > 1 else part)
+    return f"{name}({','.join(types)})"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import shutil
 import time
 from collections import Counter
 from pathlib import Path
@@ -16,6 +17,7 @@ from conftest import DEMO_DIR, ROOT_ID, make_harness
 from harnessgen import orchestrator
 from harnessgen.agents import load_prompt
 from harnessgen.callgraph import CallFacts, build
+from harnessgen.config import load_config
 from harnessgen.coverage import (
     CoverageReport,
     MethodCoverage,
@@ -269,6 +271,35 @@ class TestHappyPath:
             {k: v for k, v in m.items() if k not in ("timings", "run_dir")} for m in manifests
         ]
         assert scrubbed[0] == scrubbed[1]
+
+
+class TestSetupRecord:
+    def test_demo_run_writes_the_seconds_of_each_service(self, demo_config):
+        config = demo_config("scripts/happy.json")
+        started = time.monotonic()
+        runner = WorkflowRunner(TargetSpec.from_config(config), config)
+        built = time.monotonic() - started
+        setup = json.loads((runner.run_dir / "setup.json").read_text())
+        assert list(setup["seconds"]) == list(orchestrator.SETUP_STEPS)
+        assert all(v >= 0 for v in setup["seconds"].values())
+        assert sum(setup["seconds"].values()) <= built
+        assert setup["warnings"] == []
+        manifest = runner.run()
+        assert manifest["outcome"] == "success"
+        assert json.loads((runner.run_dir / "setup.json").read_text()) == setup
+        assert "setup" not in manifest and "warnings" not in manifest
+
+    def test_undecodable_source_is_skipped_and_named(self, tmp_path):
+        demo = tmp_path / "demo"
+        shutil.copytree(DEMO_DIR, demo)
+        legacy = demo / "src" / "toylib" / "Legacy.java"
+        legacy.write_bytes("public class L\u00e9gacy {\n}\n".encode("latin-1"))
+        config = load_config(demo / "config.json", [f"output_dir={tmp_path / 'runs'}"])
+        manifest = run_workflow(TargetSpec.from_config(config), config)
+        assert manifest["outcome"] == "success"
+        setup = json.loads((Path(manifest["run_dir"]) / "setup.json").read_text())
+        (warning,) = setup["warnings"]
+        assert "toylib/Legacy.java" in warning
 
 
 class TestCoverageFiles:
