@@ -105,7 +105,7 @@ def parse_termination_decision(text: str) -> TerminationDecision:
         try:
             payload = json.loads(candidate)
             break
-        except json.JSONDecodeError:
+        except ValueError:
             continue
     if payload is None:
         decoder = json.JSONDecoder()
@@ -113,7 +113,7 @@ def parse_termination_decision(text: str) -> TerminationDecision:
             try:
                 payload, _ = decoder.raw_decode(text, start)
                 break
-            except json.JSONDecodeError:
+            except ValueError:
                 continue
     if not isinstance(payload, dict):
         raise EngineError("PARSE", "no JSON decision object in model output")

@@ -7,13 +7,13 @@ distance from the root, then answers reachability and path queries.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import EngineError
+from .errors import EngineError, json_input
 
 DEFAULT_DEPTH_LIMIT = 10
 LARGE_LIBRARY_DEPTH_LIMIT = 5
@@ -37,9 +37,8 @@ class CallGraph:
     root: str
     depth_limit: int
     nodes: dict[str, CallGraphNode] = field(default_factory=dict)
-    edges: set[tuple[str, str]] = field(default_factory=set)
-    # sorted adjacency over `edges`, and the node ids of each depth in id
-    # order, filled once by build(); do not mutate
+    # sorted adjacency between the nodes, and the node ids of each depth in
+    # id order, filled once by build(); do not mutate
     succ: dict[str, tuple[str, ...]] = field(default_factory=dict)
     pred: dict[str, tuple[str, ...]] = field(default_factory=dict)
     by_depth: dict[int, tuple[str, ...]] = field(default_factory=dict)
@@ -47,27 +46,26 @@ class CallGraph:
     # kept by coverage.merge_with_callgraph
     coverage_totals: tuple | None = field(default=None, repr=False, compare=False)
 
+    @cached_property
+    def edges(self) -> set[tuple[str, str]]:
+        """Every in-graph call, made on first use; the engine walks `succ`."""
+        return {(frm, to) for frm, callees in self.succ.items() for to in callees}
+
     def successors(self, node_id: str) -> tuple[str, ...]:
         return self.succ.get(node_id, ())
 
 
 def load_facts(path: str | Path) -> CallFacts:
-    path = Path(path)
-    if not path.is_file():
-        raise EngineError("IO", f"call facts file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise EngineError("PARSE", f"{path}: {exc}") from exc
-    entries = raw.get("methods", [])
-    methods = {entry["id"]: entry.get("class", "") for entry in entries}
-    # each id's one string: the decoder makes a new one per occurrence, and
-    # the calls, the graph's edges and its adjacency would keep them all
-    ids = {entry["id"]: entry["id"] for entry in entries}
-    try:
-        calls = [(ids[frm], ids[to]) for frm, to in raw.get("calls", [])]
-    except KeyError as exc:
-        raise EngineError("PARSE", f"call references unknown method id: {exc.args[0]}") from None
+    with json_input(path, "call facts file") as raw:
+        entries = raw.get("methods", [])
+        methods = {entry["id"]: entry.get("class", "") for entry in entries}
+        # each id's one string: the decoder makes a new one per occurrence, and
+        # the calls, the graph's edges and its adjacency would keep them all
+        ids = {entry["id"]: entry["id"] for entry in entries}
+        try:
+            calls = [(ids[frm], ids[to]) for frm, to in raw.get("calls", [])]
+        except KeyError as exc:
+            raise EngineError("PARSE", f"call references unknown method id: {exc.args[0]}") from None
     # dict.fromkeys drops the repeats and keeps the first-seen order
     return CallFacts(methods=methods, calls=tuple(dict.fromkeys(calls)))
 
@@ -100,7 +98,7 @@ def build(facts: CallFacts, root: str, depth_limit: int = DEFAULT_DEPTH_LIMIT) -
     deepest = next(reversed(depths.values()))
     by_depth: dict[int, list[str]] = {d: [] for d in range(deepest + 1)}
     pred: dict[str, list[str]] = {}
-    edges, succ = graph.edges, graph.succ
+    succ = graph.succ
     # One pass over the nodes by id yields each node's callees, each depth's
     # ids and each callee's callers already in id order: no edge is sorted.
     for frm in sorted(depths):
@@ -110,7 +108,6 @@ def build(facts: CallFacts, root: str, depth_limit: int = DEFAULT_DEPTH_LIMIT) -
             succ[frm] = tuple(callees)
             for to in callees:
                 pred.setdefault(to, []).append(frm)
-                edges.add((frm, to))
     # tuples of strings, which the cycle collector stops tracking
     graph.pred = {to: tuple(callers) for to, callers in pred.items()}
     graph.by_depth = {d: tuple(ids) for d, ids in by_depth.items()}

@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import signal
 import sys
 from pathlib import Path
 
 from .config import load_config, validate_config
-from .errors import EngineError
+from .errors import EngineError, json_input
 from .orchestrator import TargetSpec, build_services, run_workflow
 from .toolbus import AgentRole
 
@@ -41,22 +40,21 @@ def _interrupt(signum, frame):
     raise KeyboardInterrupt
 
 
-def _load_validated(config_path: str, overrides: list[str], out=None):
-    config = load_config(config_path, overrides)
-    problems = validate_config(config)
-    if problems:
-        for problem in problems:
-            print(f"config error: {problem}", file=out or sys.stderr)
+def _load_validated(args):
+    """The valid config `args` name, or None after printing why it is not."""
+    try:
+        config = load_config(args.config, args.set or [])
+    except EngineError as exc:
+        print(f"config error: {exc.message}", file=sys.stderr)
         return None
-    return config
+    problems = validate_config(config)
+    for problem in problems:
+        print(f"config error: {problem}", file=sys.stderr)
+    return None if problems else config
 
 
 def cmd_run(args) -> int:
-    try:
-        config = _load_validated(args.config, args.set or [])
-    except EngineError as exc:
-        print(f"config error: {exc.message}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = _load_validated(args)
     if config is None:
         return EXIT_CONFIG
     target = TargetSpec.from_config(config)
@@ -78,13 +76,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_tools(args) -> int:
-    try:
-        config = _load_validated(args.config, args.set or [])
-        if config is None:
-            return EXIT_CONFIG
-        role = AgentRole[args.role]
-    except (EngineError, KeyError):
-        print(f"error: unknown role or invalid config: {args.role}", file=sys.stderr)
+    role = AgentRole.__members__.get(args.role)
+    if role is None:
+        print(f"error: unknown role: {args.role}", file=sys.stderr)
+        return EXIT_CONFIG
+    config = _load_validated(args)
+    if config is None:
         return EXIT_CONFIG
     try:
         registry = build_services(config, TargetSpec.from_config(config)).registry
@@ -96,17 +93,6 @@ def cmd_tools(args) -> int:
         level = registry.check_access(role, descriptor.name)
         print(f"{descriptor.name:<18} {descriptor.category:<10} {level.value:<12}")
     return EXIT_OK
-
-
-def _load_manifest(run_dir: str) -> tuple[dict, str]:
-    path = Path(run_dir) / "manifest.json"
-    if not path.is_file():
-        raise EngineError("IO", f"manifest not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    try:
-        return json.loads(text), text
-    except json.JSONDecodeError as exc:
-        raise EngineError("PARSE", f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
 
 
 def render_report_text(manifest: dict) -> str:
@@ -157,31 +143,29 @@ def render_report_csv(manifest: dict) -> str:
     return buffer.getvalue()
 
 
+def render_report(run_dir: str | Path, fmt: str) -> str:
+    """The run's manifest as `fmt`; `json` passes its text through."""
+    path = Path(run_dir) / "manifest.json"
+    with json_input(path, "manifest") as manifest:
+        if not isinstance(manifest, dict):
+            raise EngineError("PARSE", f"{path}: a manifest must be an object")
+        if fmt == "json":
+            return path.read_text(encoding="utf-8")
+        return render_report_csv(manifest) if fmt == "csv" else render_report_text(manifest) + "\n"
+
+
 def cmd_report(args) -> int:
     try:
-        manifest, raw = _load_manifest(args.run_dir)
+        report = render_report(args.run_dir, args.format)
     except EngineError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.format == "json":
-        sys.stdout.write(raw)
-    elif args.format == "csv":
-        sys.stdout.write(render_report_csv(manifest))
-    else:
-        print(render_report_text(manifest))
+    sys.stdout.write(report)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    try:
-        config = load_config(args.config, args.set or [])
-    except EngineError as exc:
-        print(f"config error: {exc.message}", file=sys.stderr)
-        return EXIT_CONFIG
-    problems = validate_config(config)
-    if problems:
-        for problem in problems:
-            print(f"config error: {problem}", file=sys.stderr)
+    if _load_validated(args) is None:
         return EXIT_CONFIG
     print("config ok")
     return EXIT_OK

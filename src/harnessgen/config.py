@@ -12,10 +12,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .callgraph import DEFAULT_DEPTH_LIMIT, LARGE_LIBRARY_DEPTH_LIMIT
-from .errors import EngineError
+from .errors import EngineError, json_input
 from .toolbus import AgentRole
 
 _SIGNATURE_RE = re.compile(r"^\w+\([^()]*\)$")
+_SECTIONS = ("target", "model", "budgets", "adapter")
+_COVERAGE_SCOPES = ("method_targeted", "full")
 
 DEFAULT_BUDGETS = {
     "depth_limit": DEFAULT_DEPTH_LIMIT,
@@ -62,7 +64,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
         key, _, value = item.partition("=")
         try:
             parsed = json.loads(value)
-        except json.JSONDecodeError:
+        except ValueError:
             parsed = value
         node = raw
         parts = key.split(".")
@@ -76,21 +78,17 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> Config:
     path = Path(path)
-    if not path.is_file():
-        raise EngineError("IO", f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise EngineError("PARSE", f"{path}: {exc}") from exc
-    if overrides:
-        raw = apply_overrides(raw, overrides)
+    with json_input(path, "config file") as raw:
+        if overrides:
+            raw = apply_overrides(raw, overrides)
+        if not isinstance(raw, dict):
+            raise EngineError("PARSE", f"{path}: the top level must be an object")
+        sections = {key: raw.get(key, {}) for key in _SECTIONS}
+        for key, value in sections.items():
+            if not isinstance(value, dict):
+                raise EngineError("PARSE", f"{path}: {key} must be an object")
     return Config(
-        base_dir=path.parent.resolve(),
-        target=raw.get("target", {}),
-        model=raw.get("model", {}),
-        budgets=raw.get("budgets", {}),
-        adapter=raw.get("adapter", {}),
-        output_dir=raw.get("output_dir", "runs"),
+        base_dir=path.parent.resolve(), output_dir=raw.get("output_dir", "runs"), **sections
     )
 
 
@@ -101,7 +99,7 @@ def validate_config(config: Config) -> list[str]:
         if not config.target.get(key):
             problems.append(f"target.{key} is required")
     method = config.target.get("target_method", "")
-    if method and not _SIGNATURE_RE.match(method):
+    if method and not (isinstance(method, str) and _SIGNATURE_RE.match(method)):
         problems.append(
             f"target.target_method must look like name(Type,...): {method!r}"
         )
@@ -113,38 +111,60 @@ def validate_config(config: Config) -> list[str]:
         script = config.model.get("script")
         if not script:
             problems.append("model.script is required for the scripted backend")
-        elif not config.resolve(script).is_file():
-            problems.append(f"model.script does not exist: {script}")
+        else:
+            _check_path(config, "model.script", script, problems, want_file=True)
     else:
         if not config.model.get("endpoint"):
             problems.append("model.endpoint is required for the http backend")
         if not config.model.get("model"):
             problems.append("model.model is required for the http backend")
+    for key in ("rate_in", "rate_out"):
+        if not _number(config.model.get(key, 0.0)) >= 0:
+            problems.append(f"model.{key} must be a number >= 0")
 
     adapters = [key for key in ("sandbox_spec", "shell") if config.adapter.get(key)]
     if len(adapters) != 1:
         problems.append("exactly one adapter (adapter.sandbox_spec or adapter.shell) must be set")
     elif adapters[0] == "sandbox_spec":
-        if not config.resolve(config.adapter["sandbox_spec"]).is_file():
-            problems.append(
-                f"adapter.sandbox_spec does not exist: {config.adapter['sandbox_spec']}"
-            )
+        _check_path(config, "adapter.sandbox_spec", config.adapter["sandbox_spec"], problems, True)
 
     for key in ("depth_limit", "max_rounds", "max_patch_rounds", "wall_seconds", "fuzz_seconds"):
-        value = config.budget(key)
-        try:
-            if float(value) <= 0:
-                problems.append(f"budgets.{key} must be positive")
-        except (TypeError, ValueError):
+        if not _number(config.budget(key), float if key.endswith("_seconds") else int) > 0:
             problems.append(f"budgets.{key} must be a positive number")
-    for role, value in config.budgets.get("max_iterations", {}).items():
+    scope = config.budget("coverage_scope")
+    if scope not in _COVERAGE_SCOPES:
+        problems.append(
+            f"budgets.coverage_scope must be one of {', '.join(_COVERAGE_SCOPES)}: {scope!r}"
+        )
+    iterations = config.budgets.get("max_iterations", {})
+    if not isinstance(iterations, dict):
+        problems.append("budgets.max_iterations must be an object")
+        iterations = {}
+    for role, value in iterations.items():
         if role not in AgentRole.__members__:
             problems.append(f"budgets.max_iterations has unknown role: {role}")
-        elif int(value) < 1:
+        elif not _number(value, int) >= 1:
             problems.append(f"budgets.max_iterations.{role} must be >= 1")
 
     for key in ("docs_bundle", "source_root", "facts"):
         value = config.target.get(key)
-        if value and not config.resolve(value).exists():
-            problems.append(f"target.{key} does not exist: {value}")
+        if value:
+            _check_path(config, f"target.{key}", value, problems)
+    if not isinstance(config.output_dir, str):
+        problems.append("output_dir must be a string")
     return problems
+
+
+def _number(value, kind=float) -> float:
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        return float("nan")  # fails every comparison, so the caller reports it
+
+
+def _check_path(config: Config, name: str, value, problems: list[str], want_file=False) -> None:
+    """Note a path value that is not a string or names nothing (no file, if `want_file`)."""
+    if not isinstance(value, str):
+        problems.append(f"{name} must be a string: {value!r}")
+    elif not (config.resolve(value).is_file() if want_file else config.resolve(value).exists()):
+        problems.append(f"{name} does not exist: {value}")

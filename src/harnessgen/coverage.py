@@ -8,7 +8,6 @@ its last merge.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .callgraph import CallGraph, CallGraphNode
-from .errors import EngineError
+from .errors import EngineError, json_input
 
 METRIC_LINE = "line"
 METRIC_BRANCH = "branch"
@@ -174,18 +173,12 @@ class CoverageReport:
     @classmethod
     def load(cls, path: str | Path) -> "CoverageReport":
         """A dense report file, or a sparse one with the totals file it names."""
-        path = Path(path)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+        with json_input(path, "coverage report") as raw:
             totals = None
             if "totals" in raw:
-                table = json.loads((path.parent / raw["totals"]).read_text(encoding="utf-8"))
-                totals = {mid: (int(line), int(branch)) for mid, (line, branch) in table.items()}
+                with json_input(Path(path).parent / raw["totals"], "coverage totals") as table:
+                    totals = {mid: (int(line), int(branch)) for mid, (line, branch) in table.items()}
             return cls.from_json(raw, totals)
-        except FileNotFoundError as exc:
-            raise EngineError("IO", f"coverage report not found: {exc.filename}") from exc
-        except (ValueError, TypeError, KeyError) as exc:
-            raise EngineError("PARSE", f"{path}: {exc}") from exc
 
 
 class TraceEvent(NamedTuple):

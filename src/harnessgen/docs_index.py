@@ -7,12 +7,11 @@ lookups are pure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import EngineError
+from .errors import EngineError, json_input
 
 MAX_SUGGESTIONS = 5
 
@@ -58,13 +57,11 @@ def _parse_method(raw: dict, where: str) -> MethodDoc:
 
 
 def load_bundle(path: str | Path) -> DocsBundle:
-    path = Path(path)
-    if not path.is_file():
-        raise EngineError("IO", f"docs bundle not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise EngineError("PARSE", f"{path}: {exc}") from exc
+    with json_input(path, "docs bundle") as raw:
+        return _parse_bundle(raw, path)
+
+
+def _parse_bundle(raw, path: str | Path) -> DocsBundle:
     if not isinstance(raw, dict) or not isinstance(raw.get("packages", []), list):
         raise EngineError("PARSE", f"{path}: top level must be an object with 'packages'")
     packages = []

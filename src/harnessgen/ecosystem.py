@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import math
 import os
 import re
@@ -25,9 +24,8 @@ from pathlib import Path
 
 from .agents import HarnessArtifact
 from .coverage import CoverageReport, RecordingTrace, TraceEvent, apply_recording_windows
-from .errors import EngineError
+from .errors import EngineError, json_input
 
-DEFAULT_ENTRYPOINT = "fuzzTarget"
 DEFAULT_TIMEOUT_GRACE = 5.0
 
 # Sandbox traces use one fixed recording window; rules marked
@@ -58,7 +56,6 @@ class CompileResult:
 
 @dataclass(frozen=True)
 class Crash:
-    artifact_path: str
     dedup_key: str
     summary: str
 
@@ -112,8 +109,6 @@ class SandboxSpec:
     docs_bundle: Path
     source_root: Path
     facts: Path
-    entrypoint: str = DEFAULT_ENTRYPOINT
-    scope: str = "method_targeted"
     method_totals: dict[str, tuple[int, int]] = field(default_factory=dict)
     compile_rules: list[CompileRule] = field(default_factory=list)
     coverage_rules: list[CoverageRule] = field(default_factory=list)
@@ -124,10 +119,11 @@ def load_sandbox(spec_path: str | Path) -> "SandboxAdapter":
     spec_path = Path(spec_path)
     if not spec_path.is_file():
         raise EngineError("CONFIG", f"sandbox spec not found: {spec_path}")
-    try:
-        raw = json.loads(spec_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise EngineError("PARSE", f"{spec_path}: {exc}") from exc
+    with json_input(spec_path, "sandbox spec") as raw:
+        return SandboxAdapter(_parse_spec(raw, spec_path))
+
+
+def _parse_spec(raw: dict, spec_path: Path) -> SandboxSpec:
     base = spec_path.parent
     paths = {}
     for key in ("docs_bundle", "source_root", "facts"):
@@ -168,18 +164,15 @@ def load_sandbox(spec_path: str | Path) -> "SandboxAdapter":
     crash_rules = [
         CrashRule(pattern=r["pattern"], summary=r["summary"]) for r in raw.get("crash_rules", [])
     ]
-    spec = SandboxSpec(
+    return SandboxSpec(
         docs_bundle=paths["docs_bundle"],
         source_root=paths["source_root"],
         facts=paths["facts"],
-        entrypoint=raw.get("entrypoint", DEFAULT_ENTRYPOINT),
-        scope=raw.get("scope", "method_targeted"),
         method_totals=totals,
         compile_rules=compile_rules,
         coverage_rules=coverage_rules,
         crash_rules=crash_rules,
     )
-    return SandboxAdapter(spec)
 
 
 class SandboxAdapter:
@@ -243,10 +236,9 @@ class SandboxAdapter:
         self,
         harness: HarnessArtifact,
         duration_seconds: float,
-        scope: str | None = None,
+        scope: str = "method_targeted",
     ) -> FuzzResult:
         started = time.monotonic()
-        scope = "method_targeted" if (scope or self.spec.scope) == "method_targeted" else "full"
         trace = self.build_trace(harness)
         if scope == "full":
             # every event counts regardless of recording windows
@@ -258,12 +250,8 @@ class SandboxAdapter:
             1 for r in self.spec.coverage_rules if _pattern_matches(r.pattern, harness.source)
         )
         crashes = tuple(
-            Crash(
-                artifact_path=f"crash-{i:03d}.bin",
-                dedup_key=crash_dedup_key(rule.summary),
-                summary=rule.summary,
-            )
-            for i, rule in enumerate(self.spec.crash_rules)
+            Crash(dedup_key=crash_dedup_key(rule.summary), summary=rule.summary)
+            for rule in self.spec.crash_rules
             if _pattern_matches(rule.pattern, harness.source)
         )
         executions = int(duration_seconds) * 1000 + 37 * matched_cov
@@ -354,7 +342,7 @@ class ShellAdapter:
         self,
         harness: HarnessArtifact,
         duration_seconds: float,
-        scope: str | None = None,
+        scope: str = "method_targeted",
     ) -> FuzzResult:
         # a file left by an earlier run must never pass for this run's coverage
         try:

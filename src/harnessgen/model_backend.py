@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import EngineError
+from .errors import EngineError, json_input
 from .toolbus import AgentRole, ToolDescriptor, ToolRequest
 
 # Table row labels; the research role renders as RES in reports.
@@ -168,25 +168,19 @@ class ScriptedBackend(ModelBackend):
 
 
 def load_script(path: str | Path) -> ScriptedBackend:
-    path = Path(path)
-    if not path.is_file():
-        raise EngineError("IO", f"script file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise EngineError("PARSE", f"{path}: {exc}") from exc
     turns = []
-    for i, entry in enumerate(raw if isinstance(raw, list) else raw.get("turns", [])):
-        calls = [ToolRequest.from_wire(c) for c in entry.get("tool_calls", [])]
-        if entry.get("text") is None and not calls:
-            raise EngineError("PARSE", f"{path}: turn {i} has neither text nor tool_calls")
-        turns.append(
-            ScriptTurn(
-                text=entry.get("text"),
-                tool_calls=calls,
-                expect_contains=entry.get("expect_contains"),
+    with json_input(path, "script file") as raw:
+        for i, entry in enumerate(raw if isinstance(raw, list) else raw.get("turns", [])):
+            calls = [ToolRequest.from_wire(c) for c in entry.get("tool_calls", [])]
+            if entry.get("text") is None and not calls:
+                raise EngineError("PARSE", f"{path}: turn {i} has neither text nor tool_calls")
+            turns.append(
+                ScriptTurn(
+                    text=entry.get("text"),
+                    tool_calls=calls,
+                    expect_contains=entry.get("expect_contains"),
+                )
             )
-        )
     return ScriptedBackend(turns)
 
 
@@ -280,7 +274,7 @@ class HttpBackend(ModelBackend):
                     tokens_out=int(usage.get("completion_tokens", 0)),
                 ),
             )
-        except (KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise EngineError("MODEL_PROTOCOL", f"malformed model response: {exc}") from exc
 
     def complete(self, conversation: Conversation, available_tools: list[ToolDescriptor]) -> ModelTurn:

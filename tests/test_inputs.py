@@ -1,0 +1,243 @@
+"""Malformed input files end in EngineError, never in a raw exception.
+
+The engine reads seven kinds of JSON file it does not control: the config,
+the docs bundle, the call facts, the sandbox spec, the model script, a
+coverage report (with its totals file) and a run manifest (which
+`harnessgen report` renders). Each test here writes one of them mutated
+into a copy of the demo, by bytes (a non-UTF-8 prefix, a truncation, an
+empty file, a top-level scalar or list) or by structure (a key dropped, or
+a value swapped for another JSON type, at a drawn path), and checks that
+its loader, and a demo run's set-up, either succeed or raise EngineError.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import json
+import shutil
+from functools import reduce
+from operator import getitem
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import DEMO_DIR
+from harnessgen.callgraph import load_facts
+from harnessgen.cli import main, render_report
+from harnessgen.config import load_config, validate_config
+from harnessgen.coverage import CoverageReport
+from harnessgen.docs_index import load_bundle
+from harnessgen.ecosystem import load_sandbox
+from harnessgen.errors import EngineError
+from harnessgen.model_backend import load_script
+from harnessgen.orchestrator import TargetSpec, WorkflowRunner, run_workflow
+
+# values of every JSON type, to swap in for a value of another type
+JSON_VALUES = (None, True, 0, -1, 2.5, "", "x", [], [0], ["x"], {}, {"x": 1})
+BAD_PREFIXES = (b"\xff", b"\xfe\xff", b"\x80{")
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory) -> Path:
+    """A copy of the demo with one finished run in `run/`."""
+    root = tmp_path_factory.mktemp("inputs") / "demo"
+    shutil.copytree(DEMO_DIR, root, ignore=shutil.ignore_patterns("runs"))
+    config = load_config(root / "config.json")
+    run_workflow(TargetSpec.from_config(config), config, run_dir=root / "run")
+    return root
+
+
+# input -> (the files it is read from, relative to the workspace; its loader)
+INPUTS = {
+    "config": (("config.json",), lambda root: validate_config(load_config(root / "config.json"))),
+    "docs": (("docs.json",), lambda root: load_bundle(root / "docs.json")),
+    "facts": (("facts.json",), lambda root: load_facts(root / "facts.json")),
+    "sandbox": (("sandbox.json",), lambda root: load_sandbox(root / "sandbox.json")),
+    "script": (("scripts/happy.json",), lambda root: load_script(root / "scripts/happy.json")),
+    "coverage": (
+        ("run/coverage/r0.json", "run/coverage/totals.json"),
+        lambda root: CoverageReport.load(root / "run/coverage/r0.json"),
+    ),
+    "manifest": (
+        ("run/manifest.json",),
+        lambda root: [render_report(root / "run", fmt) for fmt in ("text", "csv", "json")],
+    ),
+}
+# the inputs a run's set-up reads
+SETUP_INPUTS = ("config.json", "docs.json", "facts.json", "sandbox.json", "scripts/happy.json")
+
+
+def paths_in(doc, prefix=()):
+    """The path (a tuple of keys and indexes) to every value below the top."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from paths_in(value, prefix + (key,))
+
+
+def mutate(draw, data: bytes) -> bytes:
+    """`data` (a JSON document) broken by bytes or by structure."""
+    doc = json.loads(data)
+    kind = draw(st.sampled_from(("prefix", "truncate", "empty", "top", "drop", "swap")))
+    if kind == "prefix":
+        return draw(st.sampled_from(BAD_PREFIXES)) + data
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "empty":
+        return b""
+    if kind == "top":
+        top = (*JSON_VALUES, list(doc) if isinstance(doc, dict) else doc[:1])
+        return json.dumps(draw(st.sampled_from(top))).encode()
+    doc = copy.deepcopy(doc)
+    paths = list(paths_in(doc))
+    if kind == "drop":
+        paths = [p for p in paths if isinstance(reduce(getitem, p[:-1], doc), dict)]
+    *parents, last = draw(st.sampled_from(paths))
+    owner = reduce(getitem, parents, doc)
+    if kind == "drop":
+        del owner[last]
+    else:
+        old = owner[last]
+        owner[last] = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]))
+    return json.dumps(doc).encode()
+
+
+@contextlib.contextmanager
+def mutated(path: Path, draw):
+    """`path` holds a mutated copy of itself inside the block."""
+    original = path.read_bytes()
+    path.write_bytes(mutate(draw, original))
+    try:
+        yield
+    finally:
+        path.write_bytes(original)
+
+
+def returns_or_raises_engine_error(call) -> None:
+    try:
+        call()
+    except EngineError:
+        pass
+
+
+class TestMutatedInputs:
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_loader(self, workspace, name, data):
+        files, load = INPUTS[name]
+        target = data.draw(st.sampled_from(files))
+        with mutated(workspace / target, data.draw):
+            returns_or_raises_engine_error(lambda: load(workspace))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_setup(self, workspace, data):
+        def set_up():
+            config = load_config(workspace / "config.json")
+            if not validate_config(config):
+                WorkflowRunner(TargetSpec.from_config(config), config, workspace / "setup")
+
+        with mutated(workspace / data.draw(st.sampled_from(SETUP_INPUTS)), data.draw):
+            returns_or_raises_engine_error(set_up)
+
+
+def test_document_nested_too_deep_is_parse(tmp_path):
+    path = tmp_path / "facts.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(EngineError) as exc:
+        load_facts(path)
+    assert exc.value.code == "PARSE"
+
+
+class TestConfigShapes:
+    @pytest.mark.parametrize("section", ["target", "model", "budgets", "adapter"])
+    def test_section_not_an_object_is_parse(self, tmp_path, section):
+        raw = json.loads((DEMO_DIR / "config.json").read_text())
+        raw[section] = ["not", "an", "object"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(EngineError) as exc:
+            load_config(path)
+        assert exc.value.code == "PARSE" and section in exc.value.message
+
+    def test_top_level_not_an_object_is_parse(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[]")
+        with pytest.raises(EngineError) as exc:
+            load_config(path)
+        assert exc.value.code == "PARSE"
+
+    @pytest.mark.parametrize(
+        "override, problem",
+        [
+            ('target.target_method=["parse(String[])"]', "target.target_method must look like"),
+            ("model.script=3", "model.script must be a string"),
+            ("adapter.sandbox_spec=[1]", "adapter.sandbox_spec must be a string"),
+            ('target.facts={"a": 1}', "target.facts must be a string"),
+            ("output_dir=7", "output_dir must be a string"),
+            ("budgets.max_iterations=[1]", "budgets.max_iterations must be an object"),
+            ('budgets.max_iterations={"GEN": "x"}', "budgets.max_iterations.GEN must be >= 1"),
+            ("budgets.coverage_scope=method-targeted", "budgets.coverage_scope must be one of"),
+            ("model.rate_in=abc", "model.rate_in must be a number >= 0"),
+            ("budgets.depth_limit=1e999", "budgets.depth_limit must be a positive number"),
+        ],
+    )
+    def test_bad_value_is_a_problem(self, override, problem):
+        problems = validate_config(load_config(DEMO_DIR / "config.json", [override]))
+        assert any(p.startswith(problem) for p in problems), problems
+
+    @pytest.mark.parametrize("scope", ["method_targeted", "full"])
+    def test_known_scopes_are_valid(self, scope):
+        config = load_config(DEMO_DIR / "config.json", [f"budgets.coverage_scope={scope}"])
+        assert validate_config(config) == []
+
+
+class TestCli:
+    def test_run_with_malformed_facts_fails_cleanly(self, capsys, tmp_path):
+        facts = tmp_path / "facts.json"
+        facts.write_text(json.dumps({"methods": [{"class": "toylib.ArgParser"}]}))
+        code = main([
+            "run", str(DEMO_DIR / "config.json"),
+            "--set", f"output_dir={tmp_path / 'runs'}",
+            "--set", f"target.facts={facts}",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("run failed: PARSE") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "validate", "tools"])
+    def test_coverage_scope_typo_is_a_config_error(self, capsys, tmp_path, command):
+        argv = [command, str(DEMO_DIR / "config.json"),
+                "--set", "budgets.coverage_scope=method-targeted",
+                "--set", f"output_dir={tmp_path / 'runs'}"]
+        code = main(argv + (["--role", "CVA"] if command == "tools" else []))
+        err = capsys.readouterr().err
+        assert code == 1 and "config error: budgets.coverage_scope" in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate", "tools"])
+    def test_missing_config_file(self, capsys, tmp_path, command):
+        argv = [command, str(tmp_path / "nope.json")]
+        code = main(argv + (["--role", "CVA"] if command == "tools" else []))
+        err = capsys.readouterr().err
+        assert code == 1 and "config error: config file not found" in err
+
+    def test_unknown_role_has_its_own_message(self, capsys):
+        code = main(["tools", str(DEMO_DIR / "config.json"), "--role", "CVX"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.strip() == "error: unknown role: CVX"
+
+    def test_report_of_a_manifest_that_is_not_an_object(self, capsys, tmp_path):
+        (tmp_path / "manifest.json").write_text("[1, 2]")
+        code = main(["report", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1 and "a manifest must be an object" in err
