@@ -13,7 +13,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
-from operator import itemgetter
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -188,9 +188,48 @@ class TraceEvent(NamedTuple):
     timestamp: float
 
 
+class TraceRun(NamedTuple):
+    """The events of one method and kind at one timestamp: one per line."""
+
+    method_id: str
+    kind: str  # line_hit | branch_hit
+    timestamp: float
+    lines: range | tuple[int, ...]
+
+
+_LINES = itemgetter(3)
+
+
+class RunEvents:
+    """A trace's events held as runs.
+
+    It reads as the flat sequence of its runs' events: `len` is the event
+    count, iteration yields a `TraceEvent` per line in run order, and `==`
+    compares that sequence with another one or with a tuple of events.
+    Runs without lines hold no event and are not kept.
+    """
+
+    def __init__(self, runs: Iterable[TraceRun]) -> None:
+        self.runs = tuple(filter(_LINES, runs))
+        self._len = sum(map(len, map(_LINES, self.runs)))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        for mid, kind, ts, lines in self.runs:
+            for line in lines:
+                yield TraceEvent(mid, line, kind, ts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (RunEvents, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 @dataclass(frozen=True)
 class RecordingTrace:
-    events: tuple[TraceEvent, ...]
+    events: tuple[TraceEvent, ...] | RunEvents
     windows: tuple[tuple[float, float], ...]
     method_totals: dict[str, tuple[int, int]] = field(default_factory=dict)  # id -> (lines, branches)
 
@@ -330,6 +369,17 @@ _RUN_KEY = itemgetter(0, 2, 3)  # method id, kind, timestamp
 _LINE = itemgetter(1)
 
 
+def _runs(events: tuple[TraceEvent, ...] | RunEvents) -> Iterable[tuple]:
+    """(method id, kind, timestamp, lines) per run: a run-backed trace's own
+    runs, or the runs of consecutive flat events sharing the first three."""
+    if isinstance(events, RunEvents):
+        return events.runs
+    return (
+        (mid, kind, ts, tuple(map(_LINE, run)))
+        for (mid, kind, ts), run in groupby(events, _RUN_KEY)
+    )
+
+
 def apply_recording_windows(
     trace: RecordingTrace,
     warn=None,
@@ -342,21 +392,19 @@ def apply_recording_windows(
     method and kind become the covered counters, capped at the declared
     totals. An in-window event of another kind raises KeyError.
 
-    The trace is walked in runs of consecutive events that share method,
-    kind and timestamp: each run gets one method, window and kind check,
-    and its lines go into the (method, kind) site set in one C-level
-    `update`.
+    The trace is walked run by run: each run gets one method, window and
+    kind check, and its lines go into the (method, kind) site set in one
+    C-level `update`.
     """
     totals = trace.method_totals
     windows = trace.windows
     sites: dict[tuple[str, int], set[int]] = {}  # (method id, kind index) -> lines
     dropped = 0
-    for (mid, kind, ts), run in groupby(trace.events, _RUN_KEY):
+    for mid, kind, ts, run_lines in _runs(trace.events):
         if mid not in totals:
-            count = len(list(run))
-            dropped += count
+            dropped += len(run_lines)
             if warn is not None:
-                for _ in range(count):
+                for _ in run_lines:
                     warn(f"dropping event for unknown method {mid}")
             continue
         for start, end in windows:
@@ -365,7 +413,7 @@ def apply_recording_windows(
                 lines = sites.get(key)
                 if lines is None:
                     lines = sites[key] = set()
-                lines.update(map(_LINE, run))
+                lines.update(run_lines)
                 break
     methods = []
     for mid in sorted({mid for mid, _ in sites}):

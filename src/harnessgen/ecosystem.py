@@ -18,12 +18,17 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 from .agents import HarnessArtifact
-from .coverage import CoverageReport, RecordingTrace, TraceEvent, apply_recording_windows
+from .coverage import (
+    CoverageReport,
+    RecordingTrace,
+    RunEvents,
+    TraceRun,
+    apply_recording_windows,
+)
 from .errors import EngineError, json_input
 
 DEFAULT_TIMEOUT_GRACE = 5.0
@@ -33,8 +38,6 @@ DEFAULT_TIMEOUT_GRACE = 5.0
 _WINDOW = (100.0, 200.0)
 _TS_INSIDE = 150.0
 _TS_OUTSIDE = 50.0
-
-_new_event = partial(tuple.__new__, TraceEvent)  # a TraceEvent from a 4-tuple, in C
 
 
 @dataclass(frozen=True)
@@ -180,8 +183,8 @@ class SandboxAdapter:
 
     def __init__(self, spec: SandboxSpec) -> None:
         self.spec = spec
-        # coverage rule index -> its events; they never depend on the harness
-        self._rule_events: dict[int, tuple[TraceEvent, ...]] = {}
+        # coverage rule index -> its runs; they never depend on the harness
+        self._rule_runs: dict[int, tuple[TraceRun, ...]] = {}
 
     def compile(self, harness: HarnessArtifact, timeout: float | None = None) -> CompileResult:
         """Rule-driven diagnostics; `timeout` is accepted for the adapter contract and unused."""
@@ -191,14 +194,11 @@ class SandboxAdapter:
         success = not any(d.severity == "error" for d in diagnostics)
         return CompileResult(success=success, diagnostics=diagnostics)
 
-    def _events_of(self, index: int) -> tuple[TraceEvent, ...]:
-        """Coverage rule `index`'s events, built on its first match and kept.
-
-        Each method's sites of one kind are made in bulk: a C-level tuple
-        constructor mapped over the zipped fields, not one call per site.
-        """
-        events = self._rule_events.get(index)
-        if events is None:
+    def _runs_of(self, index: int) -> tuple[TraceRun, ...]:
+        """Coverage rule `index`'s runs, built on its first match and kept:
+        one per method and kind with a hit site."""
+        runs = self._rule_runs.get(index)
+        if runs is None:
             rule = self.spec.coverage_rules[index]
             ts = _TS_INSIDE if rule.in_window else _TS_OUTSIDE
             runs = []
@@ -208,29 +208,34 @@ class SandboxAdapter:
                     ("line_hit", math.ceil(line_frac * lines_total)),
                     ("branch_hit", math.ceil(branch_frac * branches_total)),
                 ):
-                    fields = zip(repeat(mid), range(1, count + 1), repeat(kind), repeat(ts))
-                    runs.append(map(_new_event, fields))
-            events = self._rule_events[index] = tuple(chain.from_iterable(runs))
-        return events
+                    if count > 0:
+                        runs.append(TraceRun(mid, kind, ts, range(1, count + 1)))
+            runs = self._rule_runs[index] = tuple(runs)
+        return runs
+
+    def _matched_rules(self, harness: HarnessArtifact) -> list[int]:
+        return [
+            i
+            for i, rule in enumerate(self.spec.coverage_rules)
+            if _pattern_matches(rule.pattern, harness.source)
+        ]
+
+    def _trace_of(self, matched: list[int]) -> RecordingTrace:
+        return RecordingTrace(
+            events=RunEvents(chain.from_iterable(map(self._runs_of, matched))),
+            windows=(_WINDOW,),
+            method_totals=self.spec.method_totals,
+        )
 
     def build_trace(self, harness: HarnessArtifact) -> RecordingTrace:
         """Trace synthesized from the coverage rules matching the harness.
 
         A rule covering fraction f of a method hits line sites 1..ceil(f*total);
         overlapping rules union naturally through the site sets. The events
-        are the matched rules' events in rule order. The trace refers to the
+        are the matched rules' runs in rule order. The trace refers to the
         spec's totals table, so every round's report shares it.
         """
-        events = tuple(
-            chain.from_iterable(
-                self._events_of(i)
-                for i, rule in enumerate(self.spec.coverage_rules)
-                if _pattern_matches(rule.pattern, harness.source)
-            )
-        )
-        return RecordingTrace(
-            events=events, windows=(_WINDOW,), method_totals=self.spec.method_totals
-        )
+        return self._trace_of(self._matched_rules(harness))
 
     def fuzz(
         self,
@@ -239,22 +244,20 @@ class SandboxAdapter:
         scope: str = "method_targeted",
     ) -> FuzzResult:
         started = time.monotonic()
-        trace = self.build_trace(harness)
+        matched = self._matched_rules(harness)
+        trace = self._trace_of(matched)
         if scope == "full":
             # every event counts regardless of recording windows
             trace = replace(trace, windows=((float("-inf"), float("inf")),))
         report = apply_recording_windows(
             trace, scope=scope, campaign_seconds=float(duration_seconds)
         )
-        matched_cov = sum(
-            1 for r in self.spec.coverage_rules if _pattern_matches(r.pattern, harness.source)
-        )
         crashes = tuple(
             Crash(dedup_key=crash_dedup_key(rule.summary), summary=rule.summary)
             for rule in self.spec.crash_rules
             if _pattern_matches(rule.pattern, harness.source)
         )
-        executions = int(duration_seconds) * 1000 + 37 * matched_cov
+        executions = int(duration_seconds) * 1000 + 37 * len(matched)
         return FuzzResult(
             coverage=report,
             crashes=crashes,

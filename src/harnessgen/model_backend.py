@@ -174,6 +174,9 @@ def load_script(path: str | Path) -> ScriptedBackend:
             calls = [ToolRequest.from_wire(c) for c in entry.get("tool_calls", [])]
             if entry.get("text") is None and not calls:
                 raise EngineError("PARSE", f"{path}: turn {i} has neither text nor tool_calls")
+            for key in ("text", "expect_contains"):
+                if entry.get(key) is not None and not isinstance(entry[key], str):
+                    raise EngineError("PARSE", f"{path}: turn {i}: {key} must be a string")
             turns.append(
                 ScriptTurn(
                     text=entry.get("text"),

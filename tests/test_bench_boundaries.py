@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from conftest import REPO_ROOT
+from harnessgen import ecosystem
 from harnessgen.orchestrator import TargetSpec, WorkflowRunner
 
 
@@ -107,3 +108,24 @@ def test_traced_set_up_records_each_loader_once(tracing, demo_config):
         "nodes": len(untraced.graph.nodes), "edges": len(untraced.graph.edges)
     }
     assert attrs["docs_index.from_file"] == {"entries": sum(untraced.docs.counts().values())}
+
+
+def test_traced_trace_events_count_the_runs_lines(tracing, demo_config, monkeypatch):
+    """`coverage.trace_events` reads the span's `events`: one per hit site,
+    however the trace holds them."""
+    traces = []
+    apply = ecosystem.apply_recording_windows
+
+    def recording(trace, *args, **kwargs):
+        traces.append(trace)
+        return apply(trace, *args, **kwargs)
+
+    monkeypatch.setattr(ecosystem, "apply_recording_windows", recording)
+    tracer = tracing.Tracer()
+    with tracer.module_boundaries(0):
+        runner = demo_runner(demo_config)
+        with tracer.runner_boundaries(runner):
+            runner.run()
+    counted = [s[5]["events"] for s in tracer.spans if s[0] == "coverage.apply_recording_windows"]
+    assert counted == [sum(len(run.lines) for run in t.events.runs) for t in traces]
+    assert len(traces) == 2 and all(counted)

@@ -19,7 +19,9 @@ from harnessgen.coverage import (
     CoverageReport,
     MethodCoverage,
     RecordingTrace,
+    RunEvents,
     TraceEvent,
+    TraceRun,
     ViewDiff,
     ViewEntry,
     apply_recording_windows,
@@ -422,6 +424,74 @@ class TestWindowsEquivalence:
         )
         assert apply_recording_windows(trace) == old_apply_recording_windows(trace)
         assert apply_recording_windows(trace).by_id()["a"].lines_covered == 1
+
+
+@st.composite
+def run_sets(draw):
+    """(runs, windows, totals): runs of known and unknown methods, of unknown
+    kinds in and out of the windows, with repeated, out-of-total and no
+    lines, given as ranges or tuples; no windows, or windows that touch or
+    hold a single instant."""
+    windows = []
+    start = float(draw(st.integers(0, 5)))
+    for _ in range(draw(st.integers(0, 3))):
+        end = start + draw(st.integers(0, 6))
+        windows.append((start, end))
+        start = end + draw(st.sampled_from([0, 1, 3]))
+    bounds = [t for w in windows for t in w]
+    totals = draw(
+        st.dictionaries(
+            st.sampled_from(["a", "b", "c"]),
+            st.tuples(st.integers(0, 6), st.integers(0, 4)),
+            max_size=3,
+        )
+    )
+    run = st.builds(
+        TraceRun,
+        method_id=st.sampled_from(["a", "b", "c", "ghost"]),
+        kind=st.sampled_from(["line_hit", "branch_hit", "stmt_hit"]),
+        timestamp=st.one_of(st.sampled_from(bounds or [0.0]), st.integers(-2, 30).map(float)),
+        lines=st.one_of(
+            st.builds(range, st.integers(0, 3), st.integers(0, 9)),
+            st.lists(st.integers(0, 9), max_size=10).map(tuple),
+        ),
+    )
+    return draw(st.lists(run, max_size=12)), tuple(windows), totals
+
+
+def outcome(apply, trace):
+    """The report and warnings of `apply` on `trace`, or KeyError."""
+    warned: list[str] = []
+    try:
+        return apply(trace, warn=warned.append), warned
+    except KeyError:
+        return KeyError
+
+
+class TestRunEvents:
+    @settings(max_examples=300, deadline=None)
+    @given(case=run_sets())
+    def test_runs_read_as_their_flat_events(self, case):
+        runs, windows, totals = case
+        events = RunEvents(runs)
+        flat = tuple(
+            TraceEvent(mid, line, kind, ts) for mid, kind, ts, lines in runs for line in lines
+        )
+        assert len(events) == len(flat)
+        assert tuple(events) == flat
+        assert all(type(e) is TraceEvent for e in events)
+        assert events == flat and flat == events and events == RunEvents(runs)
+        if flat:
+            last = flat[-1]
+            assert events != flat[:-1]
+            assert events != flat[:-1] + (last._replace(line=last.line + 1),)
+        by_runs, by_events = (
+            RecordingTrace(events=e, windows=windows, method_totals=totals)
+            for e in (events, flat)
+        )
+        expected = outcome(old_apply_recording_windows, by_events)
+        assert outcome(apply_recording_windows, by_runs) == expected
+        assert outcome(apply_recording_windows, by_events) == expected
 
 
 def old_diff_views(prev: AnnotatedCoverageView, curr: AnnotatedCoverageView) -> ViewDiff:

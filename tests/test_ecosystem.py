@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from harnessgen.coverage import CoverageReport, RecordingTrace, TraceEvent
+from harnessgen.coverage import CoverageReport, RecordingTrace, TraceEvent, TraceRun
 from harnessgen.ecosystem import (
     _WINDOW,
     ShellAdapter,
@@ -205,6 +205,31 @@ class TestKeptRuleEvents:
             assert type(e) is TraceEvent
             assert e.kind in ("line_hit", "branch_hit")
             assert e.method_id in adapter.spec.method_totals
+
+    def test_trace_keeps_one_run_per_rule_method_and_kind(self):
+        adapter = load_sandbox(DEMO_DIR / "sandbox.json")
+        spec = adapter.spec
+        for source in self.HARNESSES:
+            harness = make_harness(source)
+            expected = []
+            for rule in spec.coverage_rules:
+                if not _pattern_matches(rule.pattern, source):
+                    continue
+                ts = 150.0 if rule.in_window else 50.0
+                for mid, fractions in sorted(rule.methods.items()):
+                    for kind, fraction, total in zip(
+                        ("line_hit", "branch_hit"), fractions, spec.method_totals.get(mid, (0, 0))
+                    ):
+                        if count := math.ceil(fraction * total):
+                            expected.append((mid, kind, ts, count))
+            first, second = (adapter.build_trace(harness).events for _ in range(2))
+            assert [
+                (r.method_id, r.kind, r.timestamp, len(r.lines)) for r in first.runs
+            ] == expected
+            for run, again in zip(first.runs, second.runs, strict=True):
+                assert type(run) is TraceRun and run.lines == range(1, len(run.lines) + 1)
+                assert run is again  # kept on the adapter, not rebuilt per call
+            assert len(first) == len(old_build_trace(spec, harness).events)
 
 
 class TestCrashes:

@@ -158,6 +158,27 @@ def test_document_nested_too_deep_is_parse(tmp_path):
     assert exc.value.code == "PARSE"
 
 
+class TestScriptShapes:
+    @pytest.mark.parametrize("key, value", [("text", 5), ("expect_contains", 3)])
+    def test_turn_field_not_a_string_is_parse(self, capsys, tmp_path, key, value):
+        raw = json.loads((DEMO_DIR / "scripts/happy.json").read_text())
+        raw["turns"][1][key] = value
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(EngineError) as exc:
+            load_script(path)
+        assert exc.value.code == "PARSE"
+        assert str(path) in exc.value.message and f"turn 1: {key}" in exc.value.message
+        code = main([
+            "run", str(DEMO_DIR / "config.json"),
+            "--set", f"output_dir={tmp_path / 'runs'}",
+            "--set", f"model.script={path}",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("run failed: PARSE") and "Traceback" not in err
+
+
 class TestConfigShapes:
     @pytest.mark.parametrize("section", ["target", "model", "budgets", "adapter"])
     def test_section_not_an_object_is_parse(self, tmp_path, section):
