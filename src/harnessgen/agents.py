@@ -44,11 +44,6 @@ def load_prompt(role: AgentRole) -> str:
 
 
 @dataclass(frozen=True)
-class ResearchReport:
-    markdown: str
-
-
-@dataclass(frozen=True)
 class HarnessArtifact:
     source: str
     dependencies: tuple[str, ...]
@@ -63,12 +58,13 @@ class TerminationDecision:
     strategy: str = ""
 
 
-def parse_research_report(text: str) -> ResearchReport:
+def parse_research_report(text: str) -> str:
+    """The report's text, once it holds every section of `REPORT_SECTIONS`."""
     for section in REPORT_SECTIONS:
         pattern = rf"^#{{1,6}}\s*{re.escape(section)}\s*$"
         if not re.search(pattern, text, flags=re.MULTILINE | re.IGNORECASE):
             raise EngineError("PARSE", f"research report missing section: {section}")
-    return ResearchReport(markdown=text)
+    return text
 
 
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_+-]*\n(.*?)```", re.DOTALL)
@@ -212,7 +208,6 @@ class AgentRunResult:
     status: str  # OK | FAILED_PARSE
     transcript: AgentTranscript
     parsed_output: object | None = None
-    last_text: str | None = None
 
 
 def run_react(
@@ -238,7 +233,6 @@ def run_react(
     if transcript is None:
         transcript = AgentTranscript(role=profile.role.value)
     corrective_used = False
-    last_text: str | None = None
 
     while transcript.iterations < profile.max_iterations:
         turn = backend.complete(conversation, tools)
@@ -263,37 +257,30 @@ def run_react(
                     Message(role="tool", content=observation, tool_call_id=f"call_{i}")
                 )
             continue
-        last_text = turn.text or ""
         try:
-            parsed = profile.output_parser(last_text)
+            parsed = profile.output_parser(turn.text or "")
         except EngineError:
             if not corrective_used and transcript.iterations < profile.max_iterations:
                 corrective_used = True
                 conversation.add(Message(role="user", content=CORRECTIVE_PROMPT))
                 continue
             break
-        return AgentRunResult(
-            status=STATUS_OK, transcript=transcript, parsed_output=parsed, last_text=last_text
-        )
-    return AgentRunResult(status=STATUS_FAILED_PARSE, transcript=transcript, last_text=last_text)
+        return AgentRunResult(status=STATUS_OK, transcript=transcript, parsed_output=parsed)
+    return AgentRunResult(status=STATUS_FAILED_PARSE, transcript=transcript)
 
 
 def build_research_context(target, docs_index, code_index) -> list[tuple[str, str]]:
     """Seed blocks for the research agent: signature, docs, source."""
     qualifier = f"{target.target_class}.{target.target_method}"
     blocks: list[tuple[str, str]] = [("target signature", qualifier)]
-    doc_text = None
-    code_text = None
-    if docs_index is not None:
-        try:
-            doc_text = docs_index.query_doc("method", qualifier)
-        except EngineError:
-            doc_text = None
-    if code_index is not None:
-        try:
-            code_text = code_index.get_code("method", qualifier)
-        except EngineError:
-            code_text = None
+    try:
+        doc_text = docs_index.query_doc("method", qualifier)
+    except EngineError:
+        doc_text = None
+    try:
+        code_text = code_index.get_code("method", qualifier)
+    except EngineError:
+        code_text = None
     if doc_text is None and code_text is None:
         raise EngineError(
             "TARGET_NOT_FOUND", f"target method not found in docs or code index: {qualifier}"

@@ -28,19 +28,22 @@ STATUS_PARTIAL = "partial"
 STATUS_UNCOVERED = "uncovered"
 
 
-@dataclass(frozen=True)
-class MethodCoverage:
+class MethodCoverage(NamedTuple):
     id: str
     lines_total: int = 0
     lines_covered: int = 0
     branches_total: int = 0
     branches_covered: int = 0
 
-    def __post_init__(self) -> None:
-        if self.lines_covered > self.lines_total or self.branches_covered > self.branches_total:
-            raise EngineError("BAD_ARGS", f"covered exceeds total for {self.id}")
-        if min(self.lines_total, self.lines_covered, self.branches_total, self.branches_covered) < 0:
-            raise EngineError("BAD_ARGS", f"negative counter for {self.id}")
+
+def check_counts(table: Mapping[str, Iterable], what: str) -> None:
+    """Raise ValueError unless every count in `table` (id -> counts read
+    from a file) is a JSON integer >= 0; the file's loader turns it into
+    PARSE naming the file."""
+    for mid, counts in table.items():
+        for count in counts:
+            if type(count) is not int or count < 0:
+                raise ValueError(f"{what} of {mid}: {count!r} is not an integer >= 0")
 
 
 class CoverageReport:
@@ -51,9 +54,11 @@ class CoverageReport:
     run share; every other method in the table has zero covered counters.
     Built from `methods` alone, the report is dense: each method brings its
     totals and the table is made from them. With `totals`, `methods` lists
-    hit methods whose totals must agree with the table. Equality is by the
-    facts, so a dense and a sparse report with the same counters are equal.
-    Tables are never mutated once a report refers to them.
+    hit methods over that table. The counters are not checked here: the
+    engine builds them within the totals, and a file's are checked where
+    it is read (`from_json`, `load`). Equality is by the facts, so a dense
+    and a sparse report with the same counters are equal. Tables are never
+    mutated once a report refers to them.
     """
 
     def __init__(
@@ -67,16 +72,7 @@ class CoverageReport:
         methods = tuple(methods)
         if totals is None:
             totals = {m.id: (m.lines_total, m.branches_total) for m in methods}
-            if len(totals) != len(methods):
-                raise EngineError("BAD_ARGS", "duplicate method ids in coverage report")
-        hits: dict[str, MethodCoverage] = {}
-        for m in methods:
-            if totals.get(m.id) != (m.lines_total, m.branches_total):
-                raise EngineError("BAD_ARGS", f"totals of {m.id} differ from the totals table")
-            if m.lines_covered or m.branches_covered:
-                if m.id in hits:
-                    raise EngineError("BAD_ARGS", "duplicate method ids in coverage report")
-                hits[m.id] = m
+        hits = {m.id: m for m in methods if m.lines_covered or m.branches_covered}
         self.scope = scope
         self.totals = totals
         self.hits = hits  # id -> counters of each method with a covered site
@@ -130,54 +126,53 @@ class CoverageReport:
                     for m in self.hits.values()
                 ],
             }
-        return {
-            **head,
-            "methods": [
-                {
-                    "id": m.id,
-                    "lines_total": m.lines_total,
-                    "lines_covered": m.lines_covered,
-                    "branches_total": m.branches_total,
-                    "branches_covered": m.branches_covered,
-                }
-                for m in self.methods
-            ],
-        }
+        return {**head, "methods": [m._asdict() for m in self.methods]}
 
     @classmethod
     def from_json(
         cls, raw: dict, totals: Mapping[str, tuple[int, int]] | None = None
     ) -> "CoverageReport":
-        """Either form of `to_json`; the sparse one takes its `totals` table."""
+        """Either form of `to_json`; the sparse one takes its `totals` table.
 
-        def total(m: dict, key: str, index: int) -> int:
-            return int(m.get(key, 0)) if totals is None else totals[m["id"]][index]
-
+        ValueError if a count is not an integer >= 0, a covered count
+        exceeds its total, an id repeats, or a sparse id is not in `totals`.
+        """
+        counters: dict[str, MethodCoverage] = {}
+        for m in raw.get("methods", []):
+            mid = m["id"]
+            if mid in counters:
+                raise ValueError(f"repeated method id {mid}")
+            if totals is None:
+                lines, branches = m.get("lines_total", 0), m.get("branches_total", 0)
+            elif mid in totals:
+                lines, branches = totals[mid]
+            else:
+                raise ValueError(f"method {mid} is not in the totals table")
+            counters[mid] = MethodCoverage(
+                mid, lines, m.get("lines_covered", 0), branches, m.get("branches_covered", 0)
+            )
+        check_counts({mid: c[1:] for mid, c in counters.items()}, "coverage counters")
+        for c in counters.values():
+            if c.lines_covered > c.lines_total or c.branches_covered > c.branches_total:
+                raise ValueError(f"covered exceeds total for {c.id}")
         return cls(
             scope=raw["scope"],
             campaign_seconds=float(raw.get("campaign_seconds", 0.0)),
             dropped_events=int(raw.get("dropped_events", 0)),
-            methods=(
-                MethodCoverage(
-                    id=m["id"],
-                    lines_total=total(m, "lines_total", 0),
-                    lines_covered=int(m.get("lines_covered", 0)),
-                    branches_total=total(m, "branches_total", 1),
-                    branches_covered=int(m.get("branches_covered", 0)),
-                )
-                for m in raw.get("methods", [])
-            ),
+            methods=counters.values(),
             totals=totals,
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "CoverageReport":
-        """A dense report file, or a sparse one with the totals file it names."""
+        """A dense report file, or a sparse one with the totals file it names;
+        a malformed count in either is PARSE naming its file."""
         with json_input(path, "coverage report") as raw:
             totals = None
             if "totals" in raw:
                 with json_input(Path(path).parent / raw["totals"], "coverage totals") as table:
-                    totals = {mid: (int(line), int(branch)) for mid, (line, branch) in table.items()}
+                    totals = {mid: (line, branch) for mid, (line, branch) in table.items()}
+                    check_counts(totals, "coverage totals")
             return cls.from_json(raw, totals)
 
 
@@ -464,18 +459,10 @@ def merge_with_callgraph(report: CoverageReport, graph: CallGraph) -> AnnotatedC
     )
 
 
-@dataclass(frozen=True)
-class CoveragePercent:
-    value: float
-    zero_denominator: bool = False
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def coverage_percent(view_or_report, metric: str = METRIC_LINE) -> CoveragePercent:
+def coverage_percent(view_or_report, metric: str = METRIC_LINE) -> float:
     """Percent covered of the view's nodes in the totals table (O(1)), or
-    of every method in the report's table."""
+    of every method in the report's table; 0.0 when there is nothing to
+    cover."""
     if metric not in (METRIC_LINE, METRIC_BRANCH):
         raise EngineError("BAD_ARGS", f"unknown metric: {metric}")
     line = metric == METRIC_LINE
@@ -489,8 +476,8 @@ def coverage_percent(view_or_report, metric: str = METRIC_LINE) -> CoveragePerce
             for c in view_or_report.hits.values()
         )
     if total == 0:
-        return CoveragePercent(0.0, zero_denominator=True)
-    return CoveragePercent(100.0 * covered / total)
+        return 0.0
+    return 100.0 * covered / total
 
 
 @dataclass(frozen=True)
@@ -511,7 +498,7 @@ def diff_views(prev: AnnotatedCoverageView, curr: AnnotatedCoverageView) -> View
     ):
         raise EngineError("BAD_ARGS", "views cover different node sets")
     prev_covered, curr_covered = _covered_ids(prev), _covered_ids(curr)
-    delta = coverage_percent(curr, METRIC_LINE).value - coverage_percent(prev, METRIC_LINE).value
+    delta = coverage_percent(curr, METRIC_LINE) - coverage_percent(prev, METRIC_LINE)
     return ViewDiff(
         newly_covered=tuple(sorted(curr_covered - prev_covered)),
         regressed=tuple(sorted(prev_covered - curr_covered)),

@@ -7,7 +7,6 @@ lookups are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -36,11 +35,6 @@ class PackageDoc(NamedTuple):
     classes: tuple[ClassDoc, ...] = ()
 
 
-@dataclass
-class DocsBundle:
-    packages: tuple[PackageDoc, ...] = field(default_factory=tuple)
-
-
 def _parse_method(raw: dict, where: str) -> MethodDoc:
     if not raw.get("signature"):
         raise EngineError("PARSE", f"{where}: method missing signature")
@@ -56,12 +50,12 @@ def _parse_method(raw: dict, where: str) -> MethodDoc:
     )
 
 
-def load_bundle(path: str | Path) -> DocsBundle:
+def load_bundle(path: str | Path) -> tuple[PackageDoc, ...]:
     with json_input(path, "docs bundle") as raw:
         return _parse_bundle(raw, path)
 
 
-def _parse_bundle(raw, path: str | Path) -> DocsBundle:
+def _parse_bundle(raw, path: str | Path) -> tuple[PackageDoc, ...]:
     if not isinstance(raw, dict) or not isinstance(raw.get("packages", []), list):
         raise EngineError("PARSE", f"{path}: top level must be an object with 'packages'")
     packages = []
@@ -95,18 +89,17 @@ def _parse_bundle(raw, path: str | Path) -> DocsBundle:
                 methods.append(method)
             classes.append(ClassDoc(name=cname, doc=c.get("doc", ""), methods=tuple(methods)))
         packages.append(PackageDoc(name=pname, doc=p.get("doc", ""), classes=tuple(classes)))
-    return DocsBundle(packages=tuple(packages))
+    return tuple(packages)
 
 
 class DocsIndex:
-    """Query surface over a loaded bundle."""
+    """Query surface over a loaded bundle's packages."""
 
-    def __init__(self, bundle: DocsBundle) -> None:
-        self.bundle = bundle
+    def __init__(self, packages: tuple[PackageDoc, ...]) -> None:
         self._packages: dict[str, PackageDoc] = {}
         self._classes: dict[str, list[tuple[str, ClassDoc]]] = {}  # Class -> [(pkg, doc)]
         self._methods: dict[str, list[tuple[str, str, MethodDoc]]] = {}  # Class.sig -> [...]
-        for pkg in bundle.packages:
+        for pkg in packages:
             self._packages[pkg.name] = pkg
             for cls in pkg.classes:
                 self._classes.setdefault(cls.name, []).append((pkg.name, cls))
@@ -121,9 +114,10 @@ class DocsIndex:
     # -- statistics -------------------------------------------------------
 
     def counts(self) -> dict[str, int]:
-        n_classes = sum(len(p.classes) for p in self.bundle.packages)
-        n_methods = sum(len(c.methods) for p in self.bundle.packages for c in p.classes)
-        return {"packages": len(self.bundle.packages), "classes": n_classes, "methods": n_methods}
+        packages = self._packages.values()
+        n_classes = sum(len(p.classes) for p in packages)
+        n_methods = sum(len(c.methods) for p in packages for c in p.classes)
+        return {"packages": len(packages), "classes": n_classes, "methods": n_methods}
 
     # -- lookup helpers ---------------------------------------------------
 

@@ -28,6 +28,7 @@ from .coverage import (
     RunEvents,
     TraceRun,
     apply_recording_windows,
+    check_counts,
 )
 from .errors import EngineError, json_input
 
@@ -137,9 +138,10 @@ def _parse_spec(raw: dict, spec_path: Path) -> SandboxSpec:
             raise EngineError("CONFIG", f"{spec_path}: {key} does not exist: {resolved}")
         paths[key] = resolved
     totals = {
-        mid: (int(v.get("lines_total", 0)), int(v.get("branches_total", 0)))
+        mid: (v.get("lines_total", 0), v.get("branches_total", 0))
         for mid, v in raw.get("method_totals", {}).items()
     }
+    check_counts(totals, "method_totals")
     compile_rules = [
         CompileRule(
             pattern=r["pattern"],

@@ -168,9 +168,14 @@ class ScriptedBackend(ModelBackend):
 
 
 def load_script(path: str | Path) -> ScriptedBackend:
+    """A script file: an object whose `turns` list holds at least one turn."""
     turns = []
     with json_input(path, "script file") as raw:
-        for i, entry in enumerate(raw if isinstance(raw, list) else raw.get("turns", [])):
+        if not isinstance(raw, dict) or not isinstance(raw.get("turns"), list) or not raw["turns"]:
+            raise EngineError(
+                "PARSE", f"{path}: a script must be an object with a non-empty 'turns' list"
+            )
+        for i, entry in enumerate(raw["turns"]):
             calls = [ToolRequest.from_wire(c) for c in entry.get("tool_calls", [])]
             if entry.get("text") is None and not calls:
                 raise EngineError("PARSE", f"{path}: turn {i} has neither text nor tool_calls")

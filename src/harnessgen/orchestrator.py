@@ -504,7 +504,7 @@ class WorkflowRunner:
         state.transition("generate")
         gen_seed = [
             ("target signature", f"{self.target.target_class}.{self.target.target_method}"),
-            ("research report", research.parsed_output.markdown),
+            ("research report", research.parsed_output),
         ]
         gen = self._run_agent(AgentRole.GEN, gen_seed, 0, "GEN-r0")
         if gen.status != STATUS_OK:
@@ -529,8 +529,8 @@ class WorkflowRunner:
             state.prev_view = view
             row = RoundRow(
                 round=state.round,
-                line_percent=coverage_percent(view, "line").value,
-                branch_percent=coverage_percent(view, "branch").value,
+                line_percent=coverage_percent(view, "line"),
+                branch_percent=coverage_percent(view, "branch"),
                 decision="model_failed" if cva_failed else decision.decision,
                 harness_hash=state.harness.normalized_hash,
                 crash_count=len(fuzz.crashes),

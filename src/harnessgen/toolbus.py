@@ -228,14 +228,12 @@ def register_default_tools(registry: ToolRegistry, docs_index, code_index, graph
          lambda harness, duration_seconds: ecosystem.fuzz(harness, duration_seconds)),
     ]
     groups = [
-        ("docs", docs_tools, docs_index),
-        ("code", code_tools, code_index),
-        ("callgraph", cg_tools, graph),
-        ("exec", exec_tools, ecosystem),
+        ("docs", docs_tools),
+        ("code", code_tools),
+        ("callgraph", cg_tools),
+        ("exec", exec_tools),
     ]
-    for category, tools, service in groups:
-        if service is None:
-            continue
+    for category, tools in groups:
         for name, schema, desc, handler in tools:
             registry.register(ToolDescriptor(name, category, schema, desc), handler)
     return registry

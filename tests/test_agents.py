@@ -18,6 +18,8 @@ from harnessgen.agents import (
     parse_termination_decision,
     run_react,
 )
+from harnessgen.code_index import CodeIndex
+from harnessgen.docs_index import DocsIndex
 from harnessgen.errors import EngineError
 from harnessgen.model_backend import ScriptTurn, ScriptedBackend
 from harnessgen.toolbus import AgentRole, ToolRequest
@@ -57,7 +59,7 @@ class TestPrompts:
 
 class TestResearchParser:
     def test_all_sections_accepted(self):
-        assert parse_research_report(GOOD_REPORT).markdown == GOOD_REPORT
+        assert parse_research_report(GOOD_REPORT) == GOOD_REPORT
 
     @pytest.mark.parametrize("missing", REPORT_SECTIONS)
     def test_each_missing_section_rejected(self, missing):
@@ -226,7 +228,7 @@ class TestRunReact:
         result = run_react(self._profile(), [("task", "go")], registry, backend)
         assert result.status == "FAILED_PARSE"
         assert result.transcript.iterations == 2
-        assert result.last_text == "more prose"
+        assert result.transcript.steps[-1].text == "more prose"
 
     def test_iteration_budget_exhaustion(self, registry):
         backend = ScriptedBackend(
@@ -264,12 +266,20 @@ class TestResearchContext:
         assert "ParseException" in blocks["target documentation"]
         assert "parse" in blocks["target source"]
 
-    def test_docs_only(self, docs_index):
-        blocks = build_research_context(_Target(), docs_index, None)
+    @pytest.fixture()
+    def other_code(self, tmp_path) -> CodeIndex:
+        """A code index of one file that lacks the target."""
+        (tmp_path / "Other.tl").write_text(
+            "package other;\n\npublic class Other {\n    public void run() {\n    }\n}\n"
+        )
+        return CodeIndex.build(tmp_path)
+
+    def test_docs_only(self, docs_index, other_code):
+        blocks = build_research_context(_Target(), docs_index, other_code)
         labels = [label for label, _ in blocks]
         assert "target documentation" in labels and "note" in labels
 
-    def test_neither_found(self):
+    def test_neither_found(self, other_code):
         with pytest.raises(EngineError) as exc:
-            build_research_context(_Target(), None, None)
+            build_research_context(_Target(), DocsIndex(()), other_code)
         assert exc.value.code == "TARGET_NOT_FOUND"

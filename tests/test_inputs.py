@@ -179,6 +179,45 @@ class TestScriptShapes:
         assert err.startswith("run failed: PARSE") and "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "raw", [{}, [{"text": "hello"}], {"turns": []}], ids=["empty", "bare-list", "no-turns"]
+    )
+    def test_script_without_turns_is_parse(self, capsys, tmp_path, raw):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(EngineError) as exc:
+            load_script(path)
+        assert exc.value.code == "PARSE" and str(path) in exc.value.message
+        code = main([
+            "run", str(DEMO_DIR / "config.json"),
+            "--set", f"output_dir={tmp_path / 'runs'}",
+            "--set", f"model.script={path}",
+        ])
+        assert code == 2 and capsys.readouterr().err.startswith("run failed: PARSE")
+        assert not (tmp_path / "runs").exists()
+
+
+class TestSpecCounts:
+    @pytest.mark.parametrize("method", ["parse(String[])", "fail(String)"])
+    @pytest.mark.parametrize("value", [-1, 2.5, "12"])
+    def test_bad_total_fails_in_set_up(self, capsys, tmp_path, method, value):
+        """A bad total ends the run in set-up as PARSE, on a method the demo's
+        harness hits and on one it does not."""
+        root = tmp_path / "demo"
+        shutil.copytree(DEMO_DIR, root, ignore=shutil.ignore_patterns("runs"))
+        spec = json.loads((root / "sandbox.json").read_text())
+        spec["method_totals"][f"toylib.ArgParser.{method}"]["lines_total"] = value
+        (root / "sandbox.json").write_text(json.dumps(spec))
+        code = main([
+            "run", str(root / "config.json"), "--set", f"output_dir={tmp_path / 'runs'}",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("run failed: PARSE") and str(root / "sandbox.json") in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("runs/*/transcripts/*.json"))
+
+
 class TestConfigShapes:
     @pytest.mark.parametrize("section", ["target", "model", "budgets", "adapter"])
     def test_section_not_an_object_is_parse(self, tmp_path, section):

@@ -11,7 +11,6 @@ from harnessgen.toolbus import (
     ToolDescriptor,
     ToolRegistry,
     ToolRequest,
-    register_default_tools,
 )
 
 DOCS_TOOLS = ["method_doc", "class_doc", "package_doc", "list_packages", "list_classes", "list_methods"]
@@ -50,11 +49,6 @@ class TestRegistration:
         with pytest.raises(EngineError) as exc:
             registry.register(dup, lambda: "")
         assert exc.value.code == "CONFIG"
-
-    def test_docs_only_registry(self, docs_index):
-        reg = register_default_tools(ToolRegistry(), docs_index, None, None, None)
-        assert len(reg.descriptors) == 6
-        assert all(d.category == "docs" for d in reg.descriptors)
 
 
 class TestAccessMatrix:
