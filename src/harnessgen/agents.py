@@ -31,9 +31,6 @@ REPORT_SECTIONS = (
 
 CORRECTIVE_PROMPT = "Your last message was not in the required format. Respond in the required format."
 
-STATUS_OK = "OK"
-STATUS_FAILED_PARSE = "FAILED_PARSE"
-
 
 def load_prompt(role: AgentRole) -> str:
     name = f"{role.value.lower()}.md"
@@ -205,9 +202,8 @@ class AgentTranscript:
 
 @dataclass
 class AgentRunResult:
-    status: str  # OK | FAILED_PARSE
     transcript: AgentTranscript
-    parsed_output: object | None = None
+    parsed_output: object
 
 
 def run_react(
@@ -217,13 +213,15 @@ def run_react(
     backend: ModelBackend,
     transcript: AgentTranscript | None = None,
 ) -> AgentRunResult:
-    """Drive one agent to a parseable final answer or iteration exhaustion.
+    """Drive one agent to a parseable final answer.
 
     Tool calls returned by the model are dispatched through the registry;
     errors (including access denials) come back as observations so the
-    model can adjust. Each turn is appended to `transcript`, filled in
-    place, as soon as the model returns it, so a run that raises midway
-    still holds every turn it was charged for.
+    model can adjust. An agent that exhausts its iterations, or fails to
+    parse twice, raises MODEL_PROTOCOL naming its role. Each turn is
+    appended to `transcript`, filled in place, as soon as the model
+    returns it, so a run that raises midway still holds every turn it was
+    charged for.
     """
     conversation = Conversation()
     conversation.add(Message(role="system", content=profile.system_prompt))
@@ -259,14 +257,21 @@ def run_react(
             continue
         try:
             parsed = profile.output_parser(turn.text or "")
-        except EngineError:
+        except EngineError as exc:
             if not corrective_used and transcript.iterations < profile.max_iterations:
                 corrective_used = True
                 conversation.add(Message(role="user", content=CORRECTIVE_PROMPT))
                 continue
-            break
-        return AgentRunResult(status=STATUS_OK, transcript=transcript, parsed_output=parsed)
-    return AgentRunResult(status=STATUS_FAILED_PARSE, transcript=transcript)
+            raise _no_answer(profile, transcript, f"; last turn: {exc}") from exc
+        return AgentRunResult(transcript=transcript, parsed_output=parsed)
+    raise _no_answer(profile, transcript)
+
+
+def _no_answer(profile: AgentProfile, transcript: AgentTranscript, detail: str = "") -> EngineError:
+    return EngineError(
+        "MODEL_PROTOCOL",
+        f"{profile.role.value} gave no parseable answer in {transcript.iterations} turns{detail}",
+    )
 
 
 def build_research_context(target, docs_index, code_index) -> list[tuple[str, str]]:

@@ -16,7 +16,6 @@ from typing import NamedTuple
 from .errors import EngineError, json_input
 
 DEFAULT_DEPTH_LIMIT = 10
-LARGE_LIBRARY_DEPTH_LIMIT = 5
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .callgraph import DEFAULT_DEPTH_LIMIT, LARGE_LIBRARY_DEPTH_LIMIT
+from .callgraph import DEFAULT_DEPTH_LIMIT
 from .errors import EngineError, json_input
 from .toolbus import AgentRole
 
@@ -21,13 +21,14 @@ _COVERAGE_SCOPES = ("method_targeted", "full")
 
 DEFAULT_BUDGETS = {
     "depth_limit": DEFAULT_DEPTH_LIMIT,
-    "large_library": False,
     "max_rounds": 5,
     "max_patch_rounds": 3,
     "wall_seconds": 3600.0,
     "fuzz_seconds": 60.0,
     "coverage_scope": "method_targeted",
 }
+_COUNT_BUDGETS = ("depth_limit", "max_rounds", "max_patch_rounds")  # JSON integers
+_SECONDS_BUDGETS = ("wall_seconds", "fuzz_seconds")  # JSON numbers
 
 
 @dataclass
@@ -46,14 +47,10 @@ class Config:
         return self.budgets.get(key, DEFAULT_BUDGETS.get(key))
 
     def max_iterations(self, role: AgentRole) -> int | None:
-        table = self.budgets.get("max_iterations", {})
-        value = table.get(role.value)
-        return int(value) if value is not None else None
+        return self.budgets.get("max_iterations", {}).get(role.value)
 
     def depth_limit(self) -> int:
-        if "depth_limit" in self.budgets:
-            return int(self.budgets["depth_limit"])
-        return LARGE_LIBRARY_DEPTH_LIMIT if self.budget("large_library") else DEFAULT_DEPTH_LIMIT
+        return self.budget("depth_limit")
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -93,7 +90,11 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Config:
 
 
 def validate_config(config: Config) -> list[str]:
-    """All violations found in the config, empty when valid."""
+    """All violations found in the config, empty when valid.
+
+    A valid config's budgets have their JSON types, and the run reads them
+    without coercion.
+    """
     problems: list[str] = []
     for key in ("library_name", "target_class", "target_method"):
         if not config.target.get(key):
@@ -121,15 +122,32 @@ def validate_config(config: Config) -> list[str]:
     for key in ("rate_in", "rate_out"):
         if not _number(config.model.get(key, 0.0)) >= 0:
             problems.append(f"model.{key} must be a number >= 0")
+    if not isinstance(config.model.get("api_key_env", ""), str):
+        problems.append(f"model.api_key_env must be a string: {config.model['api_key_env']!r}")
 
     adapters = [key for key in ("sandbox_spec", "shell") if config.adapter.get(key)]
     if len(adapters) != 1:
         problems.append("exactly one adapter (adapter.sandbox_spec or adapter.shell) must be set")
     elif adapters[0] == "sandbox_spec":
         _check_path(config, "adapter.sandbox_spec", config.adapter["sandbox_spec"], problems, True)
+    shell = config.adapter.get("shell") or {}
+    if not isinstance(shell, dict):
+        problems.append("adapter.shell must be an object")
+        shell = {}
+    for key in ("compile_cmd", "fuzz_cmd", "coverage_out", "diagnostic_pattern"):
+        if key in shell and not isinstance(shell[key], str):
+            problems.append(f"adapter.shell.{key} must be a string: {shell[key]!r}")
+    grace = shell.get("timeout_grace", 0.0)
+    if not _number(grace) >= 0:
+        problems.append(f"adapter.shell.timeout_grace must be a number >= 0: {grace!r}")
 
-    for key in ("depth_limit", "max_rounds", "max_patch_rounds", "wall_seconds", "fuzz_seconds"):
-        if not _number(config.budget(key), float if key.endswith("_seconds") else int) > 0:
+    for key in sorted(set(config.budgets) - set(DEFAULT_BUDGETS) - {"max_iterations"}):
+        problems.append(f"budgets has unknown key: {key}")
+    for key in _COUNT_BUDGETS:
+        if not _number(config.budget(key), int) > 0:
+            problems.append(f"budgets.{key} must be a positive number (a JSON integer)")
+    for key in _SECONDS_BUDGETS:
+        if not _number(config.budget(key)) > 0:
             problems.append(f"budgets.{key} must be a positive number")
     scope = config.budget("coverage_scope")
     if scope not in _COVERAGE_SCOPES:
@@ -144,7 +162,7 @@ def validate_config(config: Config) -> list[str]:
         if role not in AgentRole.__members__:
             problems.append(f"budgets.max_iterations has unknown role: {role}")
         elif not _number(value, int) >= 1:
-            problems.append(f"budgets.max_iterations.{role} must be >= 1")
+            problems.append(f"budgets.max_iterations.{role} must be >= 1 (a JSON integer)")
 
     for key in ("docs_bundle", "source_root", "facts"):
         value = config.target.get(key)
@@ -156,10 +174,10 @@ def validate_config(config: Config) -> list[str]:
 
 
 def _number(value, kind=float) -> float:
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        return float("nan")  # fails every comparison, so the caller reports it
+    """`value` if it is a JSON number (a JSON integer if `kind` is int), else
+    NaN, which fails every comparison, so the caller reports it."""
+    kinds = (int,) if kind is int else (int, float)
+    return value if type(value) in kinds else float("nan")
 
 
 def _check_path(config: Config, name: str, value, problems: list[str], want_file=False) -> None:

@@ -135,7 +135,9 @@ class CoverageReport:
         """Either form of `to_json`; the sparse one takes its `totals` table.
 
         ValueError if a count is not an integer >= 0, a covered count
-        exceeds its total, an id repeats, or a sparse id is not in `totals`.
+        exceeds its total, an id repeats, a sparse id is not in `totals`,
+        `scope` is not a string, `dropped_events` is not an integer >= 0 or
+        `campaign_seconds` is not a number >= 0.
         """
         counters: dict[str, MethodCoverage] = {}
         for m in raw.get("methods", []):
@@ -155,10 +157,19 @@ class CoverageReport:
         for c in counters.values():
             if c.lines_covered > c.lines_total or c.branches_covered > c.branches_total:
                 raise ValueError(f"covered exceeds total for {c.id}")
+        scope = raw["scope"]
+        seconds = raw.get("campaign_seconds", 0.0)
+        dropped = raw.get("dropped_events", 0)
+        if not isinstance(scope, str):
+            raise ValueError(f"scope: {scope!r} is not a string")
+        if type(seconds) not in (int, float) or not seconds >= 0:
+            raise ValueError(f"campaign_seconds: {seconds!r} is not a number >= 0")
+        if type(dropped) is not int or dropped < 0:
+            raise ValueError(f"dropped_events: {dropped!r} is not an integer >= 0")
         return cls(
-            scope=raw["scope"],
-            campaign_seconds=float(raw.get("campaign_seconds", 0.0)),
-            dropped_events=int(raw.get("dropped_events", 0)),
+            scope=scope,
+            campaign_seconds=float(seconds),
+            dropped_events=dropped,
             methods=counters.values(),
             totals=totals,
         )

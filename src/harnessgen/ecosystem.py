@@ -160,7 +160,7 @@ def _parse_spec(raw: dict, spec_path: Path) -> SandboxSpec:
             pattern=r["pattern"],
             in_window=bool(r.get("in_window", True)),
             methods={
-                mid: (float(v.get("line_fraction", 0.0)), float(v.get("branch_fraction", 0.0)))
+                mid: (_fraction(v, "line_fraction", mid), _fraction(v, "branch_fraction", mid))
                 for mid, v in r.get("methods", {}).items()
             },
         )
@@ -178,6 +178,16 @@ def _parse_spec(raw: dict, spec_path: Path) -> SandboxSpec:
         coverage_rules=coverage_rules,
         crash_rules=crash_rules,
     )
+
+
+def _fraction(fractions: dict, key: str, mid: str) -> float:
+    """A coverage rule's `key` fraction of `mid` (0 if unset): a JSON number
+    in [0, 1], else ValueError, which the spec's loader turns into PARSE
+    naming the spec."""
+    value = fractions.get(key, 0.0)
+    if type(value) not in (int, float) or not 0 <= value <= 1:
+        raise ValueError(f"{key} of {mid}: {value!r} is not a number in [0, 1]")
+    return float(value)
 
 
 class SandboxAdapter:

@@ -21,9 +21,7 @@ from typing import NamedTuple
 
 from . import callgraph as cg
 from .agents import (
-    STATUS_OK,
     AgentProfile,
-    AgentRunResult,
     AgentTranscript,
     HarnessArtifact,
     TerminationDecision,
@@ -56,7 +54,7 @@ PHASE_GRAPH = {
     "init": {"research", "failed"},
     "research": {"generate", "failed"},
     "generate": {"compile", "failed"},
-    "compile": {"patch", "fuzz", "failed"},
+    "compile": {"patch", "fuzz", "done", "failed"},
     "patch": {"compile", "failed"},
     "fuzz": {"analyze", "failed"},
     "analyze": {"refine", "done", "failed"},
@@ -73,6 +71,14 @@ OUTCOME_MODEL_FAILED = "model_failed"
 OUTCOME_TOOLCHAIN_FAILED = "toolchain_failed"
 OUTCOME_INTERNAL_ERROR = "internal_error"
 OUTCOME_INTERRUPTED = "interrupted"
+
+# error code -> the outcome of a run it ends; any other EngineError ends
+# the run model_failed, and a ToolchainError toolchain_failed
+OUTCOME_OF_ERROR = {
+    "COMPILE_FAILED": OUTCOME_COMPILE_FAILED,
+    "FUZZ_TIMEOUT": OUTCOME_BUDGET,
+    "COMPILE_TIMEOUT": OUTCOME_BUDGET,
+}
 
 TOTALS_FILE = "totals.json"  # the run's coverage totals table, under coverage/
 
@@ -118,7 +124,6 @@ class WorkflowState:
     rows: list[RoundRow] = field(default_factory=list)
     transitions: list[str] = field(default_factory=list)
     harness_versions: int = 0
-    fuzz_timeout: bool = False
     timings: dict[str, float] = field(default_factory=dict)  # phase -> wall seconds spent in it
     entered: float = 0.0  # monotonic time of the last transition
 
@@ -380,21 +385,18 @@ class WorkflowRunner:
             raise ToolchainError(exc.code, exc.message) from exc
 
     def _wall_left(self) -> float:
-        return float(self.config.budget("wall_seconds")) - (time.monotonic() - self._started)
-
-    def _wall_exceeded(self) -> bool:
-        return self._wall_left() < 0
+        return self.config.budget("wall_seconds") - (time.monotonic() - self._started)
 
     # -- agent steps --------------------------------------------------------
 
-    def _run_agent(
-        self, role: AgentRole, seed: list[tuple[str, str]], round_index: int, name: str
-    ) -> AgentRunResult:
-        """Run one agent; however it ends, its transcript is saved as
-        `transcripts/<name>.json` and its turns are added to `usage`."""
+    def _run_agent(self, role: AgentRole, seed: list[tuple[str, str]], round_index: int, name: str):
+        """Run one agent and return its parsed answer; however it ends, its
+        transcript is saved as `transcripts/<name>.json` and its turns are
+        added to `usage`."""
         transcript = AgentTranscript(role=role.value)
         try:
-            return run_react(self.profiles[role], seed, self.registry, self.backend, transcript)
+            result = run_react(self.profiles[role], seed, self.registry, self.backend, transcript)
+            return result.parsed_output
         finally:
             counts = self.usage.setdefault((role, round_index), [0, 0, 0, 0])
             for step in transcript.steps:
@@ -407,7 +409,7 @@ class WorkflowRunner:
 
     def compile_patch_loop(self, harness: HarnessArtifact, round_index: int) -> HarnessArtifact:
         """Compile; on errors let the patching agent retry up to the budget."""
-        max_patch_rounds = int(self.config.budget("max_patch_rounds"))
+        max_patch_rounds = self.config.budget("max_patch_rounds")
         self.state.transition("compile")
         result: CompileResult = self._compile(harness)
         # a zero entry keeps the per-round '/' rendering aligned
@@ -430,12 +432,9 @@ class WorkflowRunner:
                 ("harness source", harness.source),
                 ("compiler diagnostics", diagnostics),
             ]
-            pat = self._run_agent(
+            harness = self._run_agent(
                 AgentRole.PAT, seed, round_index, f"PAT-r{round_index}-a{attempts}"
             )
-            if pat.status != STATUS_OK:
-                raise EngineError("MODEL_PROTOCOL", "patch agent produced no parseable harness")
-            harness = pat.parsed_output
             self._save_harness(harness)
             self.state.transition("compile")
             result = self._compile(harness)
@@ -448,7 +447,12 @@ class WorkflowRunner:
     # -- workflow ------------------------------------------------------------
 
     def run(self) -> dict:
-        """Run the phases and write the run record; an interrupt is re-raised after."""
+        """Run the phases and write the run record; an interrupt is re-raised after.
+
+        `_run_phases` returns the outcome of a run that stops by success,
+        convergence or budget; every failure raises, and the run ends in
+        phase `failed` with an `error` note.
+        """
         error_note = trace = interrupt = None
         try:
             outcome = self._run_phases()
@@ -456,15 +460,8 @@ class WorkflowRunner:
             error_note = f"{exc.code}: {exc.message}"
             if isinstance(exc, ToolchainError):
                 outcome = OUTCOME_TOOLCHAIN_FAILED
-            elif exc.code == "COMPILE_FAILED":
-                outcome = OUTCOME_COMPILE_FAILED
-            elif exc.code == "FUZZ_TIMEOUT":
-                outcome = OUTCOME_BUDGET
-                self.state.fuzz_timeout = True
-            elif exc.code == "COMPILE_TIMEOUT":
-                outcome = OUTCOME_BUDGET
             else:
-                outcome = OUTCOME_MODEL_FAILED
+                outcome = OUTCOME_OF_ERROR.get(exc.code, OUTCOME_MODEL_FAILED)
         except KeyboardInterrupt as exc:
             error_note, outcome, interrupt = "KeyboardInterrupt", OUTCOME_INTERRUPTED, exc
         except Exception as exc:  # any other fault still leaves a manifest
@@ -472,8 +469,7 @@ class WorkflowRunner:
             outcome = OUTCOME_INTERNAL_ERROR
             trace = traceback.format_exc()
         if self.state.phase not in ("done", "failed"):
-            failed = error_note is not None or outcome == OUTCOME_MODEL_FAILED
-            self.state.transition("failed" if failed else "done")
+            self.state.transition("failed" if error_note else "done")
         manifest = self._manifest(outcome, error_note)
         if trace:
             manifest["traceback"] = trace
@@ -490,7 +486,7 @@ class WorkflowRunner:
 
     def _run_phases(self) -> str:
         state = self.state
-        max_rounds = int(self.config.budget("max_rounds"))
+        max_rounds = self.config.budget("max_rounds")
         fuzz_seconds = float(self.config.budget("fuzz_seconds"))
         scope = self.config.budget("coverage_scope")
 
@@ -498,18 +494,13 @@ class WorkflowRunner:
         research = self._run_agent(
             AgentRole.RSH, build_research_context(self.target, self.docs, self.code), 0, "RSH-r0"
         )
-        if research.status != STATUS_OK:
-            return OUTCOME_MODEL_FAILED
 
         state.transition("generate")
         gen_seed = [
             ("target signature", f"{self.target.target_class}.{self.target.target_method}"),
-            ("research report", research.parsed_output),
+            ("research report", research),
         ]
-        gen = self._run_agent(AgentRole.GEN, gen_seed, 0, "GEN-r0")
-        if gen.status != STATUS_OK:
-            return OUTCOME_MODEL_FAILED
-        harness = gen.parsed_output
+        harness = self._run_agent(AgentRole.GEN, gen_seed, 0, "GEN-r0")
         self._save_harness(harness)
 
         harness = self.compile_patch_loop(harness, 0)
@@ -517,21 +508,19 @@ class WorkflowRunner:
         state.seen_hashes.add(harness.normalized_hash)
 
         while True:
-            if self._wall_exceeded():
+            if self._wall_left() < 0:
                 return OUTCOME_BUDGET
             state.transition("fuzz")
             fuzz = self._toolchain(self.adapter.fuzz, state.harness, fuzz_seconds, scope=scope)
             self._save_coverage(fuzz.coverage, state.round)
             view = merge_with_callgraph(fuzz.coverage, self.graph)
-
-            state.transition("analyze")
-            decision, cva_failed = self._analyze(view, fuzz)
-            state.prev_view = view
+            # the row stands before CVA runs, so a saved round always has one;
+            # it reads model_failed until CVA decides
             row = RoundRow(
                 round=state.round,
                 line_percent=coverage_percent(view, "line"),
                 branch_percent=coverage_percent(view, "branch"),
-                decision="model_failed" if cva_failed else decision.decision,
+                decision=OUTCOME_MODEL_FAILED,
                 harness_hash=state.harness.normalized_hash,
                 crash_count=len(fuzz.crashes),
                 executions=fuzz.executions,
@@ -539,13 +528,14 @@ class WorkflowRunner:
                 unmatched_methods=len(view.unmatched_hits),
             )
             state.rows.append(row)
-            if cva_failed:
-                return OUTCOME_MODEL_FAILED
+
+            state.transition("analyze")
+            decision = self._analyze(view, fuzz)
+            row.decision = decision.decision
+            state.prev_view = view
             if decision.decision == "stop":
                 return OUTCOME_SUCCESS
-            if state.round >= max_rounds:
-                return OUTCOME_BUDGET
-            if self._wall_exceeded():
+            if state.round >= max_rounds or self._wall_left() < 0:
                 return OUTCOME_BUDGET
 
             state.transition("refine")
@@ -555,10 +545,7 @@ class WorkflowRunner:
                 ("strategy", decision.strategy or decision.rationale),
                 ("coverage view", render_annotated_view(view, self.registry.response_budget)),
             ]
-            ref = self._run_agent(AgentRole.REF, ref_seed, state.round, f"REF-r{state.round}")
-            if ref.status != STATUS_OK:
-                return OUTCOME_MODEL_FAILED
-            refined = ref.parsed_output
+            refined = self._run_agent(AgentRole.REF, ref_seed, state.round, f"REF-r{state.round}")
             self._save_harness(refined)
             if refined.normalized_hash in state.seen_hashes:
                 state.transition("done")
@@ -569,7 +556,7 @@ class WorkflowRunner:
             state.harness = refined
             state.seen_hashes.add(refined.normalized_hash)
 
-    def _analyze(self, view: AnnotatedCoverageView, fuzz) -> tuple[TerminationDecision, bool]:
+    def _analyze(self, view: AnnotatedCoverageView, fuzz) -> TerminationDecision:
         state = self.state
         budget = self.registry.response_budget
         seed = [
@@ -582,11 +569,7 @@ class WorkflowRunner:
         if fuzz.crashes:
             unique = sorted({c.dedup_key for c in fuzz.crashes})
             seed.append(("crashes", f"{len(fuzz.crashes)} crashes, {len(unique)} unique"))
-        cva = self._run_agent(AgentRole.CVA, seed, state.round, f"CVA-r{state.round}")
-        if cva.status != STATUS_OK:
-            # fail-safe: a CVA that cannot answer means stop, not spend
-            return TerminationDecision(decision="stop", rationale="cva parse failure"), True
-        return cva.parsed_output, False
+        return self._run_agent(AgentRole.CVA, seed, state.round, f"CVA-r{state.round}")
 
     def _manifest(self, outcome: str, error_note: str | None) -> dict:
         model = self.config.model
@@ -598,7 +581,7 @@ class WorkflowRunner:
                 self.usage, float(model.get("rate_in", 0.0)), float(model.get("rate_out", 0.0))
             ),
             "transitions": list(self.state.transitions),
-            "fuzz_timeout": self.state.fuzz_timeout,
+            "fuzz_timeout": (error_note or "").startswith("FUZZ_TIMEOUT:"),
             "timings": {k: round(v, 6) for k, v in self.state.timings.items()},
         }
         if error_note:

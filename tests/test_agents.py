@@ -155,7 +155,6 @@ class TestRunReact:
     def test_direct_final_answer(self, registry):
         backend = ScriptedBackend([ScriptTurn(text=GOOD_HARNESS)])
         result = run_react(self._profile(), [("task", "write it")], registry, backend)
-        assert result.status == "OK"
         assert result.parsed_output.dependencies == ("toylib.ArgParser", "toylib.Token")
         assert result.transcript.iterations == 1
 
@@ -177,7 +176,6 @@ class TestRunReact:
         backend.complete = recording_complete
         transcript = AgentTranscript(role="GEN")
         result = run_react(self._profile(), [("task", "go")], registry, backend, transcript)
-        assert result.status == "OK"
         assert result.transcript is transcript
         assert result.transcript.iterations == 2
         assert result.transcript.tool_call_count == 1
@@ -208,7 +206,6 @@ class TestRunReact:
             ]
         )
         result = run_react(self._profile(), [("task", "go")], registry, backend)
-        assert result.status == "OK"
         assert result.transcript.steps[0].tool_results[0]["ok"] is False
 
     def test_corrective_reprompt_once(self, registry):
@@ -219,26 +216,43 @@ class TestRunReact:
             ]
         )
         result = run_react(self._profile(), [("task", "go")], registry, backend)
-        assert result.status == "OK" and result.transcript.iterations == 2
+        assert result.transcript.iterations == 2
+        assert result.parsed_output.source.startswith("public class Fuzz")
 
     def test_second_parse_failure_is_fatal(self, registry):
         backend = ScriptedBackend(
             [ScriptTurn(text="still prose"), ScriptTurn(text="more prose")]
         )
-        result = run_react(self._profile(), [("task", "go")], registry, backend)
-        assert result.status == "FAILED_PARSE"
-        assert result.transcript.iterations == 2
-        assert result.transcript.steps[-1].text == "more prose"
+        transcript = AgentTranscript(role="GEN")
+        with pytest.raises(EngineError) as exc:
+            run_react(self._profile(), [("task", "go")], registry, backend, transcript)
+        assert exc.value.code == "MODEL_PROTOCOL"
+        assert exc.value.message == (
+            "GEN gave no parseable answer in 2 turns; "
+            "last turn: PARSE_NO_CODE: no fenced code block in model output"
+        )
+        assert transcript.iterations == 2
+        assert transcript.steps[-1].text == "more prose"
 
     def test_iteration_budget_exhaustion(self, registry):
         backend = ScriptedBackend(
             [ScriptTurn(tool_calls=[ToolRequest("list_packages", {})]) for _ in range(9)]
         )
-        result = run_react(
-            self._profile(max_iterations=3), [("task", "go")], registry, backend
+        transcript = AgentTranscript(role="GEN")
+        with pytest.raises(EngineError) as exc:
+            run_react(self._profile(max_iterations=3), [("task", "go")], registry, backend, transcript)
+        assert exc.value.code == "MODEL_PROTOCOL"
+        assert exc.value.message == "GEN gave no parseable answer in 3 turns"
+        assert transcript.iterations == 3 and transcript.tool_call_count == 3
+
+    def test_parse_failure_on_the_last_turn_is_named(self, registry):
+        backend = ScriptedBackend(
+            [ScriptTurn(tool_calls=[ToolRequest("list_packages", {})]), ScriptTurn(text="prose")]
         )
-        assert result.status == "FAILED_PARSE"
-        assert result.transcript.iterations == 3
+        with pytest.raises(EngineError) as exc:
+            run_react(self._profile(AgentRole.CVA, 2), [("task", "go")], registry, backend)
+        assert exc.value.code == "MODEL_PROTOCOL"
+        assert exc.value.message.startswith("CVA gave no parseable answer in 2 turns; last turn: PARSE")
 
     def test_transcript_serializes(self, registry):
         backend = ScriptedBackend(

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import DEMO_DIR, REPO_ROOT
 from harnessgen.cli import (
     _OUTCOME_EXITS,
+    EXIT_FAILED,
     EXIT_INTERRUPTED,
     main,
     render_report_csv,
@@ -201,6 +202,36 @@ fault_points = st.sampled_from(sorted(FAULT_SITES)).flatmap(
 )
 
 
+def run_with_fault(script, owner, name, flaky):
+    """A demo run with `owner.name` replaced by `flaky`: the exit code, the
+    manifest, its path, the number of saved `coverage/r*.json` and stdout."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(owner, name, flaky):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([
+                "run", str(DEMO_DIR / "config.json"),
+                "--set", f"output_dir={tmp}",
+                "--set", f"model.script=scripts/{script}.json",
+            ])
+        (manifest_path,) = Path(tmp).glob("*/manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        saved_rounds = len(list(manifest_path.parent.glob("coverage/r*.json")))
+    return code, manifest, manifest_path, saved_rounds, out.getvalue()
+
+
+def assert_complete_record(code, manifest, saved_rounds):
+    """Legal transitions, the exit code of the outcome, an error on every
+    failed outcome, and a row for each saved round."""
+    transitions = ["init", *manifest["transitions"]]
+    assert all(b in PHASE_GRAPH[a] for a, b in zip(transitions, transitions[1:]))
+    assert transitions[-1] in ("done", "failed")
+    exits = {**_OUTCOME_EXITS, "interrupted": EXIT_INTERRUPTED}
+    assert code == exits[manifest["outcome"]]
+    if code == EXIT_FAILED:
+        assert manifest["error"]
+    assert len(manifest["rounds"]) == saved_rounds
+
+
 class TestFaultInjection:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -210,8 +241,8 @@ class TestFaultInjection:
     )
     def test_any_fault_leaves_a_legal_run_record(self, script, point, fault):
         """A fault at the `nth` call of an adapter or backend method (none if
-        the run makes fewer calls) still leaves a manifest whose transitions
-        are legal and whose outcome is the exit code's."""
+        the run makes fewer calls) still leaves a complete run record whose
+        outcome is the fault's."""
         site, nth = point
         owner, name, _ = FAULT_SITES[site]
         real = getattr(owner, name)
@@ -223,28 +254,40 @@ class TestFaultInjection:
                 raise fault
             return real(*args, **kwargs)
 
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(owner, name, flaky):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = main([
-                    "run", str(DEMO_DIR / "config.json"),
-                    "--set", f"output_dir={tmp}",
-                    "--set", f"model.script=scripts/{script}.json",
-                ])
-            (manifest_path,) = Path(tmp).glob("*/manifest.json")
-            manifest = json.loads(manifest_path.read_text())
-        transitions = ["init", *manifest["transitions"]]
-        assert all(b in PHASE_GRAPH[a] for a, b in zip(transitions, transitions[1:]))
-        assert transitions[-1] in ("done", "failed")
-        exits = {**_OUTCOME_EXITS, "interrupted": EXIT_INTERRUPTED}
-        assert code == exits[manifest["outcome"]]
+        code, manifest, manifest_path, saved_rounds, out = run_with_fault(
+            script, owner, name, flaky
+        )
+        assert_complete_record(code, manifest, saved_rounds)
         if len(calls) > nth:
             assert manifest["outcome"] == outcome_of(site, fault)
             assert manifest["fuzz_timeout"] == (getattr(fault, "code", None) == "FUZZ_TIMEOUT")
             if not isinstance(fault, KeyboardInterrupt):
                 assert manifest["error"].endswith("injected")
         else:
-            assert out.getvalue().splitlines()[0] == str(manifest_path.parent)
+            assert out.splitlines()[0] == str(manifest_path.parent)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        script=st.sampled_from(["happy", "crash", "patch_fix", "converge", "budget"]),
+        nth=st.integers(0, 13),
+    )
+    def test_garbled_turn_leaves_a_complete_record(self, script, nth):
+        """The `nth` model turn replaced by prose with no tool call: the
+        agent may recover, or the run fails with an error."""
+        real = ScriptedBackend.complete
+        calls = []
+
+        def garbled(*args, **kwargs):
+            calls.append(1)
+            turn = real(*args, **kwargs)
+            if len(calls) == nth + 1:
+                turn.text, turn.tool_calls = "prose with no answer in it", []
+            return turn
+
+        code, manifest, _, saved_rounds, _ = run_with_fault(
+            script, ScriptedBackend, "complete", garbled
+        )
+        assert_complete_record(code, manifest, saved_rounds)
 
 
 class TestTools:

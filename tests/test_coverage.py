@@ -109,6 +109,40 @@ class TestCounters:
         assert loaded.dropped_events == 3
 
 
+class TestReportFields:
+    """A report file's scope, dropped events and campaign seconds are checked
+    where it is read, dense or sparse."""
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("dropped_events", 2.7, "dropped_events: 2.7 is not an integer >= 0"),
+            ("dropped_events", -1, "dropped_events: -1 is not an integer >= 0"),
+            ("dropped_events", "3", "dropped_events: '3' is not an integer >= 0"),
+            ("dropped_events", True, "dropped_events: True is not an integer >= 0"),
+            ("campaign_seconds", "5", "campaign_seconds: '5' is not a number >= 0"),
+            ("campaign_seconds", -1, "campaign_seconds: -1 is not a number >= 0"),
+            ("campaign_seconds", False, "campaign_seconds: False is not a number >= 0"),
+            ("campaign_seconds", None, "campaign_seconds: None is not a number >= 0"),
+            ("scope", 7, "scope: 7 is not a string"),
+        ],
+    )
+    def test_bad_field_is_parse(self, tmp_path, key, value, problem):
+        for path in report_files(tmp_path, [("m", 3, 1, 0, 0)]):
+            raw = json.loads(path.read_text())
+            raw[key] = value
+            path.write_text(json.dumps(raw))
+            assert_load_is_parse(path, path, problem)
+
+    def test_whole_seconds_load_as_float(self, tmp_path):
+        for path in report_files(tmp_path, [("m", 3, 1, 0, 0)]):
+            raw = json.loads(path.read_text())
+            raw.update(campaign_seconds=5, dropped_events=0)
+            path.write_text(json.dumps(raw))
+            report = CoverageReport.load(path)
+            assert report.campaign_seconds == 5.0 and type(report.campaign_seconds) is float
+
+
 class TestClassify:
     def test_exact_boundaries(self):
         assert classify(None) == "uncovered"

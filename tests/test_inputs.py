@@ -218,6 +218,54 @@ class TestSpecCounts:
         assert not list(tmp_path.glob("runs/*/transcripts/*.json"))
 
 
+def write_spec(root: Path, edit) -> Path:
+    """The demo copied under `root`, its sandbox spec changed by `edit`; the spec's path."""
+    shutil.copytree(DEMO_DIR, root, ignore=shutil.ignore_patterns("runs"))
+    path = root / "sandbox.json"
+    spec = json.loads(path.read_text())
+    edit(spec)
+    path.write_text(json.dumps(spec))
+    return path
+
+
+class TestSpecFractions:
+    @pytest.mark.parametrize("key", ["line_fraction", "branch_fraction"])
+    @pytest.mark.parametrize("value", [-0.5, 1.5, "0.5", True, None])
+    def test_bad_fraction_is_parse(self, tmp_path, key, value):
+        def edit(spec):
+            spec["coverage_rules"][1]["methods"]["toylib.ArgParser.parse(String[])"][key] = value
+
+        path = write_spec(tmp_path / "demo", edit)
+        with pytest.raises(EngineError) as exc:
+            load_sandbox(path)
+        assert exc.value.code == "PARSE" and str(path) in exc.value.message
+        assert f"{key} of toylib.ArgParser.parse(String[]): {value!r}" in exc.value.message
+
+    def test_every_fraction_negative_fails_in_set_up(self, capsys, tmp_path):
+        """At -0.5 everywhere the run would cover nothing and still succeed."""
+        def edit(spec):
+            for rule in spec["coverage_rules"]:
+                for fractions in rule["methods"].values():
+                    fractions.update(line_fraction=-0.5, branch_fraction=-0.5)
+
+        path = write_spec(tmp_path / "demo", edit)
+        code = main([
+            "run", str(path.parent / "config.json"), "--set", f"output_dir={tmp_path / 'runs'}",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("run failed: PARSE") and str(path) in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("value", [0, 1, 0.25])
+    def test_fraction_in_range_loads(self, tmp_path, value):
+        def edit(spec):
+            spec["coverage_rules"][0]["methods"]["toylib.Token.of(String)"]["line_fraction"] = value
+
+        rule = load_sandbox(write_spec(tmp_path / "demo", edit)).spec.coverage_rules[0]
+        assert rule.methods["toylib.Token.of(String)"] == (float(value), 0.5)
+
+
 class TestConfigShapes:
     @pytest.mark.parametrize("section", ["target", "model", "budgets", "adapter"])
     def test_section_not_an_object_is_parse(self, tmp_path, section):
@@ -249,6 +297,20 @@ class TestConfigShapes:
             ("budgets.coverage_scope=method-targeted", "budgets.coverage_scope must be one of"),
             ("model.rate_in=abc", "model.rate_in must be a number >= 0"),
             ("budgets.depth_limit=1e999", "budgets.depth_limit must be a positive number"),
+            ("model.api_key_env=3", "model.api_key_env must be a string"),
+            ('adapter.shell.timeout_grace="x"', "adapter.shell.timeout_grace must be a number"),
+            ("adapter.shell=3", "adapter.shell must be an object"),
+            ("adapter.shell.coverage_out=3", "adapter.shell.coverage_out must be a string"),
+            ("budgets.depth_limit=2.7", "budgets.depth_limit must be a positive number"),
+            ("budgets.max_rounds=true", "budgets.max_rounds must be a positive number"),
+            ('budgets.max_patch_rounds="2"', "budgets.max_patch_rounds must be a positive"),
+            ('budgets.fuzz_seconds="5"', "budgets.fuzz_seconds must be a positive number"),
+            ("budgets.wall_seconds=false", "budgets.wall_seconds must be a positive number"),
+            ('budgets.max_iterations={"GEN": 2.5}', "budgets.max_iterations.GEN must be >= 1"),
+            ('budgets.max_iterations={"GEN": true}', "budgets.max_iterations.GEN must be >= 1"),
+            ("model.rate_out=true", "model.rate_out must be a number >= 0"),
+            ("budgets.max_round=1", "budgets has unknown key: max_round"),
+            ("budgets.large_library=true", "budgets has unknown key: large_library"),
         ],
     )
     def test_bad_value_is_a_problem(self, override, problem):
@@ -283,6 +345,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1 and "config error: budgets.coverage_scope" in err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "override", ["model.api_key_env=3", 'adapter.shell.timeout_grace="x"']
+    )
+    def test_value_that_would_crash_run_is_a_config_error(self, capsys, tmp_path, override):
+        raw = json.loads((DEMO_DIR / "config.json").read_text())
+        raw["model"] = {"backend": "http", "endpoint": "http://127.0.0.1:9", "model": "m"}
+        raw["adapter"] = {"shell": {"compile_cmd": "true", "fuzz_cmd": "true",
+                                    "coverage_out": "cov.json"}}
+        raw["target"].update(docs_bundle=str(DEMO_DIR / "docs.json"),
+                             source_root=str(DEMO_DIR / "src"),
+                             facts=str(DEMO_DIR / "facts.json"))
+        raw["output_dir"] = str(tmp_path / "runs")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        code = main(["run", str(path), "--set", override])
+        err = capsys.readouterr().err
+        assert code == 1 and "config error: " + override.split("=")[0] in err
+        assert "Traceback" not in err and not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command", ["run", "validate", "tools"])
     def test_missing_config_file(self, capsys, tmp_path, command):

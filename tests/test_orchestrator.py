@@ -414,6 +414,13 @@ class TestTermination:
         assert manifest["outcome"] == "model_failed"
         assert manifest["rounds"] == []
         assert manifest["transitions"][-1] == "failed"
+        assert manifest["error"].startswith("MODEL_PROTOCOL: GEN gave no parseable answer")
+
+    def test_wall_budget_spent_before_the_first_fuzz(self, demo_config):
+        manifest = run_demo(demo_config, "scripts/happy.json", ["budgets.wall_seconds=1e-9"])
+        assert manifest["outcome"] == "budget_exhausted" and "error" not in manifest
+        assert manifest["transitions"][-2:] == ["compile", "done"]
+        assert manifest["rounds"] == []
 
     def test_crash_reporting(self, demo_config):
         manifest = run_demo(demo_config, "scripts/crash.json")
@@ -589,6 +596,18 @@ class TestRunRecordFromTranscripts:
         assert cva["iterations"] == 1 and cva["tool_call_count"] == 1 and len(cva["steps"]) == 1
         assert accounting_row(manifest, "CVA")["iterations"] == "1"
         assert_accounting_from_transcripts(manifest, config)
+
+    def test_round_cut_in_cva_keeps_its_row(self, demo_config, tmp_path):
+        turns = json.loads((DEMO_DIR / "scripts" / "happy.json").read_text())["turns"]
+        cut = tmp_path / "cut.json"
+        cut.write_text(json.dumps({"turns": turns[:4]}))  # ends in CVA's first round
+        config = demo_config(str(cut))
+        manifest = run_workflow(TargetSpec.from_config(config), config)
+        assert (Path(manifest["run_dir"]) / "coverage" / "r0.json").is_file()
+        (row,) = manifest["rounds"]
+        assert row["round"] == 0 and row["decision"] == "model_failed"
+        assert row["line_percent"] > 0 and row["executions"] > 0
+        assert manifest["transitions"][-3:] == ["fuzz", "analyze", "failed"]
 
     @pytest.mark.parametrize("name", sorted(DEMO_SCENARIOS))
     def test_timings_cover_the_phases_entered(self, demo_config, name):
