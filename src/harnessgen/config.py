@@ -92,8 +92,9 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Config:
 def validate_config(config: Config) -> list[str]:
     """All violations found in the config, empty when valid.
 
-    A valid config's budgets have their JSON types, and the run reads them
-    without coercion.
+    This is the one check of a config: `run`, `tools` and `validate` call
+    it before set-up, and set-up reads what it passed without checking
+    again, budgets included, which it reads without coercion.
     """
     problems: list[str] = []
     for key in ("library_name", "target_class", "target_method"):
@@ -115,10 +116,9 @@ def validate_config(config: Config) -> list[str]:
         else:
             _check_path(config, "model.script", script, problems, want_file=True)
     else:
-        if not config.model.get("endpoint"):
-            problems.append("model.endpoint is required for the http backend")
-        if not config.model.get("model"):
-            problems.append("model.model is required for the http backend")
+        for key in ("endpoint", "model"):
+            if not (isinstance(config.model.get(key), str) and config.model[key]):
+                problems.append(f"model.{key} must be a non-empty string for the http backend")
     for key in ("rate_in", "rate_out"):
         if not _number(config.model.get(key, 0.0)) >= 0:
             problems.append(f"model.{key} must be a number >= 0")
@@ -137,6 +137,14 @@ def validate_config(config: Config) -> list[str]:
     for key in ("compile_cmd", "fuzz_cmd", "coverage_out", "diagnostic_pattern"):
         if key in shell and not isinstance(shell[key], str):
             problems.append(f"adapter.shell.{key} must be a string: {shell[key]!r}")
+        elif shell and key != "diagnostic_pattern" and not shell.get(key):
+            problems.append(f"adapter.shell.{key} is required with the shell adapter")
+    pattern = shell.get("diagnostic_pattern")
+    if isinstance(pattern, str):
+        try:
+            re.compile(pattern)
+        except (re.error, OverflowError, RecursionError) as exc:  # a huge count, deep nesting
+            problems.append(f"adapter.shell.diagnostic_pattern does not compile: {exc}")
     grace = shell.get("timeout_grace", 0.0)
     if not _number(grace) >= 0:
         problems.append(f"adapter.shell.timeout_grace must be a number >= 0: {grace!r}")
@@ -168,6 +176,8 @@ def validate_config(config: Config) -> list[str]:
         value = config.target.get(key)
         if value:
             _check_path(config, f"target.{key}", value, problems)
+        elif shell:
+            problems.append(f"target.{key} is required with the shell adapter")
     if not isinstance(config.output_dir, str):
         problems.append("output_dir must be a string")
     return problems

@@ -121,8 +121,6 @@ class SandboxSpec:
 
 def load_sandbox(spec_path: str | Path) -> "SandboxAdapter":
     spec_path = Path(spec_path)
-    if not spec_path.is_file():
-        raise EngineError("CONFIG", f"sandbox spec not found: {spec_path}")
     with json_input(spec_path, "sandbox spec") as raw:
         return SandboxAdapter(_parse_spec(raw, spec_path))
 
@@ -145,49 +143,56 @@ def _parse_spec(raw: dict, spec_path: Path) -> SandboxSpec:
     compile_rules = [
         CompileRule(
             pattern=r["pattern"],
-            when=r.get("when", "present"),
+            when=_field(r, "when", f"compile rule {i}"),
             diagnostic=Diagnostic(
                 file=r["diagnostic"].get("file", "harness"),
-                line=int(r["diagnostic"].get("line", 1)),
+                line=_field(r["diagnostic"], "line", f"compile rule {i}"),
                 message=r["diagnostic"].get("message", "compile rule fired"),
-                severity=r["diagnostic"].get("severity", "error"),
+                severity=_field(r["diagnostic"], "severity", f"compile rule {i}"),
             ),
         )
-        for r in raw.get("compile_rules", [])
+        for i, r in enumerate(raw.get("compile_rules", []))
     ]
     coverage_rules = [
         CoverageRule(
             pattern=r["pattern"],
-            in_window=bool(r.get("in_window", True)),
+            in_window=_field(r, "in_window", f"coverage rule {i}"),
             methods={
-                mid: (_fraction(v, "line_fraction", mid), _fraction(v, "branch_fraction", mid))
+                mid: (_field(v, "line_fraction", mid), _field(v, "branch_fraction", mid))
                 for mid, v in r.get("methods", {}).items()
             },
         )
-        for r in raw.get("coverage_rules", [])
+        for i, r in enumerate(raw.get("coverage_rules", []))
     ]
     crash_rules = [
         CrashRule(pattern=r["pattern"], summary=r["summary"]) for r in raw.get("crash_rules", [])
     ]
     return SandboxSpec(
-        docs_bundle=paths["docs_bundle"],
-        source_root=paths["source_root"],
-        facts=paths["facts"],
-        method_totals=totals,
-        compile_rules=compile_rules,
-        coverage_rules=coverage_rules,
-        crash_rules=crash_rules,
+        **paths, method_totals=totals, compile_rules=compile_rules,
+        coverage_rules=coverage_rules, crash_rules=crash_rules,
     )
 
 
-def _fraction(fractions: dict, key: str, mid: str) -> float:
-    """A coverage rule's `key` fraction of `mid` (0 if unset): a JSON number
-    in [0, 1], else ValueError, which the spec's loader turns into PARSE
-    naming the spec."""
-    value = fractions.get(key, 0.0)
-    if type(value) not in (int, float) or not 0 <= value <= 1:
-        raise ValueError(f"{key} of {mid}: {value!r} is not a number in [0, 1]")
-    return float(value)
+# a rule field -> (its value when unset, what it must be, the check of that)
+_FRACTION = (0.0, "a number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
+_RULE_FIELDS = {
+    "when": ("present", "present or absent", lambda v: v in ("present", "absent")),
+    "line": (1, "a JSON integer >= 1", lambda v: type(v) is int and v >= 1),
+    "severity": ("error", "error or warning", lambda v: v in ("error", "warning")),
+    "in_window": (True, "a JSON bool", lambda v: type(v) is bool),
+    "line_fraction": _FRACTION,
+    "branch_fraction": _FRACTION,
+}
+
+
+def _field(fields: dict, key: str, owner: str):
+    """`owner`'s rule field `key`, checked against `_RULE_FIELDS`; a bad value
+    is ValueError, which the spec's loader turns into PARSE naming the spec."""
+    default, want, valid = _RULE_FIELDS[key]
+    value = fields.get(key, default)
+    if not valid(value):
+        raise ValueError(f"{key} of {owner}: {value!r} is not {want}")
+    return value
 
 
 class SandboxAdapter:
@@ -302,24 +307,20 @@ def _run_shell(cmd: str, timeout: float | None) -> subprocess.CompletedProcess:
 class ShellAdapter:
     """Delegates compile/fuzz to configured shell commands.
 
-    Config keys: compile_cmd, fuzz_cmd (with {harness} and {duration}
+    `config` is an `adapter.shell` that `config.validate_config` passed,
+    read as it is: compile_cmd, fuzz_cmd (with {harness} and {duration}
     placeholders), diagnostic_pattern (regex with file/line/message groups),
     coverage_out (path the fuzz command writes), timeout_grace.
     """
 
     def __init__(self, config: dict, base_dir: str | Path = ".") -> None:
-        for key in ("compile_cmd", "fuzz_cmd", "coverage_out"):
-            if key not in config:
-                raise EngineError("CONFIG", f"shell adapter missing config key: {key}")
         self.compile_cmd = config["compile_cmd"]
         self.fuzz_cmd = config["fuzz_cmd"]
         self.coverage_out = Path(base_dir) / config["coverage_out"]
-        self.timeout_grace = float(config.get("timeout_grace", DEFAULT_TIMEOUT_GRACE))
-        pattern = config.get("diagnostic_pattern", r"(?P<file>[^:\s]+):(?P<line>\d+):\s*(?P<message>.+)")
-        try:
-            self.diagnostic_pattern = re.compile(pattern)
-        except re.error as exc:
-            raise EngineError("CONFIG", f"invalid diagnostic_pattern: {exc}") from exc
+        self.timeout_grace = config.get("timeout_grace", DEFAULT_TIMEOUT_GRACE)
+        self.diagnostic_pattern = re.compile(
+            config.get("diagnostic_pattern", r"(?P<file>[^:\s]+):(?P<line>\d+):\s*(?P<message>.+)")
+        )
 
     def _write_harness(self, harness: HarnessArtifact) -> str:
         handle = tempfile.NamedTemporaryFile(

@@ -266,7 +266,7 @@ class HttpBackend(ModelBackend):
     def _parse(self, body: dict) -> ModelTurn:
         try:
             choice = body["choices"][0]["message"]
-            usage = body.get("usage", {})
+            usage = {} if body.get("usage") is None else body["usage"]  # null reads as absent
             calls = []
             for tc in choice.get("tool_calls") or []:
                 fn = tc["function"]
@@ -282,7 +282,8 @@ class HttpBackend(ModelBackend):
                     tokens_out=int(usage.get("completion_tokens", 0)),
                 ),
             )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+            # a body of the wrong shape: the request succeeded, so it is not retried
             raise EngineError("MODEL_PROTOCOL", f"malformed model response: {exc}") from exc
 
     def complete(self, conversation: Conversation, available_tools: list[ToolDescriptor]) -> ModelTurn:

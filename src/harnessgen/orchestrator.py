@@ -11,10 +11,11 @@ outcome.
 from __future__ import annotations
 
 import json
+import os
 import time
 import traceback
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -92,13 +93,7 @@ class TargetSpec:
 
     @classmethod
     def from_config(cls, config: Config) -> "TargetSpec":
-        t = config.target
-        return cls(
-            library_name=t.get("library_name", ""),
-            library_version=t.get("library_version", ""),
-            target_class=t.get("target_class", ""),
-            target_method=t.get("target_method", ""),
-        )
+        return cls(**{f.name: config.target.get(f.name, "") for f in fields(cls)})
 
 
 @dataclass
@@ -259,9 +254,9 @@ SETUP_STEPS = ("adapter", "docs", "code", "callgraph")
 def build_services(config: Config, target: TargetSpec) -> Services:
     """Build the adapter, indexes, callgraph and tool registry a run uses.
 
-    The docs, source and facts paths come from `target.*` when set, else
-    from the sandbox spec; the shell adapter requires the `target.*` paths.
-    `setup` records the wall seconds of each of `SETUP_STEPS` and the
+    `config` is one that `config.validate_config` passed. The docs, source
+    and facts paths come from `target.*` when set, else from the sandbox
+    spec. `setup` records the wall seconds of each of `SETUP_STEPS` and the
     warnings of the code index, one per source file it skipped.
     """
     marks = [time.monotonic()]
@@ -269,16 +264,12 @@ def build_services(config: Config, target: TargetSpec) -> Services:
     if config.adapter.get("sandbox_spec"):
         adapter = load_sandbox(config.resolve(config.adapter["sandbox_spec"]))
         paths = {key: getattr(adapter.spec, key) for key in keys}
-    elif config.adapter.get("shell"):
+    else:
         adapter = ShellAdapter(config.adapter["shell"], base_dir=config.base_dir)
         paths = {}
-    else:
-        raise EngineError("CONFIG", "no adapter configured")
     for key in keys:
         if config.target.get(key):
             paths[key] = config.resolve(config.target[key])
-        elif key not in paths:
-            raise EngineError("CONFIG", f"target.{key} is required with the shell adapter")
     marks.append(time.monotonic())
     docs = DocsIndex.from_file(paths["docs_bundle"])
     marks.append(time.monotonic())
@@ -326,17 +317,12 @@ class WorkflowRunner:
 
     def _setup_backend(self) -> None:
         config = self.config
-        backend_kind = config.model.get("backend", "scripted")
-        if backend_kind == "scripted":
+        if config.model["backend"] == "scripted":
             self.backend = load_script(config.resolve(config.model["script"]))
         else:
-            import os
-
             key_env = config.model.get("api_key_env", "HARNESSGEN_API_KEY")
             self.backend = HttpBackend(
-                endpoint=config.model["endpoint"],
-                model=config.model["model"],
-                api_key=os.environ.get(key_env),
+                config.model["endpoint"], config.model["model"], os.environ.get(key_env)
             )
         self.profiles = {
             role: AgentProfile.default(role, config.max_iterations(role))
@@ -376,11 +362,11 @@ class WorkflowRunner:
         (coverage / f"r{round_index}.json").write_text(json.dumps(raw), encoding="utf-8")
 
     def _toolchain(self, fn, *args, **kwargs):
-        """An adapter call; its errors but the timeouts become ToolchainError."""
+        """An adapter call; an error whose code OUTCOME_OF_ERROR lacks becomes ToolchainError."""
         try:
             return fn(*args, **kwargs)
         except EngineError as exc:
-            if exc.code in ("FUZZ_TIMEOUT", "COMPILE_TIMEOUT"):
+            if exc.code in OUTCOME_OF_ERROR:
                 raise
             raise ToolchainError(exc.code, exc.message) from exc
 

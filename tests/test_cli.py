@@ -192,9 +192,10 @@ def outcome_of(site: str, fault: BaseException) -> str:
         return "internal_error"
     if fault.code in ("FUZZ_TIMEOUT", "COMPILE_TIMEOUT"):
         return "budget_exhausted"
-    if site != "complete":  # adapter errors are toolchain errors
-        return "toolchain_failed"
-    return "compile_failed" if fault.code == "COMPILE_FAILED" else "model_failed"
+    if fault.code == "COMPILE_FAILED":  # from any site, as the run maps the code itself
+        return "compile_failed"
+    # any other adapter error is a toolchain error
+    return "toolchain_failed" if site != "complete" else "model_failed"
 
 
 fault_points = st.sampled_from(sorted(FAULT_SITES)).flatmap(

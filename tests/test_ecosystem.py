@@ -36,7 +36,7 @@ class TestLoadSandbox:
     def test_missing_file(self, tmp_path):
         with pytest.raises(EngineError) as exc:
             load_sandbox(tmp_path / "nope.json")
-        assert exc.value.code == "CONFIG"
+        assert exc.value.code == "IO" and "sandbox spec not found" in exc.value.message
 
     def test_missing_reference(self, tmp_path, demo_dir):
         raw = json.loads((demo_dir / "sandbox.json").read_text())
@@ -392,13 +392,3 @@ class TestShellAdapter:
         while not _gone_or_zombie(pid):
             assert time.monotonic() < deadline, f"background sleep {pid} outlived the timeout"
             time.sleep(0.05)
-
-    def test_missing_config_key(self, shell_dir):
-        with pytest.raises(EngineError) as exc:
-            ShellAdapter({"compile_cmd": "x"}, base_dir=shell_dir)
-        assert exc.value.code == "CONFIG"
-
-    def test_invalid_diagnostic_pattern(self, shell_dir):
-        with pytest.raises(EngineError) as exc:
-            self._adapter(shell_dir, diagnostic_pattern="(unclosed")
-        assert exc.value.code == "CONFIG"

@@ -266,6 +266,91 @@ class TestSpecFractions:
         assert rule.methods["toylib.Token.of(String)"] == (float(value), 0.5)
 
 
+class TestSpecRuleFields:
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("compile_rules", 0, "when"), "Absent"),
+            (("compile_rules", 0, "when"), None),
+            (("compile_rules", 1, "diagnostic", "severity"), "Error"),
+            (("compile_rules", 1, "diagnostic", "severity"), 1),
+            (("compile_rules", 1, "diagnostic", "line"), 2.7),
+            (("compile_rules", 1, "diagnostic", "line"), 0),
+            (("compile_rules", 1, "diagnostic", "line"), True),
+            (("compile_rules", 1, "diagnostic", "line"), "2"),
+            (("coverage_rules", 3, "in_window"), "false"),
+            (("coverage_rules", 3, "in_window"), 0),
+        ],
+    )
+    def test_bad_field_is_parse(self, tmp_path, path, value):
+        """A coerced field would change what a rule does: `"false"` would
+        count a rule inside the window, `"Error"` let a compile pass."""
+        def edit(spec):
+            *parents, last = path
+            reduce(getitem, parents, spec)[last] = value
+
+        spec_path = write_spec(tmp_path / "demo", edit)
+        with pytest.raises(EngineError) as exc:
+            load_sandbox(spec_path)
+        owner = f"{path[0][:-1].replace('_', ' ')} {path[1]}"
+        assert exc.value.code == "PARSE" and str(spec_path) in exc.value.message
+        assert f"{path[-1]} of {owner}: {value!r}" in exc.value.message
+
+    def test_good_fields_load(self, tmp_path):
+        def edit(spec):
+            spec["compile_rules"][1]["diagnostic"].update(line=5, severity="warning")
+            spec["compile_rules"][1]["when"] = "absent"
+            del spec["coverage_rules"][3]["in_window"]
+
+        spec = load_sandbox(write_spec(tmp_path / "demo", edit)).spec
+        rule = spec.compile_rules[1]
+        assert (rule.when, rule.diagnostic.line, rule.diagnostic.severity) == ("absent", 5, "warning")
+        assert spec.coverage_rules[3].in_window is True
+
+
+# a config override -> the start of the problem `validate_config` reports for it
+BAD_VALUES = [
+    ('target.target_method=["parse(String[])"]', "target.target_method must look like"),
+    ("model.script=3", "model.script must be a string"),
+    ("adapter.sandbox_spec=[1]", "adapter.sandbox_spec must be a string"),
+    ('target.facts={"a": 1}', "target.facts must be a string"),
+    ("output_dir=7", "output_dir must be a string"),
+    ("budgets.max_iterations=[1]", "budgets.max_iterations must be an object"),
+    ('budgets.max_iterations={"GEN": "x"}', "budgets.max_iterations.GEN must be >= 1"),
+    ("budgets.coverage_scope=method-targeted", "budgets.coverage_scope must be one of"),
+    ("model.rate_in=abc", "model.rate_in must be a number >= 0"),
+    ("budgets.depth_limit=1e999", "budgets.depth_limit must be a positive number"),
+    ("model.api_key_env=3", "model.api_key_env must be a string"),
+    ('adapter.shell.timeout_grace="x"', "adapter.shell.timeout_grace must be a number"),
+    ("adapter.shell=3", "adapter.shell must be an object"),
+    ("adapter.shell.coverage_out=3", "adapter.shell.coverage_out must be a string"),
+    ("budgets.depth_limit=2.7", "budgets.depth_limit must be a positive number"),
+    ("budgets.max_rounds=true", "budgets.max_rounds must be a positive number"),
+    ('budgets.max_patch_rounds="2"', "budgets.max_patch_rounds must be a positive"),
+    ('budgets.fuzz_seconds="5"', "budgets.fuzz_seconds must be a positive number"),
+    ("budgets.wall_seconds=false", "budgets.wall_seconds must be a positive number"),
+    ('budgets.max_iterations={"GEN": 2.5}', "budgets.max_iterations.GEN must be >= 1"),
+    ('budgets.max_iterations={"GEN": true}', "budgets.max_iterations.GEN must be >= 1"),
+    ("model.rate_out=true", "model.rate_out must be a number >= 0"),
+    ("budgets.max_round=1", "budgets has unknown key: max_round"),
+    ("budgets.large_library=true", "budgets has unknown key: large_library"),
+    # the shell adapter's keys, its pattern and its target paths, and the http backend
+    ('adapter.shell={"compile_cmd": "x"}', "adapter.shell.fuzz_cmd is required"),
+    ("adapter.shell.diagnostic_pattern=(unclosed",
+     "adapter.shell.diagnostic_pattern does not compile"),
+    ("adapter.shell.diagnostic_pattern=a{4294967296}",
+     "adapter.shell.diagnostic_pattern does not compile"),
+    pytest.param("adapter.shell.diagnostic_pattern=" + "(" * 1000 + ")" * 1000,
+                 "adapter.shell.diagnostic_pattern does not compile", id="pattern-nested-deep"),
+    ('adapter={"shell": {"compile_cmd": "true", "fuzz_cmd": "true", "coverage_out": "c.json"}}',
+     "target.docs_bundle is required with the shell adapter"),
+    ('model={"backend": "http", "endpoint": 3, "model": "m"}',
+     "model.endpoint must be a non-empty string"),
+    ('model={"backend": "http", "endpoint": "http://127.0.0.1:9", "model": ""}',
+     "model.model must be a non-empty string"),
+]
+
+
 class TestConfigShapes:
     @pytest.mark.parametrize("section", ["target", "model", "budgets", "adapter"])
     def test_section_not_an_object_is_parse(self, tmp_path, section):
@@ -284,35 +369,7 @@ class TestConfigShapes:
             load_config(path)
         assert exc.value.code == "PARSE"
 
-    @pytest.mark.parametrize(
-        "override, problem",
-        [
-            ('target.target_method=["parse(String[])"]', "target.target_method must look like"),
-            ("model.script=3", "model.script must be a string"),
-            ("adapter.sandbox_spec=[1]", "adapter.sandbox_spec must be a string"),
-            ('target.facts={"a": 1}', "target.facts must be a string"),
-            ("output_dir=7", "output_dir must be a string"),
-            ("budgets.max_iterations=[1]", "budgets.max_iterations must be an object"),
-            ('budgets.max_iterations={"GEN": "x"}', "budgets.max_iterations.GEN must be >= 1"),
-            ("budgets.coverage_scope=method-targeted", "budgets.coverage_scope must be one of"),
-            ("model.rate_in=abc", "model.rate_in must be a number >= 0"),
-            ("budgets.depth_limit=1e999", "budgets.depth_limit must be a positive number"),
-            ("model.api_key_env=3", "model.api_key_env must be a string"),
-            ('adapter.shell.timeout_grace="x"', "adapter.shell.timeout_grace must be a number"),
-            ("adapter.shell=3", "adapter.shell must be an object"),
-            ("adapter.shell.coverage_out=3", "adapter.shell.coverage_out must be a string"),
-            ("budgets.depth_limit=2.7", "budgets.depth_limit must be a positive number"),
-            ("budgets.max_rounds=true", "budgets.max_rounds must be a positive number"),
-            ('budgets.max_patch_rounds="2"', "budgets.max_patch_rounds must be a positive"),
-            ('budgets.fuzz_seconds="5"', "budgets.fuzz_seconds must be a positive number"),
-            ("budgets.wall_seconds=false", "budgets.wall_seconds must be a positive number"),
-            ('budgets.max_iterations={"GEN": 2.5}', "budgets.max_iterations.GEN must be >= 1"),
-            ('budgets.max_iterations={"GEN": true}', "budgets.max_iterations.GEN must be >= 1"),
-            ("model.rate_out=true", "model.rate_out must be a number >= 0"),
-            ("budgets.max_round=1", "budgets has unknown key: max_round"),
-            ("budgets.large_library=true", "budgets has unknown key: large_library"),
-        ],
-    )
+    @pytest.mark.parametrize("override, problem", BAD_VALUES)
     def test_bad_value_is_a_problem(self, override, problem):
         problems = validate_config(load_config(DEMO_DIR / "config.json", [override]))
         assert any(p.startswith(problem) for p in problems), problems
@@ -346,9 +403,19 @@ class TestCli:
         assert code == 1 and "config error: budgets.coverage_scope" in err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize(
-        "override", ["model.api_key_env=3", 'adapter.shell.timeout_grace="x"']
-    )
+    # an override of a valid shell and http config -> the key its config
+    # error names; `validate` once passed each, and set-up or the run failed
+    CRASHING = {
+        "model.api_key_env=3": "model.api_key_env",
+        'adapter.shell.timeout_grace="x"': "adapter.shell.timeout_grace",
+        'adapter.shell={"compile_cmd": "true", "coverage_out": "cov.json"}':
+            "adapter.shell.fuzz_cmd",
+        'adapter.shell.diagnostic_pattern="("': "adapter.shell.diagnostic_pattern",
+        'target.docs_bundle=""': "target.docs_bundle",
+        "model.endpoint=3": "model.endpoint",
+    }
+
+    @pytest.mark.parametrize("override", list(CRASHING))
     def test_value_that_would_crash_run_is_a_config_error(self, capsys, tmp_path, override):
         raw = json.loads((DEMO_DIR / "config.json").read_text())
         raw["model"] = {"backend": "http", "endpoint": "http://127.0.0.1:9", "model": "m"}
@@ -362,10 +429,23 @@ class TestCli:
         path.write_text(json.dumps(raw))
         assert main(["validate", str(path)]) == 0
         capsys.readouterr()
-        code = main(["run", str(path), "--set", override])
-        err = capsys.readouterr().err
-        assert code == 1 and "config error: " + override.split("=")[0] in err
-        assert "Traceback" not in err and not (tmp_path / "runs").exists()
+        for argv in (["validate"], ["run"], ["tools", "--role", "CVA"]):
+            code = main([*argv, str(path), "--set", override])
+            err = capsys.readouterr().err
+            assert code == 1 and "config error: " + self.CRASHING[override] in err, argv
+            assert "Traceback" not in err and not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("override, problem", BAD_VALUES)
+    def test_run_refuses_what_validate_refuses(self, capsys, tmp_path, override, problem):
+        """`run` prints `validate`'s verdict, exits 1 and writes no run directory."""
+        argv = [str(DEMO_DIR / "config.json"),
+                "--set", f"output_dir={tmp_path / 'runs'}", "--set", override]
+        assert main(["validate", *argv]) == 1
+        verdict = capsys.readouterr().err
+        assert f"config error: {problem}" in verdict
+        assert main(["run", *argv]) == 1
+        assert capsys.readouterr().err == verdict
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command", ["run", "validate", "tools"])
     def test_missing_config_file(self, capsys, tmp_path, command):

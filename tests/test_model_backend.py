@@ -254,6 +254,36 @@ class TestHttpBackend:
         assert backend.complete(convo("q"), []).text == "later"
         assert sleeps == [1.0]
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"choices": [{"message": "x"}]},
+            {"choices": [{"message": {"content": "x"}}], "usage": []},
+            {"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": None}},
+            {"choices": [{"message": {"tool_calls": ["grep"]}}]},
+            {"choices": "x"},
+            ["choices"],
+        ],
+    )
+    def test_wrong_shape_is_protocol_error_sent_once(self, stub_server, body):
+        """A body of the wrong shape answers a request that succeeded: no retry."""
+        url, handler = stub_server
+        handler.responses = [(200, body), (200, good_completion("never"))]
+        sleeps: list[float] = []
+        with pytest.raises(EngineError) as exc:
+            HttpBackend(url, model="m", sleep=sleeps.append).complete(convo("q"), [])
+        assert exc.value.code == "MODEL_PROTOCOL"
+        assert len(handler.requests_seen) == 1 and sleeps == []
+
+    def test_null_usage_reads_as_absent(self, stub_server):
+        url, handler = stub_server
+        handler.responses = [(200, {**good_completion("answer"), "usage": None})]
+        sleeps: list[float] = []
+        turn = HttpBackend(url, model="m", sleep=sleeps.append).complete(convo("q"), [])
+        assert turn.text == "answer"
+        assert (turn.usage.tokens_in, turn.usage.tokens_out) == (0, 0)
+        assert len(handler.requests_seen) == 1 and sleeps == []
+
     def test_malformed_body_is_protocol_error_no_retry(self, stub_server):
         url, handler = stub_server
         handler.responses = [(200, {"choices": []})]
