@@ -12,14 +12,6 @@ from .errors import EngineError
 from .model_backend import Conversation, Message, ModelBackend
 from .toolbus import AgentRole, ToolRegistry
 
-DEFAULT_MAX_ITERATIONS = {
-    AgentRole.RSH: 25,
-    AgentRole.GEN: 8,
-    AgentRole.PAT: 10,
-    AgentRole.CVA: 25,
-    AgentRole.REF: 15,
-}
-
 REPORT_SECTIONS = (
     "Target Overview",
     "Initialization Requirements",
@@ -155,11 +147,11 @@ class AgentProfile:
     output_parser: object  # callable(str) -> parsed output
 
     @classmethod
-    def default(cls, role: AgentRole, max_iterations: int | None = None) -> "AgentProfile":
+    def default(cls, role: AgentRole, max_iterations: int) -> "AgentProfile":
         return cls(
             role=role,
             system_prompt=load_prompt(role),
-            max_iterations=max_iterations or DEFAULT_MAX_ITERATIONS[role],
+            max_iterations=max_iterations,
             output_parser=OUTPUT_PARSERS[role],
         )
 

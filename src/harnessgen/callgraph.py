@@ -20,21 +20,18 @@ DEFAULT_DEPTH_LIMIT = 10
 
 @dataclass(frozen=True)
 class CallFacts:
-    methods: dict[str, str]  # method id -> enclosing class
+    methods: dict[str, str]  # method id -> itself, the one string the calls share
     calls: tuple[tuple[str, str], ...]  # deduplicated (caller, callee)
 
 
 class CallGraphNode(NamedTuple):
     id: str
-    signature: str
-    enclosing_class: str
     depth: int
 
 
 @dataclass
 class CallGraph:
     root: str
-    depth_limit: int
     nodes: dict[str, CallGraphNode] = field(default_factory=dict)
     # sorted adjacency between the nodes, and the node ids of each depth in
     # id order, filled once by build(); do not mutate
@@ -50,23 +47,18 @@ class CallGraph:
         """Every in-graph call, made on first use; the engine walks `succ`."""
         return {(frm, to) for frm, callees in self.succ.items() for to in callees}
 
-    def successors(self, node_id: str) -> tuple[str, ...]:
-        return self.succ.get(node_id, ())
-
 
 def load_facts(path: str | Path) -> CallFacts:
     with json_input(path, "call facts file") as raw:
-        entries = raw.get("methods", [])
-        methods = {entry["id"]: entry.get("class", "") for entry in entries}
         # each id's one string: the decoder makes a new one per occurrence, and
         # the calls, the graph's edges and its adjacency would keep them all
-        ids = {entry["id"]: entry["id"] for entry in entries}
+        ids = {entry["id"]: entry["id"] for entry in raw.get("methods", [])}
         try:
             calls = [(ids[frm], ids[to]) for frm, to in raw.get("calls", [])]
         except KeyError as exc:
             raise EngineError("PARSE", f"call references unknown method id: {exc.args[0]}") from None
     # dict.fromkeys drops the repeats and keeps the first-seen order
-    return CallFacts(methods=methods, calls=tuple(dict.fromkeys(calls)))
+    return CallFacts(methods=ids, calls=tuple(dict.fromkeys(calls)))
 
 
 def build(facts: CallFacts, root: str, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> CallGraph:
@@ -87,12 +79,7 @@ def build(facts: CallFacts, root: str, depth_limit: int = DEFAULT_DEPTH_LIMIT) -
             if callee not in depths:
                 depths[callee] = depths[current] + 1
                 queue.append(callee)
-    graph = CallGraph(root=root, depth_limit=depth_limit)
-    methods = facts.methods
-    graph.nodes = {
-        mid: CallGraphNode(mid, mid.rpartition(".")[2] or mid, methods[mid], d)
-        for mid, d in depths.items()
-    }
+    graph = CallGraph(root, {mid: CallGraphNode(mid, d) for mid, d in depths.items()})
     # the search meets the depths in order: the last node met is the deepest
     deepest = next(reversed(depths.values()))
     by_depth: dict[int, list[str]] = {d: [] for d in range(deepest + 1)}
@@ -124,7 +111,7 @@ def reach_methods(graph: CallGraph, from_id: str, max_depth: int) -> list[dict]:
         current = queue.popleft()
         if rel[current] >= max_depth:
             continue
-        for callee in graph.successors(current):
+        for callee in graph.succ.get(current, ()):
             if callee not in rel:
                 rel[callee] = rel[current] + 1
                 queue.append(callee)
@@ -163,7 +150,7 @@ def path_to_method(graph: CallGraph, target: str) -> list[str]:
     current = graph.root
     while current != target:
         depth = nodes[current].depth + 1
-        for nxt in graph.successors(current):
+        for nxt in graph.succ.get(current, ()):
             if nxt in on_path and nodes[nxt].depth == depth:
                 break
         path.append(nxt)

@@ -235,18 +235,13 @@ class CodeIndex:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def build(
-        cls,
-        source_root: str | Path,
-        extensions: tuple[str, ...] = DEFAULT_EXTENSIONS,
-        warn=None,
-    ) -> "CodeIndex":
+    def build(cls, source_root: str | Path, warn=None) -> "CodeIndex":
         root = Path(source_root)
         if not root.is_dir():
             raise EngineError("IO", f"source root not found: {root}")
         units = []
         for file in sorted(root.rglob("*")):
-            if not file.is_file() or file.suffix not in extensions:
+            if not file.is_file() or file.suffix not in DEFAULT_EXTENSIONS:
                 continue
             rel = file.relative_to(root).as_posix()
             try:
@@ -312,7 +307,7 @@ class CodeIndex:
         if max_results <= 0:
             raise EngineError("BAD_ARGS", "max_results must be positive")
         if kind == "definition":
-            hits = self._definition_hits(query)
+            hits = [self._decl_hit(s) for s in self._matching_symbols(query)]
         elif kind == "refs":
             hits = self._ref_hits(query)
         elif kind == "symbol":
@@ -357,9 +352,6 @@ class CodeIndex:
             for s in self.symbols
             if s.name == name or (s.kind == "method" and s.name.split("(")[0] == name)
         ]
-
-    def _definition_hits(self, name: str) -> list[SearchHit]:
-        return [self._decl_hit(s) for s in self._matching_symbols(name)]
 
     def _ref_hits(self, name: str) -> list[SearchHit]:
         token = name.split("(")[0]

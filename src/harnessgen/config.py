@@ -26,6 +26,7 @@ DEFAULT_BUDGETS = {
     "wall_seconds": 3600.0,
     "fuzz_seconds": 60.0,
     "coverage_scope": "method_targeted",
+    "max_iterations": {"RSH": 25, "GEN": 8, "PAT": 10, "CVA": 25, "REF": 15},  # per role
 }
 _COUNT_BUDGETS = ("depth_limit", "max_rounds", "max_patch_rounds")  # JSON integers
 _SECONDS_BUDGETS = ("wall_seconds", "fuzz_seconds")  # JSON numbers
@@ -46,8 +47,8 @@ class Config:
     def budget(self, key: str):
         return self.budgets.get(key, DEFAULT_BUDGETS.get(key))
 
-    def max_iterations(self, role: AgentRole) -> int | None:
-        return self.budgets.get("max_iterations", {}).get(role.value)
+    def max_iterations(self, role: AgentRole) -> int:
+        return {**DEFAULT_BUDGETS["max_iterations"], **self.budget("max_iterations")}[role.value]
 
     def depth_limit(self) -> int:
         return self.budget("depth_limit")
@@ -142,14 +143,18 @@ def validate_config(config: Config) -> list[str]:
     pattern = shell.get("diagnostic_pattern")
     if isinstance(pattern, str):
         try:
-            re.compile(pattern)
+            groups = re.compile(pattern).groupindex
         except (re.error, OverflowError, RecursionError) as exc:  # a huge count, deep nesting
             problems.append(f"adapter.shell.diagnostic_pattern does not compile: {exc}")
+        else:
+            missing = [g for g in ("file", "line", "message") if g not in groups]
+            if missing:
+                problems.append(f"adapter.shell.diagnostic_pattern lacks groups: {', '.join(missing)}")
     grace = shell.get("timeout_grace", 0.0)
     if not _number(grace) >= 0:
         problems.append(f"adapter.shell.timeout_grace must be a number >= 0: {grace!r}")
 
-    for key in sorted(set(config.budgets) - set(DEFAULT_BUDGETS) - {"max_iterations"}):
+    for key in sorted(set(config.budgets) - set(DEFAULT_BUDGETS)):
         problems.append(f"budgets has unknown key: {key}")
     for key in _COUNT_BUDGETS:
         if not _number(config.budget(key), int) > 0:

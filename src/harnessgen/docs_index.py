@@ -52,44 +52,40 @@ def _parse_method(raw: dict, where: str) -> MethodDoc:
 
 def load_bundle(path: str | Path) -> tuple[PackageDoc, ...]:
     with json_input(path, "docs bundle") as raw:
-        return _parse_bundle(raw, path)
-
-
-def _parse_bundle(raw, path: str | Path) -> tuple[PackageDoc, ...]:
-    if not isinstance(raw, dict) or not isinstance(raw.get("packages", []), list):
-        raise EngineError("PARSE", f"{path}: top level must be an object with 'packages'")
-    packages = []
-    seen_pkgs: set[str] = set()
-    for p in raw.get("packages", []):
-        pname = p.get("name", "")
-        if not pname:
-            raise EngineError("PARSE", f"{path}: package missing name")
-        if pname in seen_pkgs:
-            raise EngineError("PARSE", f"{path}: duplicate package {pname}")
-        seen_pkgs.add(pname)
-        classes = []
-        seen_classes: set[str] = set()
-        for c in p.get("classes", []):
-            cname = c.get("name", "")
-            where = f"{path}: {pname}.{cname or '?'}"
-            if not cname:
-                raise EngineError("PARSE", f"{path}: class in {pname} missing name")
-            if cname in seen_classes:
-                raise EngineError("PARSE", f"{path}: duplicate class {pname}.{cname}")
-            seen_classes.add(cname)
-            methods = []
-            seen_sigs: set[str] = set()
-            for m in c.get("methods", []):
-                method = _parse_method(m, where)
-                if method.signature in seen_sigs:
-                    raise EngineError(
-                        "PARSE", f"{where}: duplicate method {method.signature}"
-                    )
-                seen_sigs.add(method.signature)
-                methods.append(method)
-            classes.append(ClassDoc(name=cname, doc=c.get("doc", ""), methods=tuple(methods)))
-        packages.append(PackageDoc(name=pname, doc=p.get("doc", ""), classes=tuple(classes)))
-    return tuple(packages)
+        if not isinstance(raw, dict) or not isinstance(raw.get("packages", []), list):
+            raise EngineError("PARSE", f"{path}: top level must be an object with 'packages'")
+        packages = []
+        seen_pkgs: set[str] = set()
+        for p in raw.get("packages", []):
+            pname = p.get("name", "")
+            if not pname:
+                raise EngineError("PARSE", f"{path}: package missing name")
+            if pname in seen_pkgs:
+                raise EngineError("PARSE", f"{path}: duplicate package {pname}")
+            seen_pkgs.add(pname)
+            classes = []
+            seen_classes: set[str] = set()
+            for c in p.get("classes", []):
+                cname = c.get("name", "")
+                where = f"{path}: {pname}.{cname or '?'}"
+                if not cname:
+                    raise EngineError("PARSE", f"{path}: class in {pname} missing name")
+                if cname in seen_classes:
+                    raise EngineError("PARSE", f"{path}: duplicate class {pname}.{cname}")
+                seen_classes.add(cname)
+                methods = []
+                seen_sigs: set[str] = set()
+                for m in c.get("methods", []):
+                    method = _parse_method(m, where)
+                    if method.signature in seen_sigs:
+                        raise EngineError(
+                            "PARSE", f"{where}: duplicate method {method.signature}"
+                        )
+                    seen_sigs.add(method.signature)
+                    methods.append(method)
+                classes.append(ClassDoc(name=cname, doc=c.get("doc", ""), methods=tuple(methods)))
+            packages.append(PackageDoc(name=pname, doc=p.get("doc", ""), classes=tuple(classes)))
+        return tuple(packages)
 
 
 class DocsIndex:

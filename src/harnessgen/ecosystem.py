@@ -142,7 +142,7 @@ def _parse_spec(raw: dict, spec_path: Path) -> SandboxSpec:
     check_counts(totals, "method_totals")
     compile_rules = [
         CompileRule(
-            pattern=r["pattern"],
+            pattern=_field(r, "pattern", f"compile rule {i}"),
             when=_field(r, "when", f"compile rule {i}"),
             diagnostic=Diagnostic(
                 file=r["diagnostic"].get("file", "harness"),
@@ -155,7 +155,7 @@ def _parse_spec(raw: dict, spec_path: Path) -> SandboxSpec:
     ]
     coverage_rules = [
         CoverageRule(
-            pattern=r["pattern"],
+            pattern=_field(r, "pattern", f"coverage rule {i}"),
             in_window=_field(r, "in_window", f"coverage rule {i}"),
             methods={
                 mid: (_field(v, "line_fraction", mid), _field(v, "branch_fraction", mid))
@@ -165,7 +165,8 @@ def _parse_spec(raw: dict, spec_path: Path) -> SandboxSpec:
         for i, r in enumerate(raw.get("coverage_rules", []))
     ]
     crash_rules = [
-        CrashRule(pattern=r["pattern"], summary=r["summary"]) for r in raw.get("crash_rules", [])
+        CrashRule(_field(r, "pattern", f"crash rule {i}"), _field(r, "summary", f"crash rule {i}"))
+        for i, r in enumerate(raw.get("crash_rules", []))
     ]
     return SandboxSpec(
         **paths, method_totals=totals, compile_rules=compile_rules,
@@ -173,9 +174,13 @@ def _parse_spec(raw: dict, spec_path: Path) -> SandboxSpec:
     )
 
 
-# a rule field -> (its value when unset, what it must be, the check of that)
+# a rule field -> (its value when unset, what it must be, the check of that);
+# a string field has no value when unset, so it is required
 _FRACTION = (0.0, "a number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
+_STRING = (None, "a string", lambda v: type(v) is str)
 _RULE_FIELDS = {
+    "pattern": _STRING,
+    "summary": _STRING,
     "when": ("present", "present or absent", lambda v: v in ("present", "absent")),
     "line": (1, "a JSON integer >= 1", lambda v: type(v) is int and v >= 1),
     "severity": ("error", "error or warning", lambda v: v in ("error", "warning")),
@@ -322,26 +327,30 @@ class ShellAdapter:
             config.get("diagnostic_pattern", r"(?P<file>[^:\s]+):(?P<line>\d+):\s*(?P<message>.+)")
         )
 
-    def _write_harness(self, harness: HarnessArtifact) -> str:
-        handle = tempfile.NamedTemporaryFile(
-            "w", suffix=".src", delete=False, encoding="utf-8"
-        )
+    def _run(
+        self, what: str, command: str, harness: HarnessArtifact, timeout: float | None,
+        timed_out, **fields,
+    ) -> subprocess.CompletedProcess:
+        """Run `command` with {harness} a temp file of the harness source and `fields`
+        for the rest; past `timeout` it raises `timed_out(exc)`, EXEC if it cannot start."""
+        handle = tempfile.NamedTemporaryFile("w", suffix=".src", delete=False, encoding="utf-8")
         with handle:
             handle.write(harness.source)
-        return handle.name
+        try:
+            return _run_shell(command.format(harness=handle.name, **fields), timeout)
+        except subprocess.TimeoutExpired as exc:
+            raise timed_out(exc) from exc
+        except OSError as exc:
+            raise EngineError("EXEC", f"{what} command failed to start: {exc}") from exc
+        finally:
+            Path(handle.name).unlink(missing_ok=True)
 
     def compile(self, harness: HarnessArtifact, timeout: float | None = None) -> CompileResult:
         """Run `compile_cmd`; past `timeout` seconds it fails with COMPILE_TIMEOUT."""
-        path = self._write_harness(harness)
-        cmd = self.compile_cmd.format(harness=path)
-        try:
-            proc = _run_shell(cmd, timeout)
-        except subprocess.TimeoutExpired as exc:
-            raise EngineError("COMPILE_TIMEOUT", f"compile command timed out: {exc}") from exc
-        except OSError as exc:
-            raise EngineError("EXEC", f"compile command failed to start: {exc}") from exc
-        finally:
-            Path(path).unlink(missing_ok=True)
+        proc = self._run(
+            "compile", self.compile_cmd, harness, timeout,
+            lambda exc: EngineError("COMPILE_TIMEOUT", f"compile command timed out: {exc}"),
+        )
         output = proc.stdout + proc.stderr
         diagnostics = tuple(
             Diagnostic(
@@ -365,19 +374,14 @@ class ShellAdapter:
             self.coverage_out.unlink(missing_ok=True)
         except OSError as exc:
             raise EngineError("EXEC", f"cannot remove old coverage file: {exc}") from exc
-        path = self._write_harness(harness)
-        cmd = self.fuzz_cmd.format(harness=path, duration=duration_seconds)
         started = time.monotonic()
-        try:
-            proc = _run_shell(cmd, duration_seconds + self.timeout_grace)
-        except subprocess.TimeoutExpired as exc:
-            raise EngineError(
+        proc = self._run(
+            "fuzz", self.fuzz_cmd, harness, duration_seconds + self.timeout_grace,
+            lambda exc: EngineError(
                 "FUZZ_TIMEOUT", f"fuzz command exceeded {duration_seconds}s plus grace: {exc}"
-            ) from exc
-        except OSError as exc:
-            raise EngineError("EXEC", f"fuzz command failed to start: {exc}") from exc
-        finally:
-            Path(path).unlink(missing_ok=True)
+            ),
+            duration=duration_seconds,
+        )
         if proc.returncode != 0:
             detail = proc.stderr.strip()[-300:]
             raise EngineError(

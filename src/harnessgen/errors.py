@@ -14,11 +14,11 @@ from pathlib import Path
 class EngineError(Exception):
     """Engine failure with a stable error code.
 
-    Codes in use include: NOT_FOUND, BAD_ARGS, AMBIGUOUS, PARSE, IO,
-    CONFIG, INDEX_EMPTY, ACCESS_DENIED, NOT_QUERYABLE, BACKEND_ERROR,
+    The codes in use: NOT_FOUND, BAD_ARGS, AMBIGUOUS, PARSE, IO, CONFIG,
+    INDEX_EMPTY, ACCESS_DENIED, NOT_QUERYABLE, BACKEND_ERROR,
     SCRIPT_MISMATCH, SCRIPT_EXHAUSTED, MODEL_UNAVAILABLE, MODEL_PROTOCOL,
     PARSE_NO_CODE, PARSE_EMPTY, TARGET_NOT_FOUND, COMPILE_FAILED,
-    FUZZ_TIMEOUT, EXEC.
+    COMPILE_TIMEOUT, FUZZ_TIMEOUT, EXEC.
     """
 
     def __init__(self, code: str, message: str) -> None:

@@ -192,6 +192,9 @@ def load_script(path: str | Path) -> ScriptedBackend:
     return ScriptedBackend(turns)
 
 
+MAX_ATTEMPTS = 3
+BACKOFF_SECONDS = 1.0  # before the first retry; doubled before each later one
+REQUEST_TIMEOUT = 120.0
 # request timeout and rate limit: the only client errors worth a retry
 _RETRYABLE_4XX = (408, 429)
 
@@ -204,22 +207,12 @@ class HttpBackend(ModelBackend):
     """
 
     def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: str | None = None,
-        max_attempts: int = 3,
-        backoff_seconds: float = 1.0,
-        sleep=time.sleep,
-        timeout: float = 120.0,
+        self, endpoint: str, model: str, api_key: str | None = None, sleep=time.sleep
     ) -> None:
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
-        self.max_attempts = max_attempts
-        self.backoff_seconds = backoff_seconds
         self.sleep = sleep
-        self.timeout = timeout
 
     def _payload(self, conversation: Conversation, tools: list[ToolDescriptor]) -> dict:
         messages = []
@@ -294,10 +287,10 @@ class HttpBackend(ModelBackend):
             headers["Authorization"] = f"Bearer {self.api_key}"
         payload = self._payload(conversation, available_tools)
         last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             try:
                 response = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                    self.endpoint, json=payload, headers=headers, timeout=REQUEST_TIMEOUT
                 )
                 status = response.status_code
                 if 400 <= status < 500 and status not in _RETRYABLE_4XX:
@@ -312,6 +305,6 @@ class HttpBackend(ModelBackend):
                 raise
             except Exception as exc:
                 last_error = exc
-                if attempt + 1 < self.max_attempts:
-                    self.sleep(self.backoff_seconds * (2**attempt))
+                if attempt + 1 < MAX_ATTEMPTS:
+                    self.sleep(BACKOFF_SECONDS * (2**attempt))
         raise EngineError("MODEL_UNAVAILABLE", f"transport failed after retries: {last_error}")

@@ -19,6 +19,8 @@ from .errors import EngineError
 DEFAULT_RESPONSE_BUDGET = 8000
 
 Scalar = str | int | float | bool
+# a declared parameter type -> the types that satisfy it; a bool satisfies none
+_ARG_TYPES = {"string": (str,), "integer": (int,), "number": (int, float)}
 
 
 class AgentRole(str, Enum):
@@ -157,10 +159,12 @@ class ToolRegistry:
             if spec.get("required", True) and name not in args:
                 return f"missing required argument: {name}"
         for name, value in args.items():
-            if name not in descriptor.param_schema:
+            spec = descriptor.param_schema.get(name)
+            if spec is None:
                 return f"unexpected argument: {name}"
-            if not isinstance(value, (str, int, float, bool)):
-                return f"argument {name} must be a scalar"
+            kind = spec.get("type", "string")
+            if type(value) not in _ARG_TYPES[kind]:
+                return f"argument {name} must be of type {kind}: {value!r}"
         return None
 
     def _truncate(self, content: str) -> ToolResponse:
@@ -199,23 +203,23 @@ def register_default_tools(registry: ToolRegistry, docs_index, code_index, graph
          lambda qualifier: code_index.get_code("class", qualifier)),
         ("find_definition", {**_param("symbol"), **_param("max_results", False, "integer")},
          "Declaration sites of a symbol",
-         lambda symbol, max_results=20: code_index.render_search("definition", symbol, int(max_results))),
+         lambda symbol, max_results=20: code_index.render_search("definition", symbol, max_results)),
         ("find_refs", {**_param("symbol"), **_param("max_results", False, "integer")},
          "References to a symbol outside its declaration",
-         lambda symbol, max_results=20: code_index.render_search("refs", symbol, int(max_results))),
+         lambda symbol, max_results=20: code_index.render_search("refs", symbol, max_results)),
         ("grep", {**_param("pattern"), **_param("max_results", False, "integer")},
          "Search source lines by literal or regex",
-         lambda pattern, max_results=20: code_index.render_search("text", pattern, int(max_results))),
+         lambda pattern, max_results=20: code_index.render_search("text", pattern, max_results)),
         ("find_symbol", {**_param("name"), **_param("max_results", False, "integer")},
          "Symbols whose name contains the query",
-         lambda name, max_results=20: code_index.render_search("symbol", name, int(max_results))),
+         lambda name, max_results=20: code_index.render_search("symbol", name, max_results)),
     ]
     cg_tools = [
         ("reach_methods", {**_param("from_id"), **_param("max_depth", False, "integer")},
          "Methods reachable from a node within a depth bound",
          lambda from_id, max_depth=10: "\n".join(
              f"{entry['relative_depth']} {entry['id']}"
-             for entry in callgraph.reach_methods(graph, from_id, int(max_depth))
+             for entry in callgraph.reach_methods(graph, from_id, max_depth)
          )),
         ("path_to_method", _param("target"), "Shortest call path from the root to a method",
          lambda target: " -> ".join(callgraph.path_to_method(graph, target))),

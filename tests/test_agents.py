@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from harnessgen.agents import (
     CORRECTIVE_PROMPT,
-    DEFAULT_MAX_ITERATIONS,
     REPORT_SECTIONS,
     AgentProfile,
     AgentTranscript,
@@ -19,6 +20,7 @@ from harnessgen.agents import (
     run_react,
 )
 from harnessgen.code_index import CodeIndex
+from harnessgen.config import Config
 from harnessgen.docs_index import DocsIndex
 from harnessgen.errors import EngineError
 from harnessgen.model_backend import ScriptTurn, ScriptedBackend
@@ -49,9 +51,10 @@ class TestPrompts:
             assert len(text) > 100
 
     def test_default_profiles(self):
-        for role in AgentRole:
-            profile = AgentProfile.default(role)
-            assert profile.max_iterations == DEFAULT_MAX_ITERATIONS[role]
+        config = Config(base_dir=Path("."), budgets={"max_iterations": {"GEN": 3}})
+        got = {r.value: AgentProfile.default(r, config.max_iterations(r)).max_iterations
+               for r in AgentRole}
+        assert got == {"RSH": 25, "GEN": 3, "PAT": 10, "CVA": 25, "REF": 15}
 
     def test_iteration_override(self):
         assert AgentProfile.default(AgentRole.GEN, max_iterations=3).max_iterations == 3

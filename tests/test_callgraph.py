@@ -21,7 +21,7 @@ from harnessgen.errors import EngineError
 
 
 def facts_from(methods: list[str], calls: list[tuple[str, str]]) -> CallFacts:
-    return CallFacts(methods={m: f"C.{m}" for m in methods}, calls=tuple(calls))
+    return CallFacts(methods={m: m for m in methods}, calls=tuple(calls))
 
 
 def oracle_depths(methods, calls, root, limit):
@@ -134,7 +134,7 @@ class TestBuild:
 
 class TestReach:
     def test_from_root_everything(self, graph):
-        reached = reach_methods(graph, graph.root, graph.depth_limit)
+        reached = reach_methods(graph, graph.root, 10)
         assert {r["id"] for r in reached} == set(graph.nodes)
 
     def test_leaf_only_itself(self, graph):
@@ -241,10 +241,8 @@ def test_queries_match_brute_force(instance, limit, max_depth, data):
 def old_load_facts(raw: dict) -> CallFacts:
     """`load_facts` after decoding, as it was before it built the pairs in
     one comprehension and dropped repeats with `dict.fromkeys`."""
-    methods: dict[str, str] = {}
     ids: dict[str, str] = {}
     for entry in raw.get("methods", []):
-        methods[entry["id"]] = entry.get("class", "")
         ids[entry["id"]] = entry["id"]
     calls: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
@@ -256,7 +254,7 @@ def old_load_facts(raw: dict) -> CallFacts:
         if pair not in seen:
             seen.add(pair)
             calls.append(pair)
-    return CallFacts(methods=methods, calls=tuple(calls))
+    return CallFacts(methods=ids, calls=tuple(calls))
 
 
 def old_build(facts: CallFacts, root: str, depth_limit: int) -> CallGraph:
@@ -275,14 +273,9 @@ def old_build(facts: CallFacts, root: str, depth_limit: int) -> CallGraph:
             if callee not in depths:
                 depths[callee] = depths[current] + 1
                 queue.append(callee)
-    graph = CallGraph(root=root, depth_limit=depth_limit)
+    graph = CallGraph(root=root)
     for method_id, depth in depths.items():
-        graph.nodes[method_id] = CallGraphNode(
-            id=method_id,
-            signature=method_id.rpartition(".")[2] or method_id,
-            enclosing_class=facts.methods[method_id],
-            depth=depth,
-        )
+        graph.nodes[method_id] = CallGraphNode(id=method_id, depth=depth)
         graph.by_depth.setdefault(depth, []).append(method_id)
     for ids in graph.by_depth.values():
         ids.sort()

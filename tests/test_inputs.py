@@ -280,6 +280,10 @@ class TestSpecRuleFields:
             (("compile_rules", 1, "diagnostic", "line"), "2"),
             (("coverage_rules", 3, "in_window"), "false"),
             (("coverage_rules", 3, "in_window"), 0),
+            (("compile_rules", 0, "pattern"), 3),
+            (("coverage_rules", 1, "pattern"), None),
+            (("crash_rules", 0, "pattern"), ["CRASH_NULL"]),
+            (("crash_rules", 2, "summary"), 5),
         ],
     )
     def test_bad_field_is_parse(self, tmp_path, path, value):
@@ -340,6 +344,10 @@ BAD_VALUES = [
      "adapter.shell.diagnostic_pattern does not compile"),
     ("adapter.shell.diagnostic_pattern=a{4294967296}",
      "adapter.shell.diagnostic_pattern does not compile"),
+    ("adapter.shell.diagnostic_pattern=x",
+     "adapter.shell.diagnostic_pattern lacks groups: file, line, message"),
+    (r"adapter.shell.diagnostic_pattern=(?P<file>\S+):(?P<line>\d+)",
+     "adapter.shell.diagnostic_pattern lacks groups: message"),
     pytest.param("adapter.shell.diagnostic_pattern=" + "(" * 1000 + ")" * 1000,
                  "adapter.shell.diagnostic_pattern does not compile", id="pattern-nested-deep"),
     ('adapter={"shell": {"compile_cmd": "true", "fuzz_cmd": "true", "coverage_out": "c.json"}}',
@@ -411,6 +419,7 @@ class TestCli:
         'adapter.shell={"compile_cmd": "true", "coverage_out": "cov.json"}':
             "adapter.shell.fuzz_cmd",
         'adapter.shell.diagnostic_pattern="("': "adapter.shell.diagnostic_pattern",
+        'adapter.shell.diagnostic_pattern="x"': "adapter.shell.diagnostic_pattern",
         'target.docs_bundle=""': "target.docs_bundle",
         "model.endpoint=3": "model.endpoint",
     }

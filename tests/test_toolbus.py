@@ -103,6 +103,26 @@ class TestDispatch:
         response = registry.dispatch(AgentRole.GEN, ToolRequest("grep", {}))
         assert response.error_code == "BAD_ARGS"
 
+    @pytest.mark.parametrize(
+        "tool, args, declared",
+        [
+            ("find_definition", {"symbol": "parse", "max_results": "abc"}, "integer"),
+            ("find_definition", {"symbol": "parse", "max_results": 2.9}, "integer"),
+            ("find_definition", {"symbol": "parse", "max_results": True}, "integer"),
+            ("grep", {"pattern": "parse", "max_results": None}, "integer"),
+            ("method_doc", {"qualifier": 5}, "string"),
+            ("list_classes", {"package": ["toylib"]}, "string"),
+        ],
+    )
+    def test_argument_of_the_wrong_type_is_bad_args(self, registry, tool, args, declared):
+        """An argument has the type its schema declares, the schema the HTTP
+        backend sends the model; nothing is coerced."""
+        name, value = list(args.items())[-1]
+        response = registry.dispatch(AgentRole.GEN, ToolRequest(tool, args))
+        assert (response.error_code, response.error_message) == (
+            "BAD_ARGS", f"argument {name} must be of type {declared}: {value!r}"
+        )
+
     def test_unknown_tool_not_found(self, registry):
         response = registry.dispatch(AgentRole.GEN, ToolRequest("bogus", {}))
         assert response.error_code == "NOT_FOUND"
