@@ -274,8 +274,7 @@ class AnnotatedCoverageView:
     The view holds the status of each hit node; every other node is
     uncovered, and its entry is made from the graph and the report's totals
     table when it is read. So merging, percent and diff cost what the round
-    hit, and `ranked` what is read. `groups`, `entries()`, `node_ids()` and
-    `unmatched_ids` are built on first use.
+    hit, and `ranked` what is read.
     """
 
     def __init__(
@@ -303,20 +302,6 @@ class AnnotatedCoverageView:
         return ViewEntry(node=self.graph.nodes[mid], status=status, counters=counters)
 
     @cached_property
-    def groups(self) -> dict[int, tuple[ViewEntry, ...]]:
-        """Entries per depth, by id."""
-        status = self.hit_status
-        return {
-            depth: tuple(self._entry(mid, status.get(mid, STATUS_UNCOVERED)) for mid in ids)
-            for depth, ids in sorted(self.graph.by_depth.items())
-        }
-
-    @cached_property
-    def unmatched_ids(self) -> tuple[str, ...]:
-        """Methods of the totals table outside the graph, hit or not."""
-        return tuple(sorted(set(self.report.totals) - self.graph.nodes.keys()))
-
-    @cached_property
     def _hits_by_depth(self) -> dict[int, tuple[list[str], list[str]]]:
         """depth -> (partial ids, covered ids), each by id."""
         ranked: dict[int, tuple[list[str], list[str]]] = {}
@@ -331,15 +316,13 @@ class AnnotatedCoverageView:
         return ranked
 
     def entries(self) -> list[ViewEntry]:
-        return [e for depth in sorted(self.groups) for e in self.groups[depth]]
-
-    def node_ids(self) -> set[str]:
-        return set(self.graph.nodes)
-
-    def status_of(self, method_id: str) -> str:
-        if method_id not in self.graph.nodes:
-            raise EngineError("NOT_FOUND", f"method not in view: {method_id}")
-        return self.hit_status.get(method_id, STATUS_UNCOVERED)
+        """Every node's entry, shallow first, by id within a depth."""
+        status = self.hit_status
+        return [
+            self._entry(mid, status.get(mid, STATUS_UNCOVERED))
+            for depth in self.depths()
+            for mid in self.graph.by_depth[depth]
+        ]
 
     def depths(self) -> list[int]:
         return sorted(self.graph.by_depth)

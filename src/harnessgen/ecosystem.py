@@ -84,6 +84,17 @@ def _pattern_matches(pattern: str, text: str) -> bool:
     return pattern in text
 
 
+def _valid_pattern(value) -> bool:
+    """A string; one that starts with '^' must compile as `_pattern_matches` reads it."""
+    if type(value) is not str or not value.startswith("^"):
+        return type(value) is str
+    try:
+        re.compile(value, flags=re.MULTILINE)
+    except (re.error, OverflowError, RecursionError):  # a huge count, deep nesting
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class CompileRule:
     pattern: str
@@ -177,10 +188,10 @@ def _parse_spec(raw: dict, spec_path: Path) -> SandboxSpec:
 # a rule field -> (its value when unset, what it must be, the check of that);
 # a string field has no value when unset, so it is required
 _FRACTION = (0.0, "a number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
-_STRING = (None, "a string", lambda v: type(v) is str)
 _RULE_FIELDS = {
-    "pattern": _STRING,
-    "summary": _STRING,
+    "pattern": (None, "a string that compiles as a regular expression if it starts with ^",
+                _valid_pattern),
+    "summary": (None, "a string", lambda v: type(v) is str),
     "when": ("present", "present or absent", lambda v: v in ("present", "absent")),
     "line": (1, "a JSON integer >= 1", lambda v: type(v) is int and v >= 1),
     "severity": ("error", "error or warning", lambda v: v in ("error", "warning")),
@@ -351,17 +362,25 @@ class ShellAdapter:
             "compile", self.compile_cmd, harness, timeout,
             lambda exc: EngineError("COMPILE_TIMEOUT", f"compile command timed out: {exc}"),
         )
-        output = proc.stdout + proc.stderr
+        severity = "error" if proc.returncode != 0 else "warning"
         diagnostics = tuple(
-            Diagnostic(
-                file=m.group("file"),
-                line=int(m.group("line")),
-                message=m.group("message").strip(),
-                severity="error" if proc.returncode != 0 else "warning",
-            )
-            for m in self.diagnostic_pattern.finditer(output)
+            self._diagnostic(m, severity)
+            for m in self.diagnostic_pattern.finditer(proc.stdout + proc.stderr)
         )
         return CompileResult(success=proc.returncode == 0, diagnostics=diagnostics)
+
+    def _diagnostic(self, match: re.Match, severity: str) -> Diagnostic:
+        """A `diagnostic_pattern` match; PARSE unless every group took part
+        and `line` is an integer."""
+        groups = match.group("file", "line", "message")
+        if None not in groups:
+            with contextlib.suppress(ValueError):
+                return Diagnostic(groups[0], int(groups[1]), groups[2].strip(), severity)
+        raise EngineError(
+            "PARSE",
+            f"diagnostic_pattern {self.diagnostic_pattern.pattern!r} matched {match.group(0)!r}"
+            " without an integer line, a file and a message",
+        )
 
     def fuzz(
         self,

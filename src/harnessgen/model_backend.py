@@ -232,28 +232,7 @@ class HttpBackend(ModelBackend):
         return {
             "model": self.model,
             "messages": messages,
-            "tools": [
-                {
-                    "type": "function",
-                    "function": {
-                        "name": d.name,
-                        "description": d.description,
-                        "parameters": {
-                            "type": "object",
-                            "properties": {
-                                name: {"type": spec.get("type", "string")}
-                                for name, spec in d.param_schema.items()
-                            },
-                            "required": [
-                                name
-                                for name, spec in d.param_schema.items()
-                                if spec.get("required", True)
-                            ],
-                        },
-                    },
-                }
-                for d in tools
-            ],
+            "tools": [{"type": "function", "function": d.json_schema()} for d in tools],
         }
 
     def _parse(self, body: dict) -> ModelTurn:

@@ -279,7 +279,7 @@ def build_services(config: Config, target: TargetSpec) -> Services:
     facts = cg.load_facts(paths["facts"])
     graph = cg.build(facts, _resolve_root(facts, target), config.depth_limit())
     marks.append(time.monotonic())
-    registry = register_default_tools(ToolRegistry(), docs, code, graph, adapter)
+    registry = register_default_tools(ToolRegistry(), docs, code, graph)
     seconds = {step: end - start for step, start, end in zip(SETUP_STEPS, marks, marks[1:])}
     return Services(
         adapter, docs, code, graph, registry, {"seconds": seconds, "warnings": warnings}
@@ -516,7 +516,9 @@ class WorkflowRunner:
             state.rows.append(row)
 
             state.transition("analyze")
-            decision = self._analyze(view, fuzz)
+            # CVA's and REF's seeds share the round's one rendering
+            view_text = render_annotated_view(view, self.registry.response_budget)
+            decision = self._analyze(view, view_text, fuzz)
             row.decision = decision.decision
             state.prev_view = view
             if decision.decision == "stop":
@@ -529,7 +531,7 @@ class WorkflowRunner:
                 ("current harness", state.harness.source),
                 ("priority methods", "\n".join(decision.priority_methods)),
                 ("strategy", decision.strategy or decision.rationale),
-                ("coverage view", render_annotated_view(view, self.registry.response_budget)),
+                ("coverage view", view_text),
             ]
             refined = self._run_agent(AgentRole.REF, ref_seed, state.round, f"REF-r{state.round}")
             self._save_harness(refined)
@@ -542,11 +544,11 @@ class WorkflowRunner:
             state.harness = refined
             state.seen_hashes.add(refined.normalized_hash)
 
-    def _analyze(self, view: AnnotatedCoverageView, fuzz) -> TerminationDecision:
+    def _analyze(self, view: AnnotatedCoverageView, view_text: str, fuzz) -> TerminationDecision:
         state = self.state
         budget = self.registry.response_budget
         seed = [
-            ("coverage view (grouped by call depth)", render_annotated_view(view, budget)),
+            ("coverage view (grouped by call depth)", view_text),
             ("current harness", state.harness.source),
         ]
         if state.prev_view is not None:

@@ -44,6 +44,20 @@ class ToolDescriptor:
     param_schema: Mapping[str, Mapping[str, Any]]  # param -> {"type", "required"}
     description: str
 
+    def json_schema(self) -> dict[str, Any]:
+        """The function schema a model is offered: a parameter's type is
+        `string` and it is required unless its spec says otherwise."""
+        params = self.param_schema.items()
+        return {
+            "name": self.name,
+            "description": self.description,
+            "parameters": {
+                "type": "object",
+                "properties": {name: {"type": spec.get("type", "string")} for name, spec in params},
+                "required": [name for name, spec in params if spec.get("required", True)],
+            },
+        }
+
 
 @dataclass(frozen=True)
 class ToolRequest:
@@ -77,7 +91,7 @@ def _error(code: str, message: str) -> ToolResponse:
 
 
 # Per-tool access rows for the non-uniform tools; docs/code tools are
-# allowed for every role.
+# allowed for every role, and a role a row does not name is denied.
 _RESTRICTED_ACCESS: dict[str, dict[AgentRole, AccessLevel]] = {
     "reach_methods": {AgentRole.CVA: AccessLevel.STATIC_ONLY},
     "path_to_method": {AgentRole.CVA: AccessLevel.ALLOWED},
@@ -86,29 +100,30 @@ _RESTRICTED_ACCESS: dict[str, dict[AgentRole, AccessLevel]] = {
 }
 
 
-def default_access(tool: str, category: str, role: AgentRole) -> AccessLevel:
-    if category in ("docs", "code"):
-        return AccessLevel.ALLOWED
-    return _RESTRICTED_ACCESS.get(tool, {}).get(role, AccessLevel.DENIED)
-
-
 class ToolRegistry:
     """Immutable-after-construction registry of tools plus ACL."""
 
     def __init__(self, response_budget: int = DEFAULT_RESPONSE_BUDGET) -> None:
         self._descriptors: dict[str, ToolDescriptor] = {}
-        self._handlers: dict[str, Callable[..., str]] = {}
+        self._handlers: dict[str, Callable[..., str] | None] = {}
         self._access: dict[str, dict[AgentRole, AccessLevel]] = {}
+        self._params: dict[str, dict[str, Any]] = {}  # tool -> its json_schema() parameters
         self.response_budget = response_budget
 
-    def register(self, descriptor: ToolDescriptor, handler: Callable[..., str]) -> None:
-        if descriptor.name in self._descriptors:
-            raise EngineError("CONFIG", f"tool already registered: {descriptor.name}")
-        self._descriptors[descriptor.name] = descriptor
-        self._handlers[descriptor.name] = handler
-        self._access[descriptor.name] = {
-            role: default_access(descriptor.name, descriptor.category, role) for role in AgentRole
+    def register(self, descriptor: ToolDescriptor, handler: Callable[..., str] | None) -> None:
+        """Add a tool with its access row; one that no role may call needs no handler."""
+        name = descriptor.name
+        if name in self._descriptors:
+            raise EngineError("CONFIG", f"tool already registered: {name}")
+        restricted = _RESTRICTED_ACCESS.get(name, {})
+        self._descriptors[name] = descriptor
+        self._handlers[name] = handler
+        self._access[name] = {
+            role: AccessLevel.ALLOWED if descriptor.category in ("docs", "code")
+            else restricted.get(role, AccessLevel.DENIED)
+            for role in AgentRole
         }
+        self._params[name] = descriptor.json_schema()["parameters"]
 
     @property
     def descriptors(self) -> list[ToolDescriptor]:
@@ -120,18 +135,15 @@ class ToolRegistry:
         return self._access[tool][role]
 
     def list_tools(self, role: AgentRole) -> list[ToolDescriptor]:
-        """Descriptors visible to a role (allowed or static_only)."""
+        """The tools a role is offered: those it may call."""
         return [
-            d
-            for d in self._descriptors.values()
-            if self._access[d.name][role] is not AccessLevel.DENIED
+            d for d in self._descriptors.values() if self._access[d.name][role] is AccessLevel.ALLOWED
         ]
 
     def dispatch(self, role: AgentRole, request: ToolRequest) -> ToolResponse:
         """Execute a tool request for a role; errors come back as responses."""
         try:
-            descriptor = self._descriptors.get(request.tool)
-            if descriptor is None:
+            if request.tool not in self._descriptors:
                 return _error("NOT_FOUND", f"unknown tool: {request.tool}")
             level = self._access[request.tool][role]
             if level is AccessLevel.DENIED:
@@ -141,7 +153,7 @@ class ToolRegistry:
                     "NOT_QUERYABLE",
                     f"{request.tool} is invoked by the orchestrator, not queryable",
                 )
-            problem = self._validate_args(descriptor, request.args)
+            problem = self._validate_args(self._params[request.tool], request.args)
             if problem:
                 return _error("BAD_ARGS", problem)
             content = self._handlers[request.tool](**dict(request.args))
@@ -154,17 +166,17 @@ class ToolRegistry:
             return _error("BACKEND_ERROR", f"{type(exc).__name__}: {exc}")
 
     @staticmethod
-    def _validate_args(descriptor: ToolDescriptor, args: Mapping[str, Scalar]) -> str | None:
-        for name, spec in descriptor.param_schema.items():
-            if spec.get("required", True) and name not in args:
+    def _validate_args(params: Mapping[str, Any], args: Mapping[str, Scalar]) -> str | None:
+        """What is wrong with `args` against a tool's `json_schema()` parameters, or None."""
+        for name in params["required"]:
+            if name not in args:
                 return f"missing required argument: {name}"
         for name, value in args.items():
-            spec = descriptor.param_schema.get(name)
+            spec = params["properties"].get(name)
             if spec is None:
                 return f"unexpected argument: {name}"
-            kind = spec.get("type", "string")
-            if type(value) not in _ARG_TYPES[kind]:
-                return f"argument {name} must be of type {kind}: {value!r}"
+            if type(value) not in _ARG_TYPES[spec["type"]]:
+                return f"argument {name} must be of type {spec['type']}: {value!r}"
         return None
 
     def _truncate(self, content: str) -> ToolResponse:
@@ -180,8 +192,10 @@ def _param(name: str, required: bool = True, type_: str = "string") -> dict[str,
     return {name: {"type": type_, "required": required}}
 
 
-def register_default_tools(registry: ToolRegistry, docs_index, code_index, graph, ecosystem) -> ToolRegistry:
-    """Register the standard 16 tools against the four backing services."""
+def register_default_tools(registry: ToolRegistry, docs_index, code_index, graph) -> ToolRegistry:
+    """Register the standard 16 tools against the docs, code and callgraph
+    services. The orchestrator invokes `reach_methods`, `compile` and `fuzz`
+    itself, and no role may call them, so they have no handler."""
     docs_tools = [
         ("method_doc", _param("qualifier"), "Documentation for a method signature",
          lambda qualifier: docs_index.query_doc("method", qualifier)),
@@ -216,20 +230,14 @@ def register_default_tools(registry: ToolRegistry, docs_index, code_index, graph
     ]
     cg_tools = [
         ("reach_methods", {**_param("from_id"), **_param("max_depth", False, "integer")},
-         "Methods reachable from a node within a depth bound",
-         lambda from_id, max_depth=10: "\n".join(
-             f"{entry['relative_depth']} {entry['id']}"
-             for entry in callgraph.reach_methods(graph, from_id, max_depth)
-         )),
+         "Methods reachable from a node within a depth bound", None),
         ("path_to_method", _param("target"), "Shortest call path from the root to a method",
          lambda target: " -> ".join(callgraph.path_to_method(graph, target))),
     ]
     exec_tools = [
-        ("compile", _param("harness"), "Compile a harness (orchestrator-invoked)",
-         lambda harness: ecosystem.compile(harness)),
+        ("compile", _param("harness"), "Compile a harness (orchestrator-invoked)", None),
         ("fuzz", {**_param("harness"), **_param("duration_seconds", True, "number")},
-         "Run a fuzzing campaign (orchestrator-invoked)",
-         lambda harness, duration_seconds: ecosystem.fuzz(harness, duration_seconds)),
+         "Run a fuzzing campaign (orchestrator-invoked)", None),
     ]
     groups = [
         ("docs", docs_tools),

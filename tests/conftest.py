@@ -57,9 +57,8 @@ def sandbox():
 
 
 @pytest.fixture()
-def registry(docs_index, code_index, graph, sandbox) -> ToolRegistry:
-    reg = ToolRegistry()
-    return register_default_tools(reg, docs_index, code_index, graph, sandbox)
+def registry(docs_index, code_index, graph) -> ToolRegistry:
+    return register_default_tools(ToolRegistry(), docs_index, code_index, graph)
 
 
 @pytest.fixture()

@@ -106,6 +106,18 @@ class TestRun:
         assert manifest["error"] == "EXEC: fuzz command exited with status 7: boom"
         assert manifest["transitions"][-2:] == ["fuzz", "failed"]
 
+    def test_unreadable_diagnostic_is_toolchain_failed(self, capsys, tmp_path):
+        path = write_shell_config(
+            tmp_path, compile_cmd="echo 'f.java:abc: boom'; exit 1", fuzz_cmd="true",
+            diagnostic_pattern=r"(?P<file>[^:]+):(?P<line>\w+):\s*(?P<message>.+)",
+        )
+        code, out, _ = run_cli(capsys, "run", str(path))
+        assert code == 2 and "outcome: toolchain_failed" in out
+        manifest = json.loads(open(f"{out.splitlines()[0]}/manifest.json").read())
+        assert manifest["error"].startswith("PARSE: diagnostic_pattern ")
+        assert "matched 'f.java:abc: boom'" in manifest["error"]
+        assert manifest["transitions"][-2:] == ["compile", "failed"]
+
     def test_compile_timeout_is_budget_exhausted(self, capsys, tmp_path):
         path = write_shell_config(
             tmp_path, compile_cmd="sleep 5", fuzz_cmd="true", wall_seconds=0.5

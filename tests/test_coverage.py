@@ -268,20 +268,20 @@ class TestMergedView:
         graph = small_graph()
         report = CoverageReport(scope="full", methods=(mk("x", 4, 4), mk("y", 4, 2)))
         view = merge_with_callgraph(report, graph)
-        assert sorted(view.groups) == [0, 1, 2]
-        assert [e.node.id for e in view.groups[1]] == ["x", "y"]
-        assert view.status_of("x") == "covered"
-        assert view.status_of("y") == "partial"
-        assert view.status_of("r") == "uncovered" and view.status_of("z") == "uncovered"
+        assert [(e.node.depth, e.node.id, e.status) for e in view.entries()] == [
+            (0, "r", "uncovered"), (1, "x", "covered"), (1, "y", "partial"), (2, "z", "uncovered")
+        ]
 
-    def test_unmatched_ids_reported(self):
+    def test_unmatched_hits_reported(self):
         report = CoverageReport(scope="full", methods=(mk("stranger", 2, 1),))
         view = merge_with_callgraph(report, small_graph())
-        assert view.unmatched_ids == ("stranger",)
+        assert view.unmatched_hits == ("stranger",)
 
     def test_toylib_view_covers_all_nodes(self, graph):
         view = merge_with_callgraph(CoverageReport(scope="full"), graph)
-        assert view.node_ids() == set(graph.nodes)
+        assert [e.node.id for e in view.entries()] == sorted(
+            graph.nodes, key=lambda mid: (graph.nodes[mid].depth, mid)
+        )
         assert all(e.status == "uncovered" for e in view.entries())
 
 
@@ -571,7 +571,7 @@ class TestRunEvents:
 
 def old_diff_views(prev: AnnotatedCoverageView, curr: AnnotatedCoverageView) -> ViewDiff:
     """`diff_views` as it was before it built each status dict once."""
-    if prev.root != curr.root or prev.node_ids() != curr.node_ids():
+    if prev.root != curr.root or prev.graph.nodes.keys() != curr.graph.nodes.keys():
         raise EngineError("BAD_ARGS", "views cover different node sets")
     prev_status = {e.node.id: e.status for e in prev.entries()}
     curr_status = {e.node.id: e.status for e in curr.entries()}
@@ -656,7 +656,6 @@ class OldView:
 
     root: str
     groups: dict
-    unmatched_ids: tuple = ()
 
     def entries(self):
         return [e for depth in sorted(self.groups) for e in self.groups[depth]]
@@ -680,7 +679,6 @@ def old_merge_with_callgraph(report: CoverageReport, graph) -> OldView:
             depth: tuple(sorted(entries, key=lambda e: e.node.id))
             for depth, entries in groups.items()
         },
-        unmatched_ids=tuple(sorted(set(by_id) - set(graph.nodes))),
     )
 
 
@@ -831,13 +829,11 @@ class TestSparseEquivalence:
         for report in reports + reports[::-1]:  # the graph meets each table more than once
             view, old = merge_with_callgraph(report, graph), old_merge_with_callgraph(report, graph)
             assert view.root == old.root
-            assert view.groups == old.groups
             assert view.entries() == old.entries()
-            assert view.node_ids() == old.node_ids()
-            assert view.unmatched_ids == old.unmatched_ids
+            assert view.graph.nodes.keys() == old.node_ids()
             assert list(view.unmatched_hits) == unmatched_hit_oracle(report, graph)
             for entry in old.entries():
-                assert view.status_of(entry.node.id) == entry.status
+                assert view.hit_status.get(entry.node.id, "uncovered") == entry.status
             for metric in ("line", "branch"):
                 assert coverage_percent(view, metric) == old_coverage_percent(old, metric)
                 assert coverage_percent(report, metric) == old_coverage_percent(report, metric)

@@ -318,6 +318,22 @@ class TestShellAdapter:
         diag = result.errors()[0]
         assert (diag.file, diag.line, diag.message) == ("f", 3, "boom")
 
+    @pytest.mark.parametrize(
+        "pattern, output",
+        [
+            (r"(?P<file>[^:]+):(?P<line>\w+):\s*(?P<message>.+)", "f.java:abc: boom"),
+            (r"(?P<file>[^:]+):(?:(?P<line>\d+)|x):\s*(?P<message>.+)", "f.java:x: boom"),
+            (r"(?P<file>[^:]+):(?P<line>\d+):(?:(?P<message>\w.*)|!)", "f.java:3:!"),
+        ],
+    )
+    def test_diagnostic_without_integer_line_or_message_is_parse(self, shell_dir, pattern, output):
+        (shell_dir / "diag.sh").write_text(f"#!/bin/sh\necho '{output}'\nexit 1\n")
+        adapter = self._adapter(shell_dir, compile_script="diag.sh", diagnostic_pattern=pattern)
+        with pytest.raises(EngineError) as exc:
+            adapter.compile(make_harness(BASE))
+        assert exc.value.code == "PARSE"
+        assert f"{pattern!r} matched {output!r}" in exc.value.message
+
     def test_fuzz_reads_coverage_out(self, shell_dir):
         result = self._adapter(shell_dir).fuzz(make_harness(BASE), 1)
         assert isinstance(result.coverage, CoverageReport)

@@ -284,6 +284,9 @@ class TestSpecRuleFields:
             (("coverage_rules", 1, "pattern"), None),
             (("crash_rules", 0, "pattern"), ["CRASH_NULL"]),
             (("crash_rules", 2, "summary"), 5),
+            (("compile_rules", 0, "pattern"), "^("),
+            (("coverage_rules", 1, "pattern"), "^a{5,3}"),
+            (("crash_rules", 0, "pattern"), "^x{4294967296}"),
         ],
     )
     def test_bad_field_is_parse(self, tmp_path, path, value):
@@ -400,6 +403,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("run failed: PARSE") and "Traceback" not in err
+
+    def test_run_with_a_bad_rule_regex_fails_in_setup(self, capsys, tmp_path):
+        def edit(spec):
+            spec["compile_rules"][0]["pattern"] = "^("
+
+        spec = write_spec(tmp_path / "demo", edit)
+        code = main(["run", str(spec.parent / "config.json"),
+                     "--set", f"output_dir={tmp_path / 'runs'}"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"run failed: PARSE: {spec}: ValueError: pattern of ")
+        assert "compile rule 0: '^('" in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command", ["run", "validate", "tools"])
     def test_coverage_scope_typo_is_a_config_error(self, capsys, tmp_path, command):

@@ -293,3 +293,36 @@ class TestHttpBackend:
             backend.complete(convo("q"), [])
         assert exc.value.code == "MODEL_PROTOCOL"
         assert sleeps == []
+
+    def test_request_offers_each_role_the_tools_it_may_call(self, stub_server, registry):
+        """The `tools` a request carries are the role's allowed tools, each
+        entry as it was sent before static-only tools left the offer."""
+        url, handler = stub_server
+        handler.responses = [(200, good_completion())] * len(AgentRole)
+        backend = HttpBackend(url, model="m")
+        for role in AgentRole:
+            backend.complete(convo("q"), registry.list_tools(role))
+        shared = list(OFFERED_TOOL_ENTRIES)[:12]
+        for role, sent in zip(AgentRole, handler.requests_seen):
+            names = shared + ["path_to_method"] if role is AgentRole.CVA else shared
+            assert [json.dumps(entry) for entry in sent["tools"]] == [
+                OFFERED_TOOL_ENTRIES[name] for name in names
+            ], role
+
+
+# tool -> its `tools` entry in an HTTP request, as json.dumps writes it
+OFFERED_TOOL_ENTRIES = {
+    "method_doc": '{"type": "function", "function": {"name": "method_doc", "description": "Documentation for a method signature", "parameters": {"type": "object", "properties": {"qualifier": {"type": "string"}}, "required": ["qualifier"]}}}',
+    "class_doc": '{"type": "function", "function": {"name": "class_doc", "description": "Documentation for a class", "parameters": {"type": "object", "properties": {"qualifier": {"type": "string"}}, "required": ["qualifier"]}}}',
+    "package_doc": '{"type": "function", "function": {"name": "package_doc", "description": "Documentation for a package", "parameters": {"type": "object", "properties": {"qualifier": {"type": "string"}}, "required": ["qualifier"]}}}',
+    "list_packages": '{"type": "function", "function": {"name": "list_packages", "description": "List all documented packages", "parameters": {"type": "object", "properties": {}, "required": []}}}',
+    "list_classes": '{"type": "function", "function": {"name": "list_classes", "description": "List classes in a package", "parameters": {"type": "object", "properties": {"package": {"type": "string"}}, "required": ["package"]}}}',
+    "list_methods": '{"type": "function", "function": {"name": "list_methods", "description": "List method signatures of a class", "parameters": {"type": "object", "properties": {"class_name": {"type": "string"}}, "required": ["class_name"]}}}',
+    "get_method_code": '{"type": "function", "function": {"name": "get_method_code", "description": "Source snippet of a method", "parameters": {"type": "object", "properties": {"qualifier": {"type": "string"}}, "required": ["qualifier"]}}}',
+    "get_class_code": '{"type": "function", "function": {"name": "get_class_code", "description": "Source snippet of a class", "parameters": {"type": "object", "properties": {"qualifier": {"type": "string"}}, "required": ["qualifier"]}}}',
+    "find_definition": '{"type": "function", "function": {"name": "find_definition", "description": "Declaration sites of a symbol", "parameters": {"type": "object", "properties": {"symbol": {"type": "string"}, "max_results": {"type": "integer"}}, "required": ["symbol"]}}}',
+    "find_refs": '{"type": "function", "function": {"name": "find_refs", "description": "References to a symbol outside its declaration", "parameters": {"type": "object", "properties": {"symbol": {"type": "string"}, "max_results": {"type": "integer"}}, "required": ["symbol"]}}}',
+    "grep": '{"type": "function", "function": {"name": "grep", "description": "Search source lines by literal or regex", "parameters": {"type": "object", "properties": {"pattern": {"type": "string"}, "max_results": {"type": "integer"}}, "required": ["pattern"]}}}',
+    "find_symbol": '{"type": "function", "function": {"name": "find_symbol", "description": "Symbols whose name contains the query", "parameters": {"type": "object", "properties": {"name": {"type": "string"}, "max_results": {"type": "integer"}}, "required": ["name"]}}}',
+    "path_to_method": '{"type": "function", "function": {"name": "path_to_method", "description": "Shortest call path from the root to a method", "parameters": {"type": "object", "properties": {"target": {"type": "string"}}, "required": ["target"]}}}',
+}

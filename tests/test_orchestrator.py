@@ -103,12 +103,20 @@ COUNT_RE = re.compile(
 )
 
 
+def groups_of(view) -> dict[int, list]:
+    """The view's entries per depth, shallow first."""
+    groups: dict[int, list] = {}
+    for e in view.entries():
+        groups.setdefault(e.node.depth, []).append(e)
+    return groups
+
+
 def full_view(view) -> str:
     """The unbounded rendering: every depth, then every entry by status and id."""
     lines = []
-    for depth in sorted(view.groups):
+    for depth, entries in groups_of(view).items():
         lines.append(f"## depth {depth}")
-        for e in sorted(view.groups[depth], key=lambda e: (STATUSES.index(e.status), e.node.id)):
+        for e in sorted(entries, key=lambda e: (STATUSES.index(e.status), e.node.id)):
             c = e.counters
             lc, lt = (c.lines_covered, c.lines_total) if c else (0, 0)
             bc, bt = (c.branches_covered, c.branches_total) if c else (0, 0)
@@ -118,11 +126,11 @@ def full_view(view) -> str:
 
 def skeleton(view) -> str:
     lines = []
-    for depth in sorted(view.groups):
-        counts = Counter(e.status for e in view.groups[depth])
+    for depth, entries in groups_of(view).items():
+        counts = Counter(e.status for e in entries)
         lines.append(f"## depth {depth}")
         lines.append(
-            f"... {len(view.groups[depth])} more at depth {depth}: {counts['uncovered']} "
+            f"... {len(entries)} more at depth {depth}: {counts['uncovered']} "
             f"uncovered, {counts['partial']} partial, {counts['covered']} covered"
         )
     return "\n".join(lines)
@@ -160,7 +168,7 @@ class TestBoundedView:
         full_entries = [l for l in full.splitlines() if not l.startswith("## ")]
         shown = [l for l in out.splitlines() if not l.startswith(("## ", "... "))]
         assert shown == full_entries[: len(shown)]
-        seen = {depth: Counter() for depth in view.groups}
+        seen = {depth: Counter() for depth in groups_of(view)}
         depth = None
         for line in out.splitlines():
             if line.startswith("## depth "):
@@ -173,7 +181,7 @@ class TestBoundedView:
                 seen[depth].update(dict(zip(STATUSES, counts)))
             else:
                 seen[depth][line.split()[0]] += 1
-        for depth, entries in view.groups.items():
+        for depth, entries in groups_of(view).items():
             expected = Counter(e.status for e in entries)
             expected["header"] = 1
             assert +seen[depth] == +expected
@@ -190,7 +198,7 @@ class TestBoundedView:
         assert len(out) <= 8000
         assert out.startswith("## depth 0\n")
         assert [l for l in out.splitlines() if l.startswith("## ")] == [
-            f"## depth {d}" for d in sorted(view.groups)
+            f"## depth {d}" for d in groups_of(view)
         ]
 
 
@@ -234,6 +242,19 @@ class TestHappyPath:
             "research", "generate", "compile", "fuzz", "analyze",
             "refine", "compile", "fuzz", "analyze", "done",
         ]
+
+    def test_each_round_renders_its_view_once(self, demo_config, monkeypatch):
+        """CVA's seed and REF's seed share the round's one rendering."""
+        real = orchestrator.render_annotated_view
+        rendered = []
+
+        def render(view, budget):
+            rendered.append(real(view, budget))
+            return rendered[-1]
+
+        monkeypatch.setattr(orchestrator, "render_annotated_view", render)
+        manifest = run_demo(demo_config, "scripts/happy.json")
+        assert len(rendered) == len(manifest["rounds"]) == 2
 
     def test_accounting_table(self, demo_config):
         manifest = run_demo(demo_config, "scripts/happy.json")

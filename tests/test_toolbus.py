@@ -44,6 +44,18 @@ class TestRegistration:
             by_category[d.category] = by_category.get(d.category, 0) + 1
         assert by_category == {"docs": 6, "code": 6, "callgraph": 2, "exec": 2}
 
+    def test_json_schema_defaults_to_a_required_string(self):
+        schema = {"pattern": {}, "max_results": {"type": "integer", "required": False}}
+        assert ToolDescriptor("grep", "code", schema, "Search").json_schema() == {
+            "name": "grep",
+            "description": "Search",
+            "parameters": {
+                "type": "object",
+                "properties": {"pattern": {"type": "string"}, "max_results": {"type": "integer"}},
+                "required": ["pattern"],
+            },
+        }
+
     def test_duplicate_registration_rejected(self, registry):
         dup = ToolDescriptor("grep", "code", {}, "again")
         with pytest.raises(EngineError) as exc:
@@ -75,7 +87,20 @@ class TestAccessMatrix:
         rsh_names = {d.name for d in registry.list_tools(AgentRole.RSH)}
         assert rsh_names == set(DOCS_TOOLS + CODE_TOOLS)
         cva_names = {d.name for d in registry.list_tools(AgentRole.CVA)}
-        assert cva_names == set(DOCS_TOOLS + CODE_TOOLS + CG_TOOLS + ["fuzz"])
+        assert cva_names == set(DOCS_TOOLS + CODE_TOOLS + ["path_to_method"])
+
+    def test_offered_tools_are_the_callable_ones(self, registry):
+        """A role is offered exactly the tools it may call; a static-only or
+        denied tool has no handler and is refused as it always was."""
+        for role in AgentRole:
+            offered = [d.name for d in registry.list_tools(role)]
+            assert offered == [
+                t for t in ALL_TOOLS if expected_access(t, role) is AccessLevel.ALLOWED
+            ], role
+            for tool in ("reach_methods", "compile", "fuzz"):
+                static = expected_access(tool, role) is AccessLevel.STATIC_ONLY
+                response = registry.dispatch(role, ToolRequest(tool, {}))
+                assert response.error_code == ("NOT_QUERYABLE" if static else "ACCESS_DENIED")
 
 
 class TestDispatch:
