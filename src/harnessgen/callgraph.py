@@ -15,8 +15,6 @@ from typing import NamedTuple
 
 from .errors import EngineError, json_input
 
-DEFAULT_DEPTH_LIMIT = 10
-
 
 @dataclass(frozen=True)
 class CallFacts:
@@ -61,7 +59,7 @@ def load_facts(path: str | Path) -> CallFacts:
     return CallFacts(methods=ids, calls=tuple(dict.fromkeys(calls)))
 
 
-def build(facts: CallFacts, root: str, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> CallGraph:
+def build(facts: CallFacts, root: str, depth_limit: int) -> CallGraph:
     if root not in facts.methods:
         raise EngineError("NOT_FOUND", f"unknown root method: {root}")
     if depth_limit < 1:

@@ -32,8 +32,6 @@ from .coverage import (
 )
 from .errors import EngineError, json_input
 
-DEFAULT_TIMEOUT_GRACE = 5.0
-
 # Sandbox traces use one fixed recording window; rules marked
 # in_window=false emit their events before it opens.
 _WINDOW = (100.0, 200.0)
@@ -323,20 +321,18 @@ def _run_shell(cmd: str, timeout: float | None) -> subprocess.CompletedProcess:
 class ShellAdapter:
     """Delegates compile/fuzz to configured shell commands.
 
-    `config` is an `adapter.shell` that `config.validate_config` passed,
-    read as it is: compile_cmd, fuzz_cmd (with {harness} and {duration}
-    placeholders), diagnostic_pattern (regex with file/line/message groups),
-    coverage_out (path the fuzz command writes), timeout_grace.
+    `config` is an `adapter.shell` as `config.load_config` filled it in and
+    `config.validate_config` passed it: compile_cmd, fuzz_cmd (with {harness}
+    and {duration} placeholders), diagnostic_pattern (regex with file/line/
+    message groups), coverage_out (absolute, the fuzz command writes it), timeout_grace.
     """
 
-    def __init__(self, config: dict, base_dir: str | Path = ".") -> None:
+    def __init__(self, config: dict) -> None:
         self.compile_cmd = config["compile_cmd"]
         self.fuzz_cmd = config["fuzz_cmd"]
-        self.coverage_out = Path(base_dir) / config["coverage_out"]
-        self.timeout_grace = config.get("timeout_grace", DEFAULT_TIMEOUT_GRACE)
-        self.diagnostic_pattern = re.compile(
-            config.get("diagnostic_pattern", r"(?P<file>[^:\s]+):(?P<line>\d+):\s*(?P<message>.+)")
-        )
+        self.coverage_out = Path(config["coverage_out"])
+        self.timeout_grace = config["timeout_grace"]
+        self.diagnostic_pattern = re.compile(config["diagnostic_pattern"])
 
     def _run(
         self, what: str, command: str, harness: HarnessArtifact, timeout: float | None,

@@ -242,7 +242,8 @@ class HttpBackend(ModelBackend):
             calls = []
             for tc in choice.get("tool_calls") or []:
                 fn = tc["function"]
-                calls.append(ToolRequest(tool=fn["name"], args=json.loads(fn.get("arguments") or "{}")))
+                args = json.loads(fn.get("arguments") or "{}")
+                calls.append(ToolRequest.from_wire({"tool": fn["name"], "args": args}))
             text = choice.get("content")
             if text is None and not calls:
                 raise KeyError("empty completion")

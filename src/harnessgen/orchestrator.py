@@ -93,7 +93,7 @@ class TargetSpec:
 
     @classmethod
     def from_config(cls, config: Config) -> "TargetSpec":
-        return cls(**{f.name: config.target.get(f.name, "") for f in fields(cls)})
+        return cls(**{f.name: config.target[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -262,14 +262,12 @@ def build_services(config: Config, target: TargetSpec) -> Services:
     marks = [time.monotonic()]
     keys = ("docs_bundle", "source_root", "facts")
     if config.adapter.get("sandbox_spec"):
-        adapter = load_sandbox(config.resolve(config.adapter["sandbox_spec"]))
+        adapter = load_sandbox(config.adapter["sandbox_spec"])
         paths = {key: getattr(adapter.spec, key) for key in keys}
     else:
-        adapter = ShellAdapter(config.adapter["shell"], base_dir=config.base_dir)
+        adapter = ShellAdapter(config.adapter["shell"])
         paths = {}
-    for key in keys:
-        if config.target.get(key):
-            paths[key] = config.resolve(config.target[key])
+    paths.update((key, config.target[key]) for key in keys if config.target.get(key))
     marks.append(time.monotonic())
     docs = DocsIndex.from_file(paths["docs_bundle"])
     marks.append(time.monotonic())
@@ -318,14 +316,12 @@ class WorkflowRunner:
     def _setup_backend(self) -> None:
         config = self.config
         if config.model["backend"] == "scripted":
-            self.backend = load_script(config.resolve(config.model["script"]))
+            self.backend = load_script(config.model["script"])
         else:
-            key_env = config.model.get("api_key_env", "HARNESSGEN_API_KEY")
-            self.backend = HttpBackend(
-                config.model["endpoint"], config.model["model"], os.environ.get(key_env)
-            )
+            api_key = os.environ.get(config.model["api_key_env"])
+            self.backend = HttpBackend(config.model["endpoint"], config.model["model"], api_key)
         self.profiles = {
-            role: AgentProfile.default(role, config.max_iterations(role))
+            role: AgentProfile.default(role, config.budgets["max_iterations"][role.value])
             for role in AgentRole
         }
 
@@ -334,8 +330,7 @@ class WorkflowRunner:
             self.run_dir = Path(run_dir)
         else:
             stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%f")
-            base = self.config.resolve(self.config.output_dir)
-            self.run_dir = base / f"{stamp}-{self.target.library_name}"
+            self.run_dir = Path(self.config.output_dir) / f"{stamp}-{self.target.library_name}"
         for sub in ("harness", "transcripts", "coverage"):
             (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
         (self.run_dir / "setup.json").write_text(
@@ -371,7 +366,7 @@ class WorkflowRunner:
             raise ToolchainError(exc.code, exc.message) from exc
 
     def _wall_left(self) -> float:
-        return self.config.budget("wall_seconds") - (time.monotonic() - self._started)
+        return self.config.budgets["wall_seconds"] - (time.monotonic() - self._started)
 
     # -- agent steps --------------------------------------------------------
 
@@ -395,7 +390,7 @@ class WorkflowRunner:
 
     def compile_patch_loop(self, harness: HarnessArtifact, round_index: int) -> HarnessArtifact:
         """Compile; on errors let the patching agent retry up to the budget."""
-        max_patch_rounds = self.config.budget("max_patch_rounds")
+        max_patch_rounds = self.config.budgets["max_patch_rounds"]
         self.state.transition("compile")
         result: CompileResult = self._compile(harness)
         # a zero entry keeps the per-round '/' rendering aligned
@@ -472,9 +467,9 @@ class WorkflowRunner:
 
     def _run_phases(self) -> str:
         state = self.state
-        max_rounds = self.config.budget("max_rounds")
-        fuzz_seconds = float(self.config.budget("fuzz_seconds"))
-        scope = self.config.budget("coverage_scope")
+        max_rounds = self.config.budgets["max_rounds"]
+        fuzz_seconds = float(self.config.budgets["fuzz_seconds"])
+        scope = self.config.budgets["coverage_scope"]
 
         state.transition("research")
         research = self._run_agent(
@@ -489,11 +484,10 @@ class WorkflowRunner:
         harness = self._run_agent(AgentRole.GEN, gen_seed, 0, "GEN-r0")
         self._save_harness(harness)
 
-        harness = self.compile_patch_loop(harness, 0)
-        state.harness = harness
-        state.seen_hashes.add(harness.normalized_hash)
-
         while True:
+            # state.harness changes only once a harness compiles
+            state.harness = self.compile_patch_loop(harness, state.round)
+            state.seen_hashes.add(state.harness.normalized_hash)
             if self._wall_left() < 0:
                 return OUTCOME_BUDGET
             state.transition("fuzz")
@@ -533,16 +527,11 @@ class WorkflowRunner:
                 ("strategy", decision.strategy or decision.rationale),
                 ("coverage view", view_text),
             ]
-            refined = self._run_agent(AgentRole.REF, ref_seed, state.round, f"REF-r{state.round}")
-            self._save_harness(refined)
-            if refined.normalized_hash in state.seen_hashes:
-                state.transition("done")
+            harness = self._run_agent(AgentRole.REF, ref_seed, state.round, f"REF-r{state.round}")
+            self._save_harness(harness)
+            if harness.normalized_hash in state.seen_hashes:
                 return OUTCOME_CONVERGED
-
             state.round += 1
-            refined = self.compile_patch_loop(refined, state.round)
-            state.harness = refined
-            state.seen_hashes.add(refined.normalized_hash)
 
     def _analyze(self, view: AnnotatedCoverageView, view_text: str, fuzz) -> TerminationDecision:
         state = self.state
@@ -560,14 +549,12 @@ class WorkflowRunner:
         return self._run_agent(AgentRole.CVA, seed, state.round, f"CVA-r{state.round}")
 
     def _manifest(self, outcome: str, error_note: str | None) -> dict:
-        model = self.config.model
+        rates = (float(self.config.model[key]) for key in ("rate_in", "rate_out"))
         manifest = {
             "target": asdict(self.target),
             "outcome": outcome,
             "rounds": [asdict(row) for row in self.state.rows],
-            "accounting": summarize_usage(
-                self.usage, float(model.get("rate_in", 0.0)), float(model.get("rate_out", 0.0))
-            ),
+            "accounting": summarize_usage(self.usage, *rates),
             "transitions": list(self.state.transitions),
             "fuzz_timeout": (error_note or "").startswith("FUZZ_TIMEOUT:"),
             "timings": {k: round(v, 6) for k, v in self.state.timings.items()},

@@ -69,7 +69,11 @@ class ToolRequest:
 
     @classmethod
     def from_wire(cls, payload: Mapping[str, Any]) -> "ToolRequest":
-        return cls(tool=str(payload["tool"]), args=dict(payload.get("args", {})))
+        """A call as a script or a model sends it: ValueError unless a str tool, dict args."""
+        tool, args = payload["tool"], payload.get("args", {})
+        if not (isinstance(tool, str) and isinstance(args, dict)):
+            raise ValueError(f"tool call needs a str tool and dict args: {tool!r}, {args!r}")
+        return cls(tool=tool, args=dict(args))
 
 
 @dataclass(frozen=True)

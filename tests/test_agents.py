@@ -1,11 +1,10 @@
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import DEMO_DIR
 from harnessgen.agents import (
     CORRECTIVE_PROMPT,
     REPORT_SECTIONS,
@@ -20,7 +19,7 @@ from harnessgen.agents import (
     run_react,
 )
 from harnessgen.code_index import CodeIndex
-from harnessgen.config import Config
+from harnessgen.config import load_config
 from harnessgen.docs_index import DocsIndex
 from harnessgen.errors import EngineError
 from harnessgen.model_backend import ScriptTurn, ScriptedBackend
@@ -51,9 +50,9 @@ class TestPrompts:
             assert len(text) > 100
 
     def test_default_profiles(self):
-        config = Config(base_dir=Path("."), budgets={"max_iterations": {"GEN": 3}})
-        got = {r.value: AgentProfile.default(r, config.max_iterations(r)).max_iterations
-               for r in AgentRole}
+        config = load_config(DEMO_DIR / "config.json", ['budgets.max_iterations={"GEN": 3}'])
+        limits = config.budgets["max_iterations"]
+        got = {r.value: AgentProfile.default(r, limits[r.value]).max_iterations for r in AgentRole}
         assert got == {"RSH": 25, "GEN": 3, "PAT": 10, "CVA": 25, "REF": 15}
 
     def test_iteration_override(self):

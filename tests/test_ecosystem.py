@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from harnessgen.config import DEFAULTS
 from harnessgen.coverage import CoverageReport, RecordingTrace, TraceEvent, TraceRun
 from harnessgen.ecosystem import (
     _WINDOW,
@@ -301,12 +302,14 @@ def _gone_or_zombie(pid: int) -> bool:
 class TestShellAdapter:
     def _adapter(self, shell_dir, compile_script="ok_compile.sh", fuzz_script="fuzz.sh", **extra):
         config = {
+            **DEFAULTS["adapter.shell"],
             "compile_cmd": f"sh {shell_dir / compile_script} {{harness}}",
             "fuzz_cmd": f"sh {shell_dir / fuzz_script} {{harness}} {{duration}}",
             "coverage_out": "cov.json",
             **extra,
         }
-        return ShellAdapter(config, base_dir=shell_dir)
+        config["coverage_out"] = str(shell_dir / config["coverage_out"])
+        return ShellAdapter(config)
 
     def test_compile_success(self, shell_dir):
         result = self._adapter(shell_dir).compile(make_harness(BASE))

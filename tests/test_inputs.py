@@ -180,7 +180,15 @@ class TestScriptShapes:
 
 
     @pytest.mark.parametrize(
-        "raw", [{}, [{"text": "hello"}], {"turns": []}], ids=["empty", "bare-list", "no-turns"]
+        "raw",
+        [{}, [{"text": "hello"}], {"turns": []},
+         # a tool call is a string tool and an object of args: a pair list once
+         # passed for an object, and a tool of 3 for the tool "3"
+         *({"turns": [{"tool_calls": [call]}]} for call in (
+             {"tool": "grep", "args": [["pattern", "a"]]}, {"tool": "grep", "args": "x"},
+             {"tool": "grep", "args": [1]}, {"tool": 3, "args": {}}))],
+        ids=["empty", "bare-list", "no-turns",
+             "call-args-pairs", "call-args-string", "call-args-list", "call-tool-int"],
     )
     def test_script_without_turns_is_parse(self, capsys, tmp_path, raw):
         path = tmp_path / "script.json"

@@ -6,6 +6,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from conftest import DEMO_DIR
+from harnessgen.config import load_config
 from harnessgen.errors import EngineError
 from harnessgen.model_backend import (
     Conversation,
@@ -17,6 +19,7 @@ from harnessgen.model_backend import (
     load_script,
     summarize_usage,
 )
+from harnessgen.orchestrator import TargetSpec, run_workflow
 from harnessgen.toolbus import AgentRole, ToolRequest
 
 
@@ -263,6 +266,14 @@ class TestHttpBackend:
             {"choices": [{"message": {"tool_calls": ["grep"]}}]},
             {"choices": "x"},
             ["choices"],
+            # tool calls whose arguments decode to something other than an object
+            *(
+                {"choices": [{"message": {"tool_calls": [
+                    {"function": {"name": "grep", "arguments": arguments}}
+                ]}}]}
+                for arguments in ("[1]", '"s"', "3", '[["a", 1]]')
+            ),
+            {"choices": [{"message": {"tool_calls": [{"function": {"name": 3}}]}}]},
         ],
     )
     def test_wrong_shape_is_protocol_error_sent_once(self, stub_server, body):
@@ -308,6 +319,19 @@ class TestHttpBackend:
             assert [json.dumps(entry) for entry in sent["tools"]] == [
                 OFFERED_TOOL_ENTRIES[name] for name in names
             ], role
+
+    def test_run_on_a_tool_call_without_object_args_ends_model_failed(self, stub_server, tmp_path):
+        """The run stops at the first such turn, as for any malformed
+        response, and is not an internal error."""
+        url, handler = stub_server
+        call = {"function": {"name": "grep", "arguments": "[1]"}}
+        handler.responses = [(200, good_completion(None, tool_calls=[call]))]
+        model = {"backend": "http", "endpoint": url, "model": "m"}
+        config = load_config(DEMO_DIR / "config.json", [f"model={json.dumps(model)}"])
+        manifest = run_workflow(TargetSpec.from_config(config), config, run_dir=tmp_path / "run")
+        assert manifest["outcome"] == "model_failed"
+        assert manifest["error"].startswith("MODEL_PROTOCOL: malformed model response: ")
+        assert len(handler.requests_seen) == 1
 
 
 # tool -> its `tools` entry in an HTTP request, as json.dumps writes it
