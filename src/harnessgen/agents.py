@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from .errors import EngineError
-from .model_backend import Conversation, Message, ModelBackend
+from .model_backend import Message, ModelBackend
 from .toolbus import AgentRole, ToolRegistry
 
 REPORT_SECTIONS = (
@@ -215,17 +215,18 @@ def run_react(
     returns it, so a run that raises midway still holds every turn it was
     charged for.
     """
-    conversation = Conversation()
-    conversation.add(Message(role="system", content=profile.system_prompt))
     seed_text = "\n\n".join(f"[{label}]\n{text}" for label, text in seed_context)
-    conversation.add(Message(role="user", content=seed_text))
+    messages = [
+        Message(role="system", content=profile.system_prompt),
+        Message(role="user", content=seed_text),
+    ]
     tools = registry.list_tools(profile.role)
     if transcript is None:
         transcript = AgentTranscript(role=profile.role.value)
     corrective_used = False
 
     while transcript.iterations < profile.max_iterations:
-        turn = backend.complete(conversation, tools)
+        turn = backend.complete(messages, tools)
         step = TranscriptStep(
             text=turn.text,
             tool_calls=[call.to_wire() for call in turn.tool_calls],
@@ -233,7 +234,7 @@ def run_react(
             tokens_out=turn.usage.tokens_out,
         )
         transcript.steps.append(step)
-        conversation.add(Message(role="assistant", content=turn.text or "", tool_calls=turn.tool_calls))
+        messages.append(Message(role="assistant", content=turn.text or "", tool_calls=turn.tool_calls))
         if turn.tool_calls:
             for i, call in enumerate(turn.tool_calls):
                 response = registry.dispatch(profile.role, call)
@@ -243,7 +244,7 @@ def run_react(
                     if response.ok
                     else f"ERROR {response.error_code}: {response.error_message}"
                 )
-                conversation.add(
+                messages.append(
                     Message(role="tool", content=observation, tool_call_id=f"call_{i}")
                 )
             continue
@@ -252,7 +253,7 @@ def run_react(
         except EngineError as exc:
             if not corrective_used and transcript.iterations < profile.max_iterations:
                 corrective_used = True
-                conversation.add(Message(role="user", content=CORRECTIVE_PROMPT))
+                messages.append(Message(role="user", content=CORRECTIVE_PROMPT))
                 continue
             raise _no_answer(profile, transcript, f"; last turn: {exc}") from exc
         return AgentRunResult(transcript=transcript, parsed_output=parsed)

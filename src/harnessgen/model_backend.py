@@ -1,10 +1,9 @@
-"""Chat-with-tools backends plus token and cost accounting.
+"""The model client: chat messages, model turns and two backends.
 
 Two backends share one interface: a deterministic scripted backend that
 replays canned turns for tests, and an HTTP backend speaking a generic
-chat-completions-with-tools JSON layout. Each turn reports its token
-usage; `summarize_usage` turns per-agent, per-round sums of those turns,
-as the run's transcripts record them, into the manifest's accounting.
+chat-completions-with-tools JSON layout. Each turn reports the tokens it
+used; keeping count is the caller's business.
 """
 
 from __future__ import annotations
@@ -15,17 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import EngineError, json_input
-from .toolbus import AgentRole, ToolDescriptor, ToolRequest
-
-# Table row labels; the research role renders as RES in reports.
-ROLE_LABELS = {
-    AgentRole.RSH: "RES",
-    AgentRole.GEN: "GEN",
-    AgentRole.PAT: "PAT",
-    AgentRole.CVA: "CVA",
-    AgentRole.REF: "REF",
-}
-
+from .toolbus import ToolDescriptor, ToolRequest
 
 @dataclass
 class Message:
@@ -33,21 +22,6 @@ class Message:
     content: str = ""
     tool_calls: list[ToolRequest] = field(default_factory=list)
     tool_call_id: str | None = None
-
-
-@dataclass
-class Conversation:
-    messages: list[Message] = field(default_factory=list)
-
-    def add(self, message: Message) -> None:
-        self.messages.append(message)
-
-    def last_observable_text(self) -> str:
-        """Content of the most recent user or tool message."""
-        for message in reversed(self.messages):
-            if message.role in ("user", "tool"):
-                return message.content
-        return ""
 
 
 @dataclass(frozen=True)
@@ -67,57 +41,8 @@ def count_tokens(text: str) -> int:
     return len(text.split())
 
 
-def summarize_usage(
-    usage: dict[tuple[AgentRole, int], list[int]], rate_in: float = 0.0, rate_out: float = 0.0
-) -> dict:
-    """Accounting table rows, one per agent, with per-round values joined by '/'.
-
-    `usage` maps (role, round) to [iterations, tool_calls, tokens_in, tokens_out].
-    """
-
-    def cost(entry: list[int]) -> float:
-        return entry[2] * rate_in + entry[3] * rate_out
-
-    rows = []
-    for role in AgentRole:
-        per_round = sorted(
-            ((rnd, entry) for (r, rnd), entry in usage.items() if r == role),
-            key=lambda kv: kv[0],
-        )
-        if per_round:
-            iterations = "/".join(str(e[0]) for _, e in per_round)
-            tool_calls = "/".join(str(e[1]) for _, e in per_round)
-            tokens = sum(e[2] + e[3] for _, e in per_round)
-            row_cost = sum(cost(e) for _, e in per_round)
-        else:
-            iterations, tool_calls, tokens, row_cost = "--", "--", 0, 0.0
-        rows.append(
-            {
-                "agent": ROLE_LABELS[role],
-                "iterations": iterations,
-                "tool_calls": tool_calls,
-                "tokens": tokens,
-                "cost": round(row_cost, 6),
-            }
-        )
-    totals = [0, 0, 0, 0]
-    total_cost = 0.0
-    for entry in usage.values():
-        totals = [t + n for t, n in zip(totals, entry)]
-        total_cost += cost(entry)
-    return {
-        "rows": rows,
-        "totals": {
-            "iterations": totals[0],
-            "tool_calls": totals[1],
-            "tokens": totals[2] + totals[3],
-            "cost": round(total_cost, 6),
-        },
-    }
-
-
 class ModelBackend:
-    def complete(self, conversation: Conversation, available_tools: list[ToolDescriptor]) -> ModelTurn:
+    def complete(self, messages: list[Message], available_tools: list[ToolDescriptor]) -> ModelTurn:
         raise NotImplementedError
 
 
@@ -140,14 +65,16 @@ class ScriptedBackend(ModelBackend):
         self.turns = turns
         self.cursor = 0
 
-    def complete(self, conversation: Conversation, available_tools: list[ToolDescriptor]) -> ModelTurn:
-        if not conversation.messages or conversation.messages[0].role != "system":
+    def complete(self, messages: list[Message], available_tools: list[ToolDescriptor]) -> ModelTurn:
+        if not messages or messages[0].role != "system":
             raise EngineError("BAD_ARGS", "conversation must start with a system message")
         if self.cursor >= len(self.turns):
             raise EngineError("SCRIPT_EXHAUSTED", f"script has only {len(self.turns)} turns")
         turn = self.turns[self.cursor]
         if turn.expect_contains is not None:
-            observed = conversation.last_observable_text()
+            observed = next(
+                (m.content for m in reversed(messages) if m.role in ("user", "tool")), ""
+            )
             if turn.expect_contains not in observed:
                 raise EngineError(
                     "SCRIPT_MISMATCH",
@@ -155,7 +82,7 @@ class ScriptedBackend(ModelBackend):
                     f"{turn.expect_contains!r}, got {observed[:200]!r}",
                 )
         self.cursor += 1
-        tokens_in = sum(count_tokens(m.content) for m in conversation.messages)
+        tokens_in = sum(count_tokens(m.content) for m in messages)
         out_text = turn.text or ""
         tokens_out = count_tokens(out_text) + sum(
             count_tokens(json.dumps(tc.to_wire())) for tc in turn.tool_calls
@@ -214,9 +141,9 @@ class HttpBackend(ModelBackend):
         self.api_key = api_key
         self.sleep = sleep
 
-    def _payload(self, conversation: Conversation, tools: list[ToolDescriptor]) -> dict:
-        messages = []
-        for m in conversation.messages:
+    def _payload(self, messages: list[Message], tools: list[ToolDescriptor]) -> dict:
+        entries = []
+        for m in messages:
             entry: dict = {"role": m.role, "content": m.content}
             if m.tool_calls:
                 entry["tool_calls"] = [
@@ -228,15 +155,18 @@ class HttpBackend(ModelBackend):
                 ]
             if m.tool_call_id is not None:
                 entry["tool_call_id"] = m.tool_call_id
-            messages.append(entry)
+            entries.append(entry)
         return {
             "model": self.model,
-            "messages": messages,
+            "messages": entries,
             "tools": [{"type": "function", "function": d.json_schema()} for d in tools],
         }
 
-    def _parse(self, body: dict) -> ModelTurn:
+    def _parse(self, raw: bytes) -> ModelTurn:
+        """The turn in a response body; any body of the wrong shape, from
+        bytes that are not JSON to a bad token count, is MODEL_PROTOCOL."""
         try:
+            body = json.loads(raw)
             choice = body["choices"][0]["message"]
             usage = {} if body.get("usage") is None else body["usage"]  # null reads as absent
             calls = []
@@ -251,21 +181,22 @@ class HttpBackend(ModelBackend):
                 text=text,
                 tool_calls=calls,
                 usage=Usage(
-                    tokens_in=int(usage.get("prompt_tokens", 0)),
-                    tokens_out=int(usage.get("completion_tokens", 0)),
+                    tokens_in=_token_count(usage, "prompt_tokens"),
+                    tokens_out=_token_count(usage, "completion_tokens"),
                 ),
             )
-        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-            # a body of the wrong shape: the request succeeded, so it is not retried
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+            # the request succeeded, so it is not retried; the decoder raises
+            # RecursionError on a body nested too deep
             raise EngineError("MODEL_PROTOCOL", f"malformed model response: {exc}") from exc
 
-    def complete(self, conversation: Conversation, available_tools: list[ToolDescriptor]) -> ModelTurn:
+    def complete(self, messages: list[Message], available_tools: list[ToolDescriptor]) -> ModelTurn:
         import requests
 
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        payload = self._payload(conversation, available_tools)
+        payload = self._payload(messages, available_tools)
         last_error: Exception | None = None
         for attempt in range(MAX_ATTEMPTS):
             try:
@@ -273,18 +204,26 @@ class HttpBackend(ModelBackend):
                     self.endpoint, json=payload, headers=headers, timeout=REQUEST_TIMEOUT
                 )
                 status = response.status_code
-                if 400 <= status < 500 and status not in _RETRYABLE_4XX:
-                    # the same request would be rejected again: do not retry
-                    raise EngineError(
-                        "MODEL_UNAVAILABLE",
-                        f"model endpoint rejected the request: HTTP {status}: {response.text[:200]}",
-                    )
-                response.raise_for_status()
-                return self._parse(response.json())
-            except EngineError:
-                raise
-            except Exception as exc:
+                if status >= 500 or status in _RETRYABLE_4XX:
+                    response.raise_for_status()
+            except Exception as exc:  # a transport failure or a status worth a retry
                 last_error = exc
                 if attempt + 1 < MAX_ATTEMPTS:
                     self.sleep(BACKOFF_SECONDS * (2**attempt))
+                continue
+            if status >= 400:
+                # the same request would be rejected again: do not retry
+                raise EngineError(
+                    "MODEL_UNAVAILABLE",
+                    f"model endpoint rejected the request: HTTP {status}: {response.text[:200]}",
+                )
+            return self._parse(response.content)
         raise EngineError("MODEL_UNAVAILABLE", f"transport failed after retries: {last_error}")
+
+
+def _token_count(usage: dict, key: str) -> int:
+    """A usage count: absent reads as 0, else a JSON integer >= 0."""
+    count = usage.get(key, 0)
+    if type(count) is not int or count < 0:  # a bool is an int to isinstance
+        raise ValueError(f"{key} must be an integer >= 0, got {count!r}")
+    return count

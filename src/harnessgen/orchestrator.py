@@ -43,7 +43,7 @@ from .coverage import (
 from .docs_index import DocsIndex
 from .ecosystem import CompileResult, SandboxAdapter, ShellAdapter, load_sandbox
 from .errors import EngineError
-from .model_backend import HttpBackend, load_script, summarize_usage
+from .model_backend import HttpBackend, load_script
 from .toolbus import (
     DEFAULT_RESPONSE_BUDGET,
     AgentRole,
@@ -82,6 +82,9 @@ OUTCOME_OF_ERROR = {
 }
 
 TOTALS_FILE = "totals.json"  # the run's coverage totals table, under coverage/
+
+# accounting row labels: each role's name, but the research role reads RES
+ROLE_LABELS = {**{role: role.value for role in AgentRole}, AgentRole.RSH: "RES"}
 
 
 @dataclass(frozen=True)
@@ -295,14 +298,18 @@ def _resolve_root(facts: cg.CallFacts, target: TargetSpec) -> str:
 
 
 class WorkflowRunner:
-    """One sequential harness-generation run over configured services."""
+    """One sequential harness-generation run over configured services.
+
+    `transcripts` maps (role, round) to that round's agent runs. It is the
+    run's one record of model usage: the manifest's `accounting` is summed
+    from it by `summarize_usage`.
+    """
 
     def __init__(self, target: TargetSpec, config: Config, run_dir: str | Path | None = None):
         self.target = target
         self.config = config
         self.state = WorkflowState()
-        # (role, round) -> [iterations, tool_calls, tokens_in, tokens_out], summed from transcripts
-        self.usage: dict[tuple[AgentRole, int], list[int]] = {}
+        self.transcripts: dict[tuple[AgentRole, int], list[AgentTranscript]] = {}
         self._saved_totals = None  # the totals table in coverage/totals.json
         self._started = time.monotonic()
         (
@@ -326,16 +333,21 @@ class WorkflowRunner:
         }
 
     def _setup_run_dir(self, run_dir: str | Path | None) -> None:
+        """Create the run directory and write `setup.json`; a directory that
+        cannot be made, or a file that cannot be written, is IO."""
         if run_dir is not None:
             self.run_dir = Path(run_dir)
         else:
             stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%f")
             self.run_dir = Path(self.config.output_dir) / f"{stamp}-{self.target.library_name}"
-        for sub in ("harness", "transcripts", "coverage"):
-            (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
-        (self.run_dir / "setup.json").write_text(
-            json.dumps(self.setup, indent=2), encoding="utf-8"
-        )
+        try:
+            for sub in ("harness", "transcripts", "coverage"):
+                (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
+            (self.run_dir / "setup.json").write_text(
+                json.dumps(self.setup, indent=2), encoding="utf-8"
+            )
+        except OSError as exc:
+            raise EngineError("IO", f"cannot create run directory {self.run_dir}: {exc}") from exc
 
     # -- persistence helpers -----------------------------------------------
 
@@ -371,20 +383,16 @@ class WorkflowRunner:
     # -- agent steps --------------------------------------------------------
 
     def _run_agent(self, role: AgentRole, seed: list[tuple[str, str]], round_index: int, name: str):
-        """Run one agent and return its parsed answer; however it ends, its
-        transcript is saved as `transcripts/<name>.json` and its turns are
-        added to `usage`."""
+        """Run one agent and return its parsed answer. Its transcript joins
+        `transcripts` before the first turn, so the accounting counts every
+        turn of a run that raises; however it ends, the transcript is saved
+        as `transcripts/<name>.json`."""
         transcript = AgentTranscript(role=role.value)
+        self.transcripts.setdefault((role, round_index), []).append(transcript)
         try:
             result = run_react(self.profiles[role], seed, self.registry, self.backend, transcript)
             return result.parsed_output
         finally:
-            counts = self.usage.setdefault((role, round_index), [0, 0, 0, 0])
-            for step in transcript.steps:
-                counts[0] += 1
-                counts[1] += len(step.tool_calls)
-                counts[2] += step.tokens_in
-                counts[3] += step.tokens_out
             path = self.run_dir / "transcripts" / f"{name}.json"
             path.write_text(json.dumps(transcript.to_json(), indent=2), encoding="utf-8")
 
@@ -393,8 +401,8 @@ class WorkflowRunner:
         max_patch_rounds = self.config.budgets["max_patch_rounds"]
         self.state.transition("compile")
         result: CompileResult = self._compile(harness)
-        # a zero entry keeps the per-round '/' rendering aligned
-        self.usage.setdefault((AgentRole.PAT, round_index), [0, 0, 0, 0])
+        # an empty entry keeps the per-round '/' rendering aligned
+        self.transcripts.setdefault((AgentRole.PAT, round_index), [])
         attempts = 0
         while not result.success:
             if attempts >= max_patch_rounds:
@@ -488,10 +496,13 @@ class WorkflowRunner:
             # state.harness changes only once a harness compiles
             state.harness = self.compile_patch_loop(harness, state.round)
             state.seen_hashes.add(state.harness.normalized_hash)
-            if self._wall_left() < 0:
+            wall_left = self._wall_left()
+            if wall_left < 0:
                 return OUTCOME_BUDGET
             state.transition("fuzz")
-            fuzz = self._toolchain(self.adapter.fuzz, state.harness, fuzz_seconds, scope=scope)
+            # the campaign, like a compile, ends within the wall budget
+            duration = min(fuzz_seconds, wall_left)
+            fuzz = self._toolchain(self.adapter.fuzz, state.harness, duration, scope=scope)
             self._save_coverage(fuzz.coverage, state.round)
             view = merge_with_callgraph(fuzz.coverage, self.graph)
             # the row stands before CVA runs, so a saved round always has one;
@@ -554,7 +565,7 @@ class WorkflowRunner:
             "target": asdict(self.target),
             "outcome": outcome,
             "rounds": [asdict(row) for row in self.state.rows],
-            "accounting": summarize_usage(self.usage, *rates),
+            "accounting": summarize_usage(self.transcripts, *rates),
             "transitions": list(self.state.transitions),
             "fuzz_timeout": (error_note or "").startswith("FUZZ_TIMEOUT:"),
             "timings": {k: round(v, 6) for k, v in self.state.timings.items()},
@@ -562,6 +573,39 @@ class WorkflowRunner:
         if error_note:
             manifest["error"] = error_note
         return manifest
+
+
+def summarize_usage(transcripts: dict, rate_in: float = 0.0, rate_out: float = 0.0) -> dict:
+    """The manifest's accounting: a row per agent, its per-round values
+    joined by '/', and the run's totals, summed from `transcripts`, which
+    maps (role, round) to that round's agent runs."""
+    entries = []  # one per (role, round), in run order
+    for (role, rnd), runs in transcripts.items():
+        steps = [step for transcript in runs for step in transcript.steps]
+        tokens_in = sum(step.tokens_in for step in steps)
+        tokens_out = sum(step.tokens_out for step in steps)
+        entries.append({
+            "role": role, "round": rnd, "iterations": len(steps),
+            "tool_calls": sum(len(step.tool_calls) for step in steps),
+            "tokens": tokens_in + tokens_out,
+            "cost": tokens_in * rate_in + tokens_out * rate_out,
+        })
+
+    def cost(sums) -> float:  # 0.0, not 0, when there is no entry
+        return round(sum((e["cost"] for e in sums), 0.0), 6)
+
+    rows = []
+    for role in AgentRole:
+        mine = sorted((e for e in entries if e["role"] == role), key=lambda e: e["round"])
+        rows.append({
+            "agent": ROLE_LABELS[role],
+            "iterations": "/".join(str(e["iterations"]) for e in mine) or "--",
+            "tool_calls": "/".join(str(e["tool_calls"]) for e in mine) or "--",
+            "tokens": sum(e["tokens"] for e in mine),
+            "cost": cost(mine),
+        })
+    totals = {key: sum(e[key] for e in entries) for key in ("iterations", "tool_calls", "tokens")}
+    return {"rows": rows, "totals": {**totals, "cost": cost(entries)}}
 
 
 def run_workflow(target: TargetSpec, config: Config, run_dir: str | Path | None = None) -> dict:

@@ -479,6 +479,19 @@ class TestCli:
         assert capsys.readouterr().err == verdict
         assert not (tmp_path / "runs").exists()
 
+    def test_run_dir_that_cannot_be_made_is_io(self, capsys, tmp_path):
+        """`validate` passes an `output_dir` that is a regular file; the run
+        cannot create its directory there and fails with IO, not a traceback."""
+        blocker = tmp_path / "runs"
+        blocker.write_text("not a directory")
+        argv = [str(DEMO_DIR / "config.json"), "--set", f"output_dir={blocker}"]
+        assert main(["validate", *argv]) == 0
+        capsys.readouterr()
+        assert main(["run", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"run failed: IO: cannot create run directory {blocker}/")
+        assert "Traceback" not in err and blocker.read_text() == "not a directory"
+
     @pytest.mark.parametrize("command", ["run", "validate", "tools"])
     def test_missing_config_file(self, capsys, tmp_path, command):
         argv = [command, str(tmp_path / "nope.json")]

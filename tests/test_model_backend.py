@@ -7,27 +7,31 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from conftest import DEMO_DIR
+from harnessgen.agents import AgentTranscript, TranscriptStep
 from harnessgen.config import load_config
 from harnessgen.errors import EngineError
 from harnessgen.model_backend import (
-    Conversation,
     HttpBackend,
     Message,
     ScriptTurn,
     ScriptedBackend,
     count_tokens,
     load_script,
-    summarize_usage,
 )
-from harnessgen.orchestrator import TargetSpec, run_workflow
+from harnessgen.orchestrator import TargetSpec, run_workflow, summarize_usage
 from harnessgen.toolbus import AgentRole, ToolRequest
 
 
-def convo(*texts: str) -> Conversation:
-    c = Conversation([Message("system", "you are a test")])
-    for text in texts:
-        c.add(Message("user", text))
-    return c
+def convo(*texts: str) -> list[Message]:
+    return [Message("system", "you are a test"), *(Message("user", text) for text in texts)]
+
+
+def agent_run(*steps: tuple[int, int, int]) -> AgentTranscript:
+    """A transcript with a step per (tool calls, tokens in, tokens out)."""
+    return AgentTranscript("X", [
+        TranscriptStep(tool_calls=[{}] * calls, tokens_in=tokens_in, tokens_out=tokens_out)
+        for calls, tokens_in, tokens_out in steps
+    ])
 
 
 class TestScriptedBackend:
@@ -39,7 +43,7 @@ class TestScriptedBackend:
     def test_requires_system_message_first(self):
         backend = ScriptedBackend([ScriptTurn(text="x")])
         with pytest.raises(EngineError) as exc:
-            backend.complete(Conversation([Message("user", "hi")]), [])
+            backend.complete([Message("user", "hi")], [])
         assert exc.value.code == "BAD_ARGS"
 
     def test_exhausted(self):
@@ -62,8 +66,8 @@ class TestScriptedBackend:
     def test_expect_contains_checks_latest_tool_message(self):
         backend = ScriptedBackend([ScriptTurn(text="ok", expect_contains="observed")])
         c = convo("first")
-        c.add(Message("assistant", "calling"))
-        c.add(Message("tool", "observed output", tool_call_id="t0"))
+        c.append(Message("assistant", "calling"))
+        c.append(Message("tool", "observed output", tool_call_id="t0"))
         assert backend.complete(c, []).text == "ok"
 
     def test_usage_counts_whitespace_tokens(self):
@@ -109,17 +113,23 @@ class TestLoadScript:
 
 
 class TestLedger:
-    """Accounting sums per (role, round), as the runner adds them up from transcripts."""
+    """Accounting sums per (role, round), over that round's transcripts."""
 
     def test_accumulates_per_role_round(self):
-        usage = {(AgentRole.GEN, 0): [2, 2, 110, 50], (AgentRole.GEN, 1): [1, 0, 10, 0]}
+        usage = {
+            (AgentRole.GEN, 0): [agent_run((1, 100, 40)), agent_run((1, 10, 10))],
+            (AgentRole.GEN, 1): [agent_run((0, 10, 0))],
+        }
         gen = next(r for r in summarize_usage(usage, 1e-6, 2e-6)["rows"] if r["agent"] == "GEN")
         assert gen["iterations"] == "2/1" and gen["tool_calls"] == "2/0"
         assert gen["tokens"] == 110 + 50 + 10
         assert gen["cost"] == pytest.approx(120e-6 + 100e-6, rel=1e-9)
 
     def test_totals_conserve_sums(self):
-        usage = {(AgentRole.RSH, 0): [3, 0, 5, 7], (AgentRole.CVA, 1): [2, 4, 11, 13]}
+        usage = {
+            (AgentRole.RSH, 0): [agent_run((0, 5, 0), (0, 0, 7), (0, 0, 0))],
+            (AgentRole.CVA, 1): [agent_run((4, 11, 13), (0, 0, 0))],
+        }
         totals = summarize_usage(usage, rate_in=1.0, rate_out=10.0)["totals"]
         assert totals["iterations"] == 5 and totals["tool_calls"] == 4
         assert totals["tokens"] == 5 + 7 + 11 + 13
@@ -129,7 +139,8 @@ class TestLedger:
 
 class TestSummary:
     def test_slash_joined_rounds(self):
-        usage = {(AgentRole.PAT, rnd): [iters, 0, 0, 0] for rnd, iters in enumerate((5, 0, 0, 0))}
+        usage = {(AgentRole.PAT, 0): [agent_run(*[(0, 0, 0)] * 5)]}
+        usage.update({(AgentRole.PAT, rnd): [] for rnd in (1, 2, 3)})
         summary = summarize_usage(usage)
         pat = next(r for r in summary["rows"] if r["agent"] == "PAT")
         assert pat["iterations"] == "5/0/0/0"
@@ -138,14 +149,17 @@ class TestSummary:
         summary = summarize_usage({})
         for row in summary["rows"]:
             assert row["iterations"] == "--" and row["tool_calls"] == "--"
-            assert row["tokens"] == 0 and row["cost"] == 0.0
+            assert row["tokens"] == 0 and row["cost"] == 0.0 and type(row["cost"]) is float
 
     def test_row_order_and_research_label(self):
         summary = summarize_usage({})
         assert [r["agent"] for r in summary["rows"]] == ["RES", "GEN", "PAT", "CVA", "REF"]
 
     def test_totals_match_rows(self):
-        usage = {(AgentRole.RSH, 0): [4, 3, 10, 20], (AgentRole.REF, 2): [1, 0, 1, 1]}
+        usage = {
+            (AgentRole.RSH, 0): [agent_run((3, 10, 0), (0, 0, 20), (0, 0, 0), (0, 0, 0))],
+            (AgentRole.REF, 2): [agent_run((0, 1, 1))],
+        }
         summary = summarize_usage(usage, rate_in=2.0, rate_out=3.0)
         assert summary["totals"]["tokens"] == sum(r["tokens"] for r in summary["rows"])
         assert summary["totals"]["cost"] == pytest.approx(
@@ -154,14 +168,15 @@ class TestSummary:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    responses: list[tuple[int, dict]] = []
+    # (status, body): a body of bytes is sent as it is, any other as JSON
+    responses: list[tuple[int, object]] = []
     requests_seen: list[dict] = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         type(self).requests_seen.append(json.loads(self.rfile.read(length)))
         status, body = type(self).responses.pop(0) if type(self).responses else (500, {})
-        payload = json.dumps(body).encode()
+        payload = body if isinstance(body, bytes) else json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -274,6 +289,19 @@ class TestHttpBackend:
                 for arguments in ("[1]", '"s"', "3", '[["a", 1]]')
             ),
             {"choices": [{"message": {"tool_calls": [{"function": {"name": 3}}]}}]},
+            # token counts that are not JSON integers >= 0
+            *(
+                {**good_completion(), "usage": usage}
+                for usage in (
+                    {"prompt_tokens": "12"},
+                    {"completion_tokens": 2.9},
+                    {"prompt_tokens": True},
+                    {"completion_tokens": -5},
+                )
+            ),
+            # a body that is not JSON at all, and one nested past the decoder's depth
+            b"<html>gateway</html>",
+            b"[" * 100_000,
         ],
     )
     def test_wrong_shape_is_protocol_error_sent_once(self, stub_server, body):

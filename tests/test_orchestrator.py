@@ -456,6 +456,15 @@ class TestTermination:
         assert row["executions"] == 5 * 1000 + 37
         assert row["unmatched_methods"] == 0
 
+    def test_wall_budget_bounds_the_fuzz_campaign(self, demo_config):
+        """A round fuzzes for the wall time left when that is below `fuzz_seconds`."""
+        config = demo_config("scripts/happy.json")
+        runner = WorkflowRunner(TargetSpec.from_config(config), config)
+        runner._wall_left = lambda: 1.5
+        runner.run()
+        saved = json.loads((runner.run_dir / "coverage" / "r0.json").read_text())
+        assert saved["campaign_seconds"] == 1.5
+
 
 class TestScopes:
     def test_method_targeted_hides_warmup_coverage(self, demo_config):
@@ -510,10 +519,10 @@ class TestRunRecord:
         complete = runner.backend.complete
         cva_prompt = load_prompt(AgentRole.CVA)
 
-        def interrupt_cva(conversation, tools):
-            if conversation.messages[0].content == cva_prompt:
+        def interrupt_cva(messages, tools):
+            if messages[0].content == cva_prompt:
                 raise KeyboardInterrupt
-            return complete(conversation, tools)
+            return complete(messages, tools)
 
         monkeypatch.setattr(runner.backend, "complete", interrupt_cva)
         with pytest.raises(KeyboardInterrupt):
