@@ -105,13 +105,19 @@ def parse_termination_decision(text: str) -> TerminationDecision:
     decision = payload.get("decision")
     if decision not in ("stop", "continue"):
         raise EngineError("PARSE", f"decision must be stop or continue, got {decision!r}")
-    priority = tuple(payload.get("priority_methods") or ())
+    priority = payload.get("priority_methods")
+    if priority is None:  # absent or null: no priorities
+        priority = []
+    if not isinstance(priority, list) or not all(isinstance(m, str) and m for m in priority):
+        raise EngineError(
+            "PARSE", f"priority_methods must be a list of non-empty strings, got {priority!r}"
+        )
     if decision == "continue" and not priority:
         raise EngineError("PARSE", "continue decision requires non-empty priority_methods")
     return TerminationDecision(
         decision=decision,
         rationale=str(payload.get("rationale", "")),
-        priority_methods=priority,
+        priority_methods=tuple(priority),
         strategy=str(payload.get("strategy", "")),
     )
 

@@ -46,54 +46,23 @@ def check_counts(table: Mapping[str, Iterable], what: str) -> None:
                 raise ValueError(f"{what} of {mid}: {count!r} is not an integer >= 0")
 
 
+@dataclass(frozen=True)
 class CoverageReport:
     """One campaign's per-method counters.
 
-    A report keeps the counters of the methods it hit and a reference to a
-    totals table (method id -> (lines, branches)) that the reports of one
-    run share; every other method in the table has zero covered counters.
-    Built from `methods` alone, the report is dense: each method brings its
-    totals and the table is made from them. With `totals`, `methods` lists
-    hit methods over that table. The counters are not checked here: the
-    engine builds them within the totals, and a file's are checked where
-    it is read (`from_json`, `load`). Equality is by the facts, so a dense
-    and a sparse report with the same counters are equal. Tables are never
-    mutated once a report refers to them.
+    `hits` holds the counters of each method with a covered site; `totals`
+    (method id -> (lines, branches)) is the table that the reports of one
+    run share, and every other method in it has zero covered counters. The
+    counters are not checked here: the engine builds them within the
+    totals, and a file's are checked where it is read (`from_json`,
+    `load`). Tables are never mutated once a report refers to them.
     """
 
-    def __init__(
-        self,
-        scope: str,  # method_targeted | full
-        methods: Iterable[MethodCoverage] = (),
-        campaign_seconds: float = 0.0,
-        dropped_events: int = 0,
-        totals: Mapping[str, tuple[int, int]] | None = None,
-    ) -> None:
-        methods = tuple(methods)
-        if totals is None:
-            totals = {m.id: (m.lines_total, m.branches_total) for m in methods}
-        hits = {m.id: m for m in methods if m.lines_covered or m.branches_covered}
-        self.scope = scope
-        self.totals = totals
-        self.hits = hits  # id -> counters of each method with a covered site
-        self.campaign_seconds = campaign_seconds
-        self.dropped_events = dropped_events
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoverageReport):
-            return NotImplemented
-        return (
-            (self.scope, self.campaign_seconds, self.dropped_events, self.hits)
-            == (other.scope, other.campaign_seconds, other.dropped_events, other.hits)
-            and (self.totals is other.totals or self.totals == other.totals)
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"CoverageReport(scope={self.scope!r}, hits={len(self.hits)}, "
-            f"known={len(self.totals)}, campaign_seconds={self.campaign_seconds!r}, "
-            f"dropped_events={self.dropped_events!r})"
-        )
+    scope: str  # method_targeted | full
+    totals: Mapping[str, tuple[int, int]] = field(repr=False)
+    hits: dict[str, MethodCoverage]
+    campaign_seconds: float = 0.0
+    dropped_events: int = 0
 
     def by_id(self) -> dict[str, MethodCoverage]:
         """Counters of every method in the totals table, zero where not hit."""
@@ -103,36 +72,29 @@ class CoverageReport:
             for mid, (lines, branches) in self.totals.items()
         }
 
-    @property
-    def methods(self) -> tuple[MethodCoverage, ...]:
-        return tuple(self.by_id().values())
-
-    def to_json(self, totals_file: str | None = None) -> dict:
-        """The dense form, every method with its totals; with `totals_file`,
-        the sparse form: the hit methods' covered counters and the name of
-        the file, beside this one, that holds the totals table."""
-        head = {
+    def to_json(self, totals_file: str) -> dict:
+        """The hit methods' covered counters and the name of the file, beside
+        this one, that holds the totals table."""
+        return {
             "scope": self.scope,
             "campaign_seconds": self.campaign_seconds,
             "dropped_events": self.dropped_events,
+            "totals": totals_file,
+            "methods": [
+                {"id": m.id, "lines_covered": m.lines_covered,
+                 "branches_covered": m.branches_covered}
+                for m in self.hits.values()
+            ],
         }
-        if totals_file is not None:
-            return {
-                **head,
-                "totals": totals_file,
-                "methods": [
-                    {"id": m.id, "lines_covered": m.lines_covered,
-                     "branches_covered": m.branches_covered}
-                    for m in self.hits.values()
-                ],
-            }
-        return {**head, "methods": [m._asdict() for m in self.methods]}
 
     @classmethod
     def from_json(
         cls, raw: dict, totals: Mapping[str, tuple[int, int]] | None = None
     ) -> "CoverageReport":
-        """Either form of `to_json`; the sparse one takes its `totals` table.
+        """A report file over its `totals` table, or, with no table, the
+        dense form a shell fuzzer writes to `coverage_out`, where each
+        method brings its own `lines_total` and `branches_total` and the
+        table is made from them.
 
         ValueError if a count is not an integer >= 0, a covered count
         exceeds its total, an id repeats, a sparse id is not in `totals`,
@@ -166,18 +128,16 @@ class CoverageReport:
             raise ValueError(f"campaign_seconds: {seconds!r} is not a number >= 0")
         if type(dropped) is not int or dropped < 0:
             raise ValueError(f"dropped_events: {dropped!r} is not an integer >= 0")
-        return cls(
-            scope=scope,
-            campaign_seconds=float(seconds),
-            dropped_events=dropped,
-            methods=counters.values(),
-            totals=totals,
-        )
+        if totals is None:
+            totals = {c.id: (c.lines_total, c.branches_total) for c in counters.values()}
+        hits = {mid: c for mid, c in counters.items() if c.lines_covered or c.branches_covered}
+        return cls(scope, totals, hits, float(seconds), dropped)
 
     @classmethod
     def load(cls, path: str | Path) -> "CoverageReport":
-        """A dense report file, or a sparse one with the totals file it names;
-        a malformed count in either is PARSE naming its file."""
+        """A report file with the totals file it names, or a dense
+        `coverage_out` file; a malformed count in either is PARSE naming its
+        file."""
         with json_input(path, "coverage report") as raw:
             totals = None
             if "totals" in raw:
@@ -404,19 +364,19 @@ def apply_recording_windows(
                     lines = sites[key] = set()
                 lines.update(run_lines)
                 break
-    methods = []
+    hits = {}
     for mid in sorted({mid for mid, _ in sites}):
         lines, branches = totals[mid]
-        methods.append(
-            MethodCoverage(
-                mid,
-                lines,
-                min(lines, len(sites.get((mid, 0), ()))),
-                branches,
-                min(branches, len(sites.get((mid, 1), ()))),
-            )
+        counters = MethodCoverage(
+            mid,
+            lines,
+            min(lines, len(sites.get((mid, 0), ()))),
+            branches,
+            min(branches, len(sites.get((mid, 1), ()))),
         )
-    return CoverageReport(scope, methods, campaign_seconds, dropped, totals=totals)
+        if counters.lines_covered or counters.branches_covered:
+            hits[mid] = counters
+    return CoverageReport(scope, totals, hits, campaign_seconds, dropped)
 
 
 def classify(counters: MethodCoverage | None) -> str:

@@ -357,15 +357,19 @@ class WorkflowRunner:
         path.write_text(harness.source, encoding="utf-8")
 
     def _save_coverage(self, report: CoverageReport, round_index: int) -> None:
-        """`coverage/r{n}.json` with the hit methods only, over the run's one
-        `coverage/totals.json`; a report over another table is saved dense."""
+        """`coverage/r{n}.json` with the hit methods only, over the run's first
+        totals table in `coverage/totals.json`; a report over another table
+        names its own `coverage/totals-r{n}.json`."""
         coverage = self.run_dir / "coverage"
+        # compact: the C encoder; with `indent` json falls back to pure Python
         if self._saved_totals is None:
-            # compact: the C encoder; with `indent` json falls back to pure Python
             (coverage / TOTALS_FILE).write_text(json.dumps(report.totals), encoding="utf-8")
             self._saved_totals = report.totals
-        shared = report.totals is self._saved_totals or report.totals == self._saved_totals
-        raw = report.to_json(TOTALS_FILE if shared else None)
+        totals_file = TOTALS_FILE
+        if report.totals is not self._saved_totals and report.totals != self._saved_totals:
+            totals_file = f"totals-r{round_index}.json"
+            (coverage / totals_file).write_text(json.dumps(report.totals), encoding="utf-8")
+        raw = report.to_json(totals_file)
         (coverage / f"r{round_index}.json").write_text(json.dumps(raw), encoding="utf-8")
 
     def _toolchain(self, fn, *args, **kwargs):
@@ -523,7 +527,7 @@ class WorkflowRunner:
             state.transition("analyze")
             # CVA's and REF's seeds share the round's one rendering
             view_text = render_annotated_view(view, self.registry.response_budget)
-            decision = self._analyze(view, view_text, fuzz)
+            decision = self._analyze(view, view_text, row)
             row.decision = decision.decision
             state.prev_view = view
             if decision.decision == "stop":
@@ -544,7 +548,9 @@ class WorkflowRunner:
                 return OUTCOME_CONVERGED
             state.round += 1
 
-    def _analyze(self, view: AnnotatedCoverageView, view_text: str, fuzz) -> TerminationDecision:
+    def _analyze(
+        self, view: AnnotatedCoverageView, view_text: str, row: RoundRow
+    ) -> TerminationDecision:
         state = self.state
         budget = self.registry.response_budget
         seed = [
@@ -554,9 +560,8 @@ class WorkflowRunner:
         if state.prev_view is not None:
             diff = diff_views(state.prev_view, view)
             seed.append(("change since previous round", render_view_diff(diff, budget)))
-        if fuzz.crashes:
-            unique = sorted({c.dedup_key for c in fuzz.crashes})
-            seed.append(("crashes", f"{len(fuzz.crashes)} crashes, {len(unique)} unique"))
+        if row.crash_count:
+            seed.append(("crashes", f"{row.crash_count} crashes, {row.unique_crashes} unique"))
         return self._run_agent(AgentRole.CVA, seed, state.round, f"CVA-r{state.round}")
 
     def _manifest(self, outcome: str, error_note: str | None) -> dict:
@@ -585,8 +590,9 @@ def summarize_usage(transcripts: dict, rate_in: float = 0.0, rate_out: float = 0
         tokens_in = sum(step.tokens_in for step in steps)
         tokens_out = sum(step.tokens_out for step in steps)
         entries.append({
-            "role": role, "round": rnd, "iterations": len(steps),
-            "tool_calls": sum(len(step.tool_calls) for step in steps),
+            "role": role, "round": rnd,
+            "iterations": sum(transcript.iterations for transcript in runs),
+            "tool_calls": sum(transcript.tool_call_count for transcript in runs),
             "tokens": tokens_in + tokens_out,
             "cost": tokens_in * rate_in + tokens_out * rate_out,
         })

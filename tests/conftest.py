@@ -10,6 +10,7 @@ from harnessgen.agents import HarnessArtifact, normalize_and_hash
 from harnessgen.callgraph import build, load_facts
 from harnessgen.code_index import CodeIndex
 from harnessgen.config import load_config
+from harnessgen.coverage import CoverageReport
 from harnessgen.docs_index import DocsIndex
 from harnessgen.ecosystem import load_sandbox
 from harnessgen.toolbus import ToolRegistry, register_default_tools
@@ -24,6 +25,20 @@ def make_harness(source: str, dependencies: tuple[str, ...] = ()) -> HarnessArti
     return HarnessArtifact(
         source=source, dependencies=dependencies, normalized_hash=normalize_and_hash(source)
     )
+
+
+def dense_report(
+    scope: str, methods=(), campaign_seconds: float = 0.0, dropped_events: int = 0
+) -> CoverageReport:
+    """The report that a dense `coverage_out` file of `methods` loads as: the
+    totals table made from each method's own totals, the hits those with a
+    covered site."""
+    return CoverageReport.from_json({
+        "scope": scope,
+        "campaign_seconds": campaign_seconds,
+        "dropped_events": dropped_events,
+        "methods": [m._asdict() for m in methods],
+    })
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from harnessgen.config import load_config
 from harnessgen.docs_index import DocsIndex
 from harnessgen.errors import EngineError
 from harnessgen.model_backend import ScriptTurn, ScriptedBackend
+from harnessgen.orchestrator import TargetSpec, run_workflow
 from harnessgen.toolbus import AgentRole, ToolRequest
 
 GOOD_REPORT = "\n".join(f"## {s}\nnotes about {s.lower()}." for s in REPORT_SECTIONS)
@@ -134,6 +137,41 @@ class TestDecisionParser:
         with pytest.raises(EngineError) as exc:
             parse_termination_decision("no structured content here")
         assert exc.value.code == "PARSE"
+
+    @pytest.mark.parametrize("decision", ["stop", "continue"])
+    @pytest.mark.parametrize(
+        "priorities", [5, "a.B.c()", [1, 2], ["a.b()", ""], {"a.b()": 1}, True]
+    )
+    def test_priorities_other_than_a_list_of_strings_are_parse(self, decision, priorities):
+        text = json.dumps({"decision": decision, "priority_methods": priorities})
+        with pytest.raises(EngineError) as exc:
+            parse_termination_decision(text)
+        assert exc.value.code == "PARSE"
+        assert "priority_methods must be a list of non-empty strings" in exc.value.message
+
+    @pytest.mark.parametrize("raw", ['"priority_methods": null, ', '"priority_methods": [], ', ""])
+    def test_stop_without_priorities(self, raw):
+        decision = parse_termination_decision(f'{{{raw}"decision": "stop"}}')
+        assert decision.priority_methods == ()
+
+    @pytest.mark.parametrize("priorities", [5, "a.B.c()", [1, 2]])
+    def test_run_on_malformed_priorities_ends_model_failed(self, demo_config, tmp_path, priorities):
+        """The corrective prompt follows the first bad reply; a second ends the
+        run model_failed with MODEL_PROTOCOL, not internal_error."""
+        turns = json.loads((DEMO_DIR / "scripts" / "happy.json").read_text())["turns"]
+        reply = "```json\n" + json.dumps(
+            {"decision": "continue", "priority_methods": priorities}
+        ) + "\n```"
+        script = tmp_path / "bad_priorities.json"
+        script.write_text(json.dumps({"turns": turns[:4] + [
+            {"text": reply}, {"expect_contains": CORRECTIVE_PROMPT, "text": reply},
+        ]}))
+        config = demo_config(str(script))
+        manifest = run_workflow(TargetSpec.from_config(config), config)
+        assert manifest["outcome"] == "model_failed"
+        assert manifest["error"].startswith("MODEL_PROTOCOL: CVA gave no parseable answer")
+        assert "priority_methods must be a list" in manifest["error"]
+        assert "traceback" not in manifest
 
 
 class TestNormalizeHash:

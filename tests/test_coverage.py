@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_report
 from harnessgen.callgraph import CallFacts, build
 from harnessgen.coverage import (
     STATUS_COVERED,
@@ -35,6 +36,21 @@ from harnessgen.orchestrator import render_annotated_view
 
 def mk(mid, lt=0, lc=0, bt=0, bc=0):
     return MethodCoverage(mid, lines_total=lt, lines_covered=lc, branches_total=bt, branches_covered=bc)
+
+
+def hits(*methods):
+    """A report's `hits`: the counters of the methods with a covered site."""
+    return {m.id: m for m in methods if m.lines_covered or m.branches_covered}
+
+
+def dense_json(report):
+    """`report` in the dense shape a shell fuzzer writes to `coverage_out`."""
+    return {
+        "scope": report.scope,
+        "campaign_seconds": report.campaign_seconds,
+        "dropped_events": report.dropped_events,
+        "methods": [m._asdict() for m in report.by_id().values()],
+    }
 
 
 def report_files(root: Path, rows) -> tuple[Path, Path]:
@@ -94,17 +110,19 @@ class TestCounters:
         assert_load_is_parse(sparse, tmp_path / "totals.json", "coverage totals of m")
 
     def test_json_round_trip(self, tmp_path):
-        report = CoverageReport(
-            scope="full",
-            methods=(mk("a", 10, 4, 2, 1), mk("b", 5, 5)),
+        report = dense_report(
+            "full",
+            (mk("a", 10, 4, 2, 1), mk("b", 5, 5), mk("c", 3, 0, 1, 0)),
             campaign_seconds=12.5,
             dropped_events=3,
         )
+        (tmp_path / "totals.json").write_text(json.dumps(report.totals))
         path = tmp_path / "cov.json"
-        path.write_text(json.dumps(report.to_json()))
+        path.write_text(json.dumps(report.to_json("totals.json")))
         loaded = CoverageReport.load(path)
-        assert loaded.scope == report.scope
-        assert loaded.methods == report.methods
+        assert loaded == report
+        assert loaded.by_id() == report.by_id()
+        assert list(loaded.hits) == ["a", "b"]
         assert loaded.campaign_seconds == 12.5
         assert loaded.dropped_events == 3
 
@@ -266,19 +284,19 @@ def small_graph():
 class TestMergedView:
     def test_grouped_by_depth_sorted_by_id(self):
         graph = small_graph()
-        report = CoverageReport(scope="full", methods=(mk("x", 4, 4), mk("y", 4, 2)))
+        report = dense_report("full", (mk("x", 4, 4), mk("y", 4, 2)))
         view = merge_with_callgraph(report, graph)
         assert [(e.node.depth, e.node.id, e.status) for e in view.entries()] == [
             (0, "r", "uncovered"), (1, "x", "covered"), (1, "y", "partial"), (2, "z", "uncovered")
         ]
 
     def test_unmatched_hits_reported(self):
-        report = CoverageReport(scope="full", methods=(mk("stranger", 2, 1),))
+        report = dense_report("full", (mk("stranger", 2, 1),))
         view = merge_with_callgraph(report, small_graph())
         assert view.unmatched_hits == ("stranger",)
 
     def test_toylib_view_covers_all_nodes(self, graph):
-        view = merge_with_callgraph(CoverageReport(scope="full"), graph)
+        view = merge_with_callgraph(dense_report("full"), graph)
         assert [e.node.id for e in view.entries()] == sorted(
             graph.nodes, key=lambda mid: (graph.nodes[mid].depth, mid)
         )
@@ -287,24 +305,22 @@ class TestMergedView:
 
 class TestPercent:
     def test_hand_summed(self):
-        report = CoverageReport(
-            scope="full", methods=(mk("a", 10, 4, 4, 2), mk("b", 10, 6, 6, 1))
-        )
+        report = dense_report("full", (mk("a", 10, 4, 4, 2), mk("b", 10, 6, 6, 1)))
         # oracle by hand: (4+6)/(10+10), (2+1)/(4+6)
         assert float(coverage_percent(report, "line")) == pytest.approx(50.0, rel=1e-9)
         assert float(coverage_percent(report, "branch")) == pytest.approx(30.0, rel=1e-9)
 
     def test_zero_denominator_flag(self):
-        pct = coverage_percent(CoverageReport(scope="full"))
+        pct = coverage_percent(dense_report("full"))
         assert type(pct) is float and pct == 0.0
 
     def test_unknown_metric(self):
         with pytest.raises(EngineError):
-            coverage_percent(CoverageReport(scope="full"), "statements")
+            coverage_percent(dense_report("full"), "statements")
 
     def test_view_matches_report(self):
         graph = small_graph()
-        report = CoverageReport(scope="full", methods=(mk("x", 8, 3), mk("z", 2, 2)))
+        report = dense_report("full", (mk("x", 8, 3), mk("z", 2, 2)))
         view = merge_with_callgraph(report, graph)
         assert float(coverage_percent(view)) == pytest.approx(
             float(coverage_percent(report)), rel=1e-9
@@ -318,21 +334,21 @@ class TestPercent:
     )
     def test_percent_in_range_and_monotone(self, counters):
         methods = tuple(mk(f"m{i}", lt, lc) for i, (lt, lc) in enumerate(counters))
-        pct = coverage_percent(CoverageReport(scope="full", methods=methods))
+        pct = coverage_percent(dense_report("full", methods))
         assert 0.0 <= pct <= 100.0
         # bumping one covered counter never lowers the percentage
         for i, m in enumerate(methods):
             if m.lines_covered < m.lines_total:
                 bumped = methods[:i] + (mk(m.id, m.lines_total, m.lines_covered + 1),) + methods[i + 1 :]
-                assert coverage_percent(CoverageReport(scope="full", methods=bumped)) >= pct
+                assert coverage_percent(dense_report("full", bumped)) >= pct
                 break
 
 
 class TestDiff:
     def _views(self, prev_methods, curr_methods):
         graph = small_graph()
-        prev = merge_with_callgraph(CoverageReport(scope="full", methods=prev_methods), graph)
-        curr = merge_with_callgraph(CoverageReport(scope="full", methods=curr_methods), graph)
+        prev = merge_with_callgraph(dense_report("full", prev_methods), graph)
+        curr = merge_with_callgraph(dense_report("full", curr_methods), graph)
         return prev, curr
 
     def test_newly_covered_and_delta(self):
@@ -349,8 +365,8 @@ class TestDiff:
         assert diff.delta_percent < 0
 
     def test_mismatched_node_sets(self, graph):
-        prev = merge_with_callgraph(CoverageReport(scope="full"), small_graph())
-        curr = merge_with_callgraph(CoverageReport(scope="full"), graph)
+        prev = merge_with_callgraph(dense_report("full"), small_graph())
+        curr = merge_with_callgraph(dense_report("full"), graph)
         with pytest.raises(EngineError) as exc:
             diff_views(prev, curr)
         assert exc.value.code == "BAD_ARGS"
@@ -385,7 +401,7 @@ def old_apply_recording_windows(trace: RecordingTrace, warn=None) -> CoverageRep
         )
         for mid, totals in sorted(trace.method_totals.items())
     )
-    return CoverageReport(scope="method_targeted", methods=methods, dropped_events=dropped)
+    return dense_report("method_targeted", methods, dropped_events=dropped)
 
 
 @st.composite
@@ -611,7 +627,7 @@ def view_pairs(draw):
             methods.append(
                 mk(mid, lines, draw(st.integers(0, lines)), branches, draw(st.integers(0, branches)))
             )
-        return CoverageReport(scope="method_targeted", methods=tuple(methods))
+        return dense_report("method_targeted", methods)
 
     return merge_with_callgraph(report(), graph), merge_with_callgraph(report(), graph)
 
@@ -627,12 +643,12 @@ class TestDiffEquivalence:
     def test_bad_args_as_before(self, graph):
         def view(calls, root):
             facts = CallFacts(methods={"r": "C.r", "x": "C.x", "y": "C.y"}, calls=calls)
-            return merge_with_callgraph(CoverageReport(scope="full"), build(facts, root, 5))
+            return merge_with_callgraph(dense_report("full"), build(facts, root, 5))
 
         cycle = (("r", "x"), ("x", "r"))
         pair = view((("r", "x"),), "r")
-        small = merge_with_callgraph(CoverageReport(scope="full"), small_graph())
-        toylib = merge_with_callgraph(CoverageReport(scope="full"), graph)
+        small = merge_with_callgraph(dense_report("full"), small_graph())
+        toylib = merge_with_callgraph(dense_report("full"), graph)
         cases = [
             (view(cycle, "r"), view(cycle, "x")),  # same nodes under another root
             (pair, view((("r", "y"),), "r")),  # same root and size, other nodes
@@ -687,7 +703,7 @@ def old_coverage_percent(view_or_report, metric="line") -> float:
     if isinstance(view_or_report, OldView):
         counters = [e.counters for e in view_or_report.entries() if e.counters is not None]
     else:
-        counters = list(view_or_report.methods)
+        counters = list(view_or_report.by_id().values())
     if metric == "line":
         total = sum(c.lines_total for c in counters)
         covered = sum(c.lines_covered for c in counters)
@@ -805,9 +821,9 @@ def graph_and_reports(draw):
     def sparse():
         hit = draw(st.lists(st.sampled_from(sorted(table) or ["-"]), unique=True))
         methods = [counters_for(draw, mid, table[mid]) for mid in hit if mid in table]
-        return CoverageReport("method_targeted", methods, totals=table)
+        return CoverageReport("method_targeted", table, hits(*methods))
 
-    dense = CoverageReport(
+    dense = dense_report(
         "method_targeted",
         [counters_for(draw, mid) for mid in draw(st.lists(st.sampled_from(known), unique=True))],
     )
@@ -816,7 +832,7 @@ def graph_and_reports(draw):
 
 def unmatched_hit_oracle(report, graph):
     return sorted(
-        m.id for m in report.methods
+        m.id for m in report.by_id().values()
         if (m.lines_covered or m.branches_covered) and m.id not in graph.nodes
     )
 
@@ -864,11 +880,13 @@ class TestSparseEquivalence:
     @settings(max_examples=100, deadline=None)
     @given(case=graph_and_reports())
     def test_load_reads_dense_and_sparse_files_alike(self, case):
+        """A dense `coverage_out` file and the sparse files a run saves load
+        as one report."""
         _, reports = case
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             for report in reports:
-                (root / "dense.json").write_text(json.dumps(report.to_json()))
+                (root / "dense.json").write_text(json.dumps(dense_json(report)))
                 (root / "totals.json").write_text(json.dumps(report.totals))
                 (root / "sparse.json").write_text(json.dumps(report.to_json("totals.json")))
                 dense = CoverageReport.load(root / "dense.json")
@@ -881,14 +899,16 @@ class TestSparseReport:
     TOTALS = {"a": (4, 2), "b": (3, 0), "c": (0, 0)}
 
     def test_dense_and_sparse_with_the_same_counters_are_equal(self):
-        sparse = CoverageReport("full", [mk("a", 4, 2, 2, 0)], totals=self.TOTALS)
-        dense = CoverageReport("full", [mk("a", 4, 2, 2, 0), mk("b", 3), mk("c")])
+        """A dense `coverage_out` file's report equals the one with the same
+        counters over a shared table."""
+        sparse = CoverageReport("full", self.TOTALS, hits(mk("a", 4, 2, 2, 0)))
+        dense = dense_report("full", [mk("a", 4, 2, 2, 0), mk("b", 3), mk("c")])
         assert sparse == dense
-        assert sparse.hits == {"a": mk("a", 4, 2, 2, 0)}
+        assert dense.hits == {"a": mk("a", 4, 2, 2, 0)}
         assert sparse.by_id()["b"] == mk("b", 3) and sparse.by_id()["c"] == mk("c")
-        assert CoverageReport("full", [mk("a", 4, 3, 2, 0)], totals=self.TOTALS) != dense
-        assert CoverageReport("method_targeted", [mk("a", 4, 2, 2, 0)], totals=self.TOTALS) != dense
-        assert CoverageReport("full", [mk("a", 4, 2, 2, 0)], totals={"a": (4, 2)}) != dense
+        assert CoverageReport("full", self.TOTALS, hits(mk("a", 4, 3, 2, 0))) != dense
+        assert CoverageReport("method_targeted", self.TOTALS, hits(mk("a", 4, 2, 2, 0))) != dense
+        assert CoverageReport("full", {"a": (4, 2)}, hits(mk("a", 4, 2, 2, 0))) != dense
 
     def test_windows_keep_the_traces_table_and_only_hit_methods(self):
         trace = RecordingTrace(
@@ -904,17 +924,17 @@ class TestSparseReport:
     def test_merge_sums_each_table_once_per_graph(self):
         graph = small_graph()
         table = {"r": (4, 0), "x": (2, 0)}
-        merge_with_callgraph(CoverageReport("full", [mk("x", 2, 1)], totals=table), graph)
+        merge_with_callgraph(CoverageReport("full", table, hits(mk("x", 2, 1))), graph)
         kept = graph.coverage_totals
-        view = merge_with_callgraph(CoverageReport("full", [mk("x", 2, 2)], totals=table), graph)
+        view = merge_with_callgraph(CoverageReport("full", table, hits(mk("x", 2, 2))), graph)
         assert graph.coverage_totals is kept
         assert view.lines == (2, 6)
-        other = merge_with_callgraph(CoverageReport("full", [mk("r", 4, 4)]), graph)
+        other = merge_with_callgraph(dense_report("full", [mk("r", 4, 4)]), graph)
         assert graph.coverage_totals is not kept
         assert other.lines == (4, 4)
 
     def test_sparse_file_without_its_totals_file(self, tmp_path):
-        report = CoverageReport("full", [mk("a", 4, 1, 2, 0)], totals=self.TOTALS)
+        report = CoverageReport("full", self.TOTALS, hits(mk("a", 4, 1, 2, 0)))
         path = tmp_path / "r0.json"
         path.write_text(json.dumps(report.to_json("totals.json")))
         with pytest.raises(EngineError) as exc:

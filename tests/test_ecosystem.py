@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 from harnessgen.config import DEFAULTS
-from harnessgen.coverage import CoverageReport, RecordingTrace, TraceEvent, TraceRun
+from harnessgen.coverage import (
+    CoverageReport,
+    MethodCoverage,
+    RecordingTrace,
+    TraceEvent,
+    TraceRun,
+)
 from harnessgen.ecosystem import (
     _WINDOW,
     ShellAdapter,
@@ -19,7 +25,7 @@ from harnessgen.ecosystem import (
 )
 from harnessgen.errors import EngineError
 
-from conftest import DEMO_DIR, make_harness
+from conftest import DEMO_DIR, dense_report, make_harness
 
 BASE = "void fuzzTarget(byte[] data) { parser.parse(args); }"
 LONG = BASE + " // LONG_OPTS"
@@ -116,7 +122,7 @@ class TestSandboxCoverage:
     def test_out_of_window_rule_invisible_in_method_targeted_scope(self, sandbox):
         report = sandbox.fuzz(make_harness("void fuzzTarget() { WARMUP }"), 5).coverage
         assert report.scope == "method_targeted"
-        assert all(m.lines_covered == 0 and m.branches_covered == 0 for m in report.methods)
+        assert report.hits == {} and report.by_id()
 
     def test_full_scope_counts_warmup(self, sandbox):
         report = sandbox.fuzz(make_harness("void fuzzTarget() { WARMUP }"), 5, scope="full").coverage
@@ -138,7 +144,10 @@ class TestSandboxCoverage:
     def test_byte_identical_reports(self, sandbox):
         a = sandbox.fuzz(make_harness(LONG), 7)
         b = sandbox.fuzz(make_harness(LONG), 7)
-        assert json.dumps(a.coverage.to_json()) == json.dumps(b.coverage.to_json())
+        assert a.coverage.totals is b.coverage.totals
+        assert json.dumps(a.coverage.to_json("totals.json")) == json.dumps(
+            b.coverage.to_json("totals.json")
+        )
         assert a.crashes == b.crashes
 
 
@@ -341,6 +350,9 @@ class TestShellAdapter:
         result = self._adapter(shell_dir).fuzz(make_harness(BASE), 1)
         assert isinstance(result.coverage, CoverageReport)
         assert result.coverage.by_id()["a"].lines_covered == 2
+        assert result.coverage == dense_report(
+            "full", [MethodCoverage("a", 4, 2, 0, 0)], campaign_seconds=1.0
+        )
 
     def test_fuzz_nonzero_exit_is_exec_error(self, shell_dir):
         # a successful run leaves cov.json behind; the failing run must not reuse it

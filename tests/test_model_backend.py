@@ -192,10 +192,14 @@ def stub_server():
     _StubHandler.responses = []
     _StubHandler.requests_seen = []
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll keeps shutdown from waiting out the default half second
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", _StubHandler
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def good_completion(text="hello", tool_calls=None):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEMO_DIR, ROOT_ID, make_harness
+from conftest import DEMO_DIR, ROOT_ID, dense_report, make_harness
 from harnessgen import orchestrator
 from harnessgen.agents import load_prompt
 from harnessgen.callgraph import CallFacts, build
@@ -72,9 +72,9 @@ class TestStateMachine:
 
 class TestRenderView:
     def test_grouping_and_ordering(self, graph):
-        report = CoverageReport(
-            scope="full",
-            methods=(
+        report = dense_report(
+            "full",
+            (
                 MethodCoverage(ROOT_ID, 12, 6, 6, 3),
                 MethodCoverage("toylib.Token.isFlag()", 2, 2, 2, 2),
             ),
@@ -91,7 +91,7 @@ class TestRenderView:
         assert "covered toylib.Token.isFlag() lines 2/2 branches 2/2" in depth2
 
     def test_all_twelve_nodes_present(self, graph):
-        text = render_annotated_view(merge_with_callgraph(CoverageReport(scope="full"), graph))
+        text = render_annotated_view(merge_with_callgraph(dense_report("full"), graph))
         body = [l for l in text.splitlines() if not l.startswith("##")]
         assert len(body) == 12
         assert all(l.startswith("uncovered ") for l in body)
@@ -149,7 +149,7 @@ def random_view(seed: int, n_nodes: int):
             total = rng.randrange(1, 30)
             covered = rng.choice((0, total, rng.randrange(total + 1)))
             counters.append(MethodCoverage(mid, total, covered, 4, rng.randrange(5)))
-    return merge_with_callgraph(CoverageReport(scope="full", methods=tuple(counters)), graph)
+    return merge_with_callgraph(dense_report("full", counters), graph)
 
 
 class TestBoundedView:
@@ -356,20 +356,79 @@ class TestCoverageFiles:
         assert [row["unmatched_methods"] for row in manifest["rounds"]] == counts
         assert counts[-1] > 0
 
-    def test_report_over_another_table_is_saved_dense(self, demo_config):
+    def test_report_over_another_table_names_its_own_totals_file(self, demo_config):
         config = demo_config("scripts/happy.json")
         runner = WorkflowRunner(TargetSpec.from_config(config), config)
         table = {"a": (4, 2), "b": (3, 0)}
         reports = [
-            CoverageReport("full", [MethodCoverage("a", 4, 1, 2, 0)], totals=table),
-            CoverageReport("full", [MethodCoverage("b", 3, 3, 0, 0)], totals=dict(table)),
-            CoverageReport("full", [MethodCoverage("a", 5, 5, 0, 0)]),  # as a shell file loads
+            CoverageReport("full", table, {"a": MethodCoverage("a", 4, 1, 2, 0)}),
+            CoverageReport("full", dict(table), {"b": MethodCoverage("b", 3, 3, 0, 0)}),
+            dense_report("full", [MethodCoverage("a", 5, 5, 0, 0)]),  # as a shell file loads
+            CoverageReport("full", table, {}),
         ]
         coverage = runner.run_dir / "coverage"
         for n, report in enumerate(reports):
             runner._save_coverage(report, n)
-        raw = [json.loads((coverage / f"r{n}.json").read_text(encoding="utf-8")) for n in range(3)]
-        assert [r.get("totals") for r in raw] == ["totals.json", "totals.json", None]
+        raw = [json.loads((coverage / f"r{n}.json").read_text(encoding="utf-8")) for n in range(4)]
+        assert [r["totals"] for r in raw] == [
+            "totals.json", "totals.json", "totals-r2.json", "totals.json"
+        ]
+        assert all("lines_total" not in m for r in raw for m in r["methods"])
+        assert sorted(p.name for p in coverage.iterdir()) == [
+            "r0.json", "r1.json", "r2.json", "r3.json", "totals-r2.json", "totals.json"
+        ]
+        for n, report in enumerate(reports):
+            assert CoverageReport.load(coverage / f"r{n}.json") == report
+
+    def test_shell_run_over_changing_tables_saves_every_round_sparse(self, tmp_path):
+        """A shell fuzzer writes dense files whose tables differ between
+        rounds: each round file is sparse, the later one over its own totals
+        file, and each loads as the report the round read."""
+        tables = [{ROOT_ID: (12, 6), "toylib.Token.isFlag()": (2, 2)}, {ROOT_ID: (10, 6)}]
+        for n, table in enumerate(tables):
+            methods = [
+                {"id": mid, "lines_total": lines, "lines_covered": lines // 2,
+                 "branches_total": branches, "branches_covered": 0}
+                for mid, (lines, branches) in table.items()
+            ]
+            (tmp_path / f"cov{n}.json").write_text(
+                json.dumps({"scope": "method_targeted", "campaign_seconds": 1.0, "methods": methods})
+            )
+        # the n-th campaign copies cov{n}.json to coverage_out
+        (tmp_path / "fuzz.sh").write_text(
+            f"cd {tmp_path}\nn=$(cat round 2>/dev/null || echo 0)\n"
+            "echo $((n + 1)) > round\ncp cov$n.json cov.json\n"
+        )
+        config = json.loads((DEMO_DIR / "config.json").read_text())
+        config["adapter"] = {"shell": {
+            "compile_cmd": "true", "fuzz_cmd": f"sh {tmp_path / 'fuzz.sh'}", "coverage_out": "cov.json"
+        }}
+        config["target"].update(
+            docs_bundle=str(DEMO_DIR / "docs.json"),
+            source_root=str(DEMO_DIR / "src"),
+            facts=str(DEMO_DIR / "facts.json"),
+        )
+        config["model"]["script"] = str(DEMO_DIR / "scripts" / "happy.json")
+        config["output_dir"] = str(tmp_path / "runs")
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        config = load_config(tmp_path / "config.json")
+        runner = WorkflowRunner(TargetSpec.from_config(config), config)
+        reports = []
+        fuzz = runner.adapter.fuzz
+
+        def recording_fuzz(*args, **kwargs):
+            result = fuzz(*args, **kwargs)
+            reports.append(result.coverage)
+            return result
+
+        runner.adapter.fuzz = recording_fuzz
+        assert runner.run()["outcome"] == "success"
+        assert [report.totals for report in reports] == tables
+        coverage = runner.run_dir / "coverage"
+        raw = [json.loads((coverage / f"r{n}.json").read_text(encoding="utf-8")) for n in (0, 1)]
+        assert [r["totals"] for r in raw] == ["totals.json", "totals-r1.json"]
+        assert all(set(m) == {"id", "lines_covered", "branches_covered"}
+                   for r in raw for m in r["methods"])
         for n, report in enumerate(reports):
             assert CoverageReport.load(coverage / f"r{n}.json") == report
 
