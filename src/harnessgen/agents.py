@@ -114,12 +114,13 @@ def parse_termination_decision(text: str) -> TerminationDecision:
         )
     if decision == "continue" and not priority:
         raise EngineError("PARSE", "continue decision requires non-empty priority_methods")
-    return TerminationDecision(
-        decision=decision,
-        rationale=str(payload.get("rationale", "")),
-        priority_methods=tuple(priority),
-        strategy=str(payload.get("strategy", "")),
-    )
+    texts = {key: payload.get(key) for key in ("rationale", "strategy")}
+    for key, value in texts.items():
+        if value is None:  # absent or null: none given
+            texts[key] = ""
+        elif not isinstance(value, str):
+            raise EngineError("PARSE", f"{key} must be a string, got {value!r}")
+    return TerminationDecision(decision, texts["rationale"], tuple(priority), texts["strategy"])
 
 
 _BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)

@@ -8,6 +8,7 @@ distance from the root, then answers reachability and path queries.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -31,11 +32,12 @@ class CallGraphNode(NamedTuple):
 class CallGraph:
     root: str
     nodes: dict[str, CallGraphNode] = field(default_factory=dict)
-    # sorted adjacency between the nodes, and the node ids of each depth in
-    # id order, filled once by build(); do not mutate
+    # sorted adjacency between the nodes, the node ids of each depth in id
+    # order, and each node but the root's caller on its smallest shortest
+    # path from the root, filled once by build(); do not mutate
     succ: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    pred: dict[str, tuple[str, ...]] = field(default_factory=dict)
     by_depth: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    parent: dict[str, str] = field(default_factory=dict)
     # (totals table, lines, branches) of the nodes in the table, summed and
     # kept by coverage.merge_with_callgraph
     coverage_totals: tuple | None = field(default=None, repr=False, compare=False)
@@ -51,12 +53,33 @@ def load_facts(path: str | Path) -> CallFacts:
         # each id's one string: the decoder makes a new one per occurrence, and
         # the calls, the graph's edges and its adjacency would keep them all
         ids = {entry["id"]: entry["id"] for entry in raw.get("methods", [])}
+        for mid in ids:
+            if not isinstance(mid, str) or not mid:
+                raise EngineError("PARSE", f"{path}: method id must be a non-empty string: {mid!r}")
         try:
             calls = [(ids[frm], ids[to]) for frm, to in raw.get("calls", [])]
         except KeyError as exc:
             raise EngineError("PARSE", f"call references unknown method id: {exc.args[0]}") from None
     # dict.fromkeys drops the repeats and keeps the first-seen order
     return CallFacts(methods=ids, calls=tuple(dict.fromkeys(calls)))
+
+
+def _walk(succ: Mapping, start: str, limit: int) -> dict[str, tuple[int, str | None]]:
+    """Breadth-first from `start`, at most `limit` calls deep: each method
+    met, in the order met, with its distance and the caller it was first
+    met from (None for `start`)."""
+    met: dict[str, tuple[int, str | None]] = {start: (0, None)}
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        depth = met[current][0] + 1
+        if depth > limit:
+            break  # every method still queued is as deep
+        for callee in succ.get(current, ()):
+            if callee not in met:
+                met[callee] = (depth, current)
+                queue.append(callee)
+    return met
 
 
 def build(facts: CallFacts, root: str, depth_limit: int) -> CallGraph:
@@ -67,34 +90,26 @@ def build(facts: CallFacts, root: str, depth_limit: int) -> CallGraph:
     adjacency: dict[str, list[str]] = {}
     for frm, to in facts.calls:
         adjacency.setdefault(frm, []).append(to)
-    depths = {root: 0}
-    queue = deque([root])
-    while queue:
-        current = queue.popleft()
-        if depths[current] >= depth_limit:
-            continue
-        for callee in adjacency.get(current, []):
-            if callee not in depths:
-                depths[callee] = depths[current] + 1
-                queue.append(callee)
+    depths = {mid: depth for mid, (depth, _) in _walk(adjacency, root, depth_limit).items()}
     graph = CallGraph(root, {mid: CallGraphNode(mid, d) for mid, d in depths.items()})
-    # the search meets the depths in order: the last node met is the deepest
+    # the walk meets the depths in order: the last node met is the deepest
     deepest = next(reversed(depths.values()))
     by_depth: dict[int, list[str]] = {d: [] for d in range(deepest + 1)}
-    pred: dict[str, list[str]] = {}
     succ = graph.succ
-    # One pass over the nodes by id yields each node's callees, each depth's
-    # ids and each callee's callers already in id order: no edge is sorted.
+    # One pass over the nodes by id yields each node's callees and each
+    # depth's ids already in id order: no edge is sorted.
     for frm in sorted(depths):
         by_depth[depths[frm]].append(frm)
         callees = sorted({to for to in adjacency.get(frm, ()) if to in depths})
         if callees:
             succ[frm] = tuple(callees)
-            for to in callees:
-                pred.setdefault(to, []).append(frm)
     # tuples of strings, which the cycle collector stops tracking
-    graph.pred = {to: tuple(callers) for to, callers in pred.items()}
     graph.by_depth = {d: tuple(ids) for d, ids in by_depth.items()}
+    # Taking callees in id order, the walk meets each depth's nodes in the
+    # order of their smallest shortest paths, so each node is first met from
+    # the caller that ends its own.
+    walk = _walk(succ, root, depth_limit)
+    graph.parent = {mid: caller for mid, (_, caller) in walk.items() if caller is not None}
     return graph
 
 
@@ -103,54 +118,19 @@ def reach_methods(graph: CallGraph, from_id: str, max_depth: int) -> list[dict]:
         raise EngineError("NOT_FOUND", f"method not in callgraph: {from_id}")
     if max_depth < 1:
         raise EngineError("BAD_ARGS", "max_depth must be positive")
-    rel = {from_id: 0}
-    queue = deque([from_id])
-    while queue:
-        current = queue.popleft()
-        if rel[current] >= max_depth:
-            continue
-        for callee in graph.succ.get(current, ()):
-            if callee not in rel:
-                rel[callee] = rel[current] + 1
-                queue.append(callee)
+    reached = _walk(graph.succ, from_id, max_depth)
     return [
         {"id": node_id, "relative_depth": depth}
-        for node_id, depth in sorted(rel.items(), key=lambda kv: (kv[1], kv[0]))
+        for depth, node_id in sorted((depth, node_id) for node_id, (depth, _) in reached.items())
     ]
 
 
 def path_to_method(graph: CallGraph, target: str) -> list[str]:
-    """Shortest root-to-target path; ties broken lexicographically.
-
-    A node's depth is its distance from the root, so a shortest path
-    steps one depth deeper per call: only predecessors one depth
-    shallower are walked back from the target, and the cost is the nodes
-    on shortest paths, not every ancestor.
-    """
+    """Shortest root-to-target path; among equals, the one whose ids are
+    smallest in order."""
     if target not in graph.nodes:
         raise EngineError("NOT_FOUND", f"method not in callgraph: {target}")
-    nodes = graph.nodes
-    # every node on some shortest root-to-target path
-    on_path = {target}
-    layer = [target]
-    while layer:
-        above = []
-        for current in layer:
-            depth = nodes[current].depth - 1
-            for caller in graph.pred.get(current, ()):
-                if caller not in on_path and nodes[caller].depth == depth:
-                    on_path.add(caller)
-                    above.append(caller)
-        layer = above
-    # walk forward, always taking the smallest id that stays on a shortest
-    # path; every node on one but the target has such a successor
-    path = [graph.root]
-    current = graph.root
-    while current != target:
-        depth = nodes[current].depth + 1
-        for nxt in graph.succ.get(current, ()):
-            if nxt in on_path and nodes[nxt].depth == depth:
-                break
-        path.append(nxt)
-        current = nxt
-    return path
+    path = [target]
+    while path[-1] in graph.parent:
+        path.append(graph.parent[path[-1]])
+    return path[::-1]

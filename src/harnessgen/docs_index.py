@@ -35,18 +35,30 @@ class PackageDoc(NamedTuple):
     classes: tuple[ClassDoc, ...] = ()
 
 
+def _text(raw: dict, key: str, where: str, required: bool = False) -> str:
+    """`raw[key]`, or "" when absent; PARSE when it is not a string, or
+    when it is empty and `required`."""
+    value = raw.get(key, "")
+    if not isinstance(value, str):
+        raise EngineError("PARSE", f"{where}: {key} must be a string: {value!r}")
+    if required and not value:
+        raise EngineError("PARSE", f"{where}: {key} missing")
+    return value
+
+
 def _parse_method(raw: dict, where: str) -> MethodDoc:
-    if not raw.get("signature"):
-        raise EngineError("PARSE", f"{where}: method missing signature")
+    signature = _text(raw, "signature", f"{where}: method", required=True)
+    where = f"{where}.{signature}"
     throws = []
     for entry in raw.get("throws", []):
-        exc = entry.get("exception", "")
-        if not exc:
-            raise EngineError("PARSE", f"{where}: throws entry missing exception")
-        throws.append((exc, entry.get("condition", "")))
-    params = tuple([(p.get("name", ""), p.get("doc", "")) for p in raw.get("params", [])])
+        exc = _text(entry, "exception", f"{where}: throws entry", required=True)
+        throws.append((exc, _text(entry, "condition", f"{where}: throws {exc}")))
+    param = f"{where}: param"
+    params = tuple(
+        [(_text(p, "name", param), _text(p, "doc", param)) for p in raw.get("params", [])]
+    )
     return MethodDoc(
-        raw["signature"], raw.get("doc", ""), params, raw.get("returns", ""), tuple(throws)
+        signature, _text(raw, "doc", where), params, _text(raw, "returns", where), tuple(throws)
     )
 
 
@@ -57,19 +69,15 @@ def load_bundle(path: str | Path) -> tuple[PackageDoc, ...]:
         packages = []
         seen_pkgs: set[str] = set()
         for p in raw.get("packages", []):
-            pname = p.get("name", "")
-            if not pname:
-                raise EngineError("PARSE", f"{path}: package missing name")
+            pname = _text(p, "name", f"{path}: package", required=True)
             if pname in seen_pkgs:
                 raise EngineError("PARSE", f"{path}: duplicate package {pname}")
             seen_pkgs.add(pname)
             classes = []
             seen_classes: set[str] = set()
             for c in p.get("classes", []):
-                cname = c.get("name", "")
-                where = f"{path}: {pname}.{cname or '?'}"
-                if not cname:
-                    raise EngineError("PARSE", f"{path}: class in {pname} missing name")
+                cname = _text(c, "name", f"{path}: class in {pname}", required=True)
+                where = f"{path}: {pname}.{cname}"
                 if cname in seen_classes:
                     raise EngineError("PARSE", f"{path}: duplicate class {pname}.{cname}")
                 seen_classes.add(cname)
@@ -83,8 +91,8 @@ def load_bundle(path: str | Path) -> tuple[PackageDoc, ...]:
                         )
                     seen_sigs.add(method.signature)
                     methods.append(method)
-                classes.append(ClassDoc(name=cname, doc=c.get("doc", ""), methods=tuple(methods)))
-            packages.append(PackageDoc(name=pname, doc=p.get("doc", ""), classes=tuple(classes)))
+                classes.append(ClassDoc(cname, _text(c, "doc", where), tuple(methods)))
+            packages.append(PackageDoc(pname, _text(p, "doc", f"{path}: {pname}"), tuple(classes)))
         return tuple(packages)
 
 

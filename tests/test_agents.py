@@ -154,24 +154,51 @@ class TestDecisionParser:
         decision = parse_termination_decision(f'{{{raw}"decision": "stop"}}')
         assert decision.priority_methods == ()
 
+    @pytest.mark.parametrize("key", ["rationale", "strategy"])
+    @pytest.mark.parametrize("raw", ["", ', "{key}": null'])
+    def test_absent_or_null_text_is_empty(self, key, raw):
+        text = '{"decision": "continue", "priority_methods": ["a.b()"]' + raw.format(key=key) + "}"
+        assert getattr(parse_termination_decision(text), key) == ""
+
+    @pytest.mark.parametrize("key", ["rationale", "strategy"])
+    @pytest.mark.parametrize("value", [5, 0, True, False, [], ["widen"], {"x": 1}])
+    def test_text_other_than_a_string_is_parse(self, key, value):
+        text = json.dumps({"decision": "continue", "priority_methods": ["a.b()"], key: value})
+        with pytest.raises(EngineError) as exc:
+            parse_termination_decision(text)
+        assert exc.value.code == "PARSE"
+        assert exc.value.message == f"{key} must be a string, got {value!r}"
+
     @pytest.mark.parametrize("priorities", [5, "a.B.c()", [1, 2]])
     def test_run_on_malformed_priorities_ends_model_failed(self, demo_config, tmp_path, priorities):
         """The corrective prompt follows the first bad reply; a second ends the
         run model_failed with MODEL_PROTOCOL, not internal_error."""
-        turns = json.loads((DEMO_DIR / "scripts" / "happy.json").read_text())["turns"]
-        reply = "```json\n" + json.dumps(
-            {"decision": "continue", "priority_methods": priorities}
-        ) + "\n```"
-        script = tmp_path / "bad_priorities.json"
-        script.write_text(json.dumps({"turns": turns[:4] + [
-            {"text": reply}, {"expect_contains": CORRECTIVE_PROMPT, "text": reply},
-        ]}))
-        config = demo_config(str(script))
-        manifest = run_workflow(TargetSpec.from_config(config), config)
-        assert manifest["outcome"] == "model_failed"
-        assert manifest["error"].startswith("MODEL_PROTOCOL: CVA gave no parseable answer")
+        manifest = run_with_bad_decision(
+            demo_config, tmp_path, {"decision": "continue", "priority_methods": priorities}
+        )
         assert "priority_methods must be a list" in manifest["error"]
-        assert "traceback" not in manifest
+
+    def test_run_on_malformed_strategy_ends_model_failed(self, demo_config, tmp_path):
+        manifest = run_with_bad_decision(demo_config, tmp_path, {
+            "decision": "continue", "priority_methods": ["a.b()"], "strategy": {"x": 1},
+        })
+        assert "strategy must be a string, got {'x': 1}" in manifest["error"]
+
+
+def run_with_bad_decision(demo_config, tmp_path, payload: dict) -> dict:
+    """The manifest of a demo run whose CVA replies `payload` twice."""
+    turns = json.loads((DEMO_DIR / "scripts" / "happy.json").read_text())["turns"]
+    reply = "```json\n" + json.dumps(payload) + "\n```"
+    script = tmp_path / "bad_decision.json"
+    script.write_text(json.dumps({"turns": turns[:4] + [
+        {"text": reply}, {"expect_contains": CORRECTIVE_PROMPT, "text": reply},
+    ]}))
+    config = demo_config(str(script))
+    manifest = run_workflow(TargetSpec.from_config(config), config)
+    assert manifest["outcome"] == "model_failed"
+    assert manifest["error"].startswith("MODEL_PROTOCOL: CVA gave no parseable answer")
+    assert "traceback" not in manifest
+    return manifest
 
 
 class TestNormalizeHash:

@@ -226,10 +226,11 @@ class TestSpecCounts:
         assert not list(tmp_path.glob("runs/*/transcripts/*.json"))
 
 
-def write_spec(root: Path, edit) -> Path:
-    """The demo copied under `root`, its sandbox spec changed by `edit`; the spec's path."""
+def write_spec(root: Path, edit, name: str = "sandbox.json") -> Path:
+    """The demo copied under `root`, its file `name` (the sandbox spec by
+    default) changed by `edit`; that file's path."""
     shutil.copytree(DEMO_DIR, root, ignore=shutil.ignore_patterns("runs"))
-    path = root / "sandbox.json"
+    path = root / name
     spec = json.loads(path.read_text())
     edit(spec)
     path.write_text(json.dumps(spec))
@@ -321,6 +322,94 @@ class TestSpecRuleFields:
         rule = spec.compile_rules[1]
         assert (rule.when, rule.diagnostic.line, rule.diagnostic.severity) == ("absent", 5, "warning")
         assert spec.coverage_rules[3].in_window is True
+
+
+class TestFactsIds:
+    @pytest.mark.parametrize("value", [7, "", None, 2.5, True, [], {"x": 1}])
+    def test_id_other_than_a_non_empty_string_is_parse(self, tmp_path, value):
+        """Every demo id ends some call, so a mutated id is found unknown by
+        the calls first; an extra method gives a bad id no call names."""
+        path = write_spec(tmp_path / "demo", lambda facts: facts["methods"].append({"id": value}),
+                          "facts.json")
+        with pytest.raises(EngineError) as exc:
+            load_facts(path)
+        assert exc.value.code == "PARSE" and str(path) in exc.value.message
+
+    def test_int_id_fails_run_and_tools_cleanly(self, capsys, tmp_path):
+        path = write_spec(tmp_path / "demo", lambda facts: facts["methods"].append({"id": 7}),
+                          "facts.json")
+        argv = [str(path.parent / "config.json"), "--set", f"output_dir={tmp_path / 'runs'}"]
+        assert main(["run", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"run failed: PARSE: {path}: method id must be a non-empty string: 7")
+        assert "Traceback" not in err and not (tmp_path / "runs").exists()
+        assert main(["tools", *argv, "--role", "CVA"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: method id") and "Traceback" not in err
+
+
+class TestDocsText:
+    METHOD = ("packages", 0, "classes", 0, "methods", 0)
+
+    @pytest.mark.parametrize(
+        "where, value, entity",
+        [
+            ((*METHOD, "doc"), 5, "toylib.ArgParser.parse(String[]): doc"),
+            ((*METHOD, "returns"), ["Result"], "toylib.ArgParser.parse(String[]): returns"),
+            ((*METHOD, "signature"), 5, "toylib.ArgParser: method: signature"),
+            ((*METHOD, "params", 0, "name"), 3, "parse(String[]): param: name"),
+            ((*METHOD, "params", 0, "doc"), None, "parse(String[]): param: doc"),
+            ((*METHOD, "throws", 0, "exception"), 1, "parse(String[]): throws entry: exception"),
+            ((*METHOD, "throws", 0, "condition"), False,
+             "parse(String[]): throws ParseException: condition"),
+            (("packages", 0, "classes", 0, "name"), 5, "class in toylib: name"),
+            (("packages", 0, "classes", 0, "doc"), {}, "toylib.ArgParser: doc"),
+            (("packages", 0, "name"), 5, "package: name"),
+            (("packages", 0, "doc"), 1.5, "toylib: doc"),
+        ],
+    )
+    def test_text_other_than_a_string_is_parse(self, tmp_path, where, value, entity):
+        def edit(bundle):
+            *parents, last = where
+            reduce(getitem, parents, bundle)[last] = value
+
+        path = write_spec(tmp_path / "demo", edit, "docs.json")
+        with pytest.raises(EngineError) as exc:
+            load_bundle(path)
+        assert exc.value.code == "PARSE"
+        assert exc.value.message.startswith(f"{path}: ")
+        assert f"{entity} must be a string: {value!r}" in exc.value.message
+
+    @pytest.mark.parametrize(
+        "where, entity",
+        [
+            ((*METHOD, "signature"), "toylib.ArgParser: method: signature"),
+            ((*METHOD, "throws", 0, "exception"), "parse(String[]): throws entry: exception"),
+            (("packages", 0, "classes", 0, "name"), "class in toylib: name"),
+            (("packages", 0, "name"), "package: name"),
+        ],
+    )
+    def test_required_text_empty_is_parse(self, tmp_path, where, entity):
+        def edit(bundle):
+            *parents, last = where
+            reduce(getitem, parents, bundle)[last] = ""
+
+        path = write_spec(tmp_path / "demo", edit, "docs.json")
+        with pytest.raises(EngineError) as exc:
+            load_bundle(path)
+        assert exc.value.code == "PARSE"
+        assert exc.value.message.startswith(f"{path}: ") and f"{entity} missing" in exc.value.message
+
+    def test_int_doc_fails_run_in_set_up(self, capsys, tmp_path):
+        def edit(bundle):
+            reduce(getitem, self.METHOD, bundle)["doc"] = 5
+
+        path = write_spec(tmp_path / "demo", edit, "docs.json")
+        code = main(["run", str(path.parent / "config.json"),
+                     "--set", f"output_dir={tmp_path / 'runs'}"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"run failed: PARSE: {path}: ")
+        assert "Traceback" not in err and not (tmp_path / "runs").exists()
 
 
 # a config override -> the start of the problem `validate_config` reports for it
