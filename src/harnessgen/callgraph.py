@@ -59,7 +59,9 @@ def load_facts(path: str | Path) -> CallFacts:
         try:
             calls = [(ids[frm], ids[to]) for frm, to in raw.get("calls", [])]
         except KeyError as exc:
-            raise EngineError("PARSE", f"call references unknown method id: {exc.args[0]}") from None
+            raise EngineError(
+                "PARSE", f"{path}: call references unknown method id: {exc.args[0]}"
+            ) from None
     # dict.fromkeys drops the repeats and keeps the first-seen order
     return CallFacts(methods=ids, calls=tuple(dict.fromkeys(calls)))
 

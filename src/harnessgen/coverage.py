@@ -12,8 +12,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
-from operator import eq, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -96,14 +95,16 @@ class CoverageReport:
         method brings its own `lines_total` and `branches_total` and the
         table is made from them.
 
-        ValueError if a count is not an integer >= 0, a covered count
-        exceeds its total, an id repeats, a sparse id is not in `totals`,
-        `scope` is not a string, `dropped_events` is not an integer >= 0 or
-        `campaign_seconds` is not a number >= 0.
+        ValueError if an id is not a non-empty string or repeats, a count
+        is not an integer >= 0, a covered count exceeds its total, a sparse
+        id is not in `totals`, `scope` is not a string, `dropped_events` is
+        not an integer >= 0 or `campaign_seconds` is not a number >= 0.
         """
         counters: dict[str, MethodCoverage] = {}
         for m in raw.get("methods", []):
             mid = m["id"]
+            if type(mid) is not str or not mid:
+                raise ValueError(f"method id must be a non-empty string: {mid!r}")
             if mid in counters:
                 raise ValueError(f"repeated method id {mid}")
             if totals is None:
@@ -147,13 +148,6 @@ class CoverageReport:
             return cls.from_json(raw, totals)
 
 
-class TraceEvent(NamedTuple):
-    method_id: str
-    line: int
-    kind: str  # line_hit | branch_hit
-    timestamp: float
-
-
 class TraceRun(NamedTuple):
     """The events of one method and kind at one timestamp: one per line."""
 
@@ -167,35 +161,19 @@ _LINES = itemgetter(3)
 
 
 class RunEvents:
-    """A trace's events held as runs.
-
-    It reads as the flat sequence of its runs' events: `len` is the event
-    count, iteration yields a `TraceEvent` per line in run order, and `==`
-    compares that sequence with another one or with a tuple of events.
-    Runs without lines hold no event and are not kept.
-    """
+    """A trace's events, held as runs; `len` is the event count. Runs
+    without lines hold no event and are not kept."""
 
     def __init__(self, runs: Iterable[TraceRun]) -> None:
         self.runs = tuple(filter(_LINES, runs))
-        self._len = sum(map(len, map(_LINES, self.runs)))
 
     def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        for mid, kind, ts, lines in self.runs:
-            for line in lines:
-                yield TraceEvent(mid, line, kind, ts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (RunEvents, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+        return sum(map(len, map(_LINES, self.runs)))
 
 
 @dataclass(frozen=True)
 class RecordingTrace:
-    events: tuple[TraceEvent, ...] | RunEvents
+    events: RunEvents
     windows: tuple[tuple[float, float], ...]
     method_totals: dict[str, tuple[int, int]] = field(default_factory=dict)  # id -> (lines, branches)
 
@@ -314,19 +292,6 @@ class AnnotatedCoverageView:
 
 
 _KIND_INDEX = {"line_hit": 0, "branch_hit": 1}
-_RUN_KEY = itemgetter(0, 2, 3)  # method id, kind, timestamp
-_LINE = itemgetter(1)
-
-
-def _runs(events: tuple[TraceEvent, ...] | RunEvents) -> Iterable[tuple]:
-    """(method id, kind, timestamp, lines) per run: a run-backed trace's own
-    runs, or the runs of consecutive flat events sharing the first three."""
-    if isinstance(events, RunEvents):
-        return events.runs
-    return (
-        (mid, kind, ts, tuple(map(_LINE, run)))
-        for (mid, kind, ts), run in groupby(events, _RUN_KEY)
-    )
 
 
 def apply_recording_windows(
@@ -349,7 +314,7 @@ def apply_recording_windows(
     windows = trace.windows
     sites: dict[tuple[str, int], set[int]] = {}  # (method id, kind index) -> lines
     dropped = 0
-    for mid, kind, ts, run_lines in _runs(trace.events):
+    for mid, kind, ts, run_lines in trace.events.runs:
         if mid not in totals:
             dropped += len(run_lines)
             if warn is not None:

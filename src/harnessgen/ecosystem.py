@@ -154,9 +154,9 @@ def _parse_spec(raw: dict, spec_path: Path) -> SandboxSpec:
             pattern=_field(r, "pattern", f"compile rule {i}"),
             when=_field(r, "when", f"compile rule {i}"),
             diagnostic=Diagnostic(
-                file=r["diagnostic"].get("file", "harness"),
+                file=_field(r["diagnostic"], "file", f"compile rule {i}"),
                 line=_field(r["diagnostic"], "line", f"compile rule {i}"),
-                message=r["diagnostic"].get("message", "compile rule fired"),
+                message=_field(r["diagnostic"], "message", f"compile rule {i}"),
                 severity=_field(r["diagnostic"], "severity", f"compile rule {i}"),
             ),
         )
@@ -184,12 +184,15 @@ def _parse_spec(raw: dict, spec_path: Path) -> SandboxSpec:
 
 
 # a rule field -> (its value when unset, what it must be, the check of that);
-# a string field has no value when unset, so it is required
+# a field with no value when unset is required
 _FRACTION = (0.0, "a number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
+_STRING = ("a string", lambda v: type(v) is str)
 _RULE_FIELDS = {
     "pattern": (None, "a string that compiles as a regular expression if it starts with ^",
                 _valid_pattern),
-    "summary": (None, "a string", lambda v: type(v) is str),
+    "summary": (None, *_STRING),
+    "file": ("harness", *_STRING),
+    "message": ("compile rule fired", *_STRING),
     "when": ("present", "present or absent", lambda v: v in ("present", "absent")),
     "line": (1, "a JSON integer >= 1", lambda v: type(v) is int and v >= 1),
     "severity": ("error", "error or warning", lambda v: v in ("error", "warning")),

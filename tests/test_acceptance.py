@@ -22,7 +22,8 @@ from harnessgen.callgraph import CallFacts, build, path_to_method
 from harnessgen.cli import main as cli_main
 from harnessgen.coverage import (
     RecordingTrace,
-    TraceEvent,
+    RunEvents,
+    TraceRun,
     apply_recording_windows,
     coverage_percent,
     merge_with_callgraph,
@@ -152,13 +153,17 @@ def test_criterion_3_coverage_semantics(graph):
             rng = random.Random(1000 + seed)
             totals = {mid: (rng.randint(1, 12), rng.randint(0, 6)) for mid in node_ids}
             windows = ((5.0, 15.0), (30.0, 45.0))
+            # one single-line run per event: method, line, kind, time drawn in that order
             events = tuple(
-                TraceEvent(rng.choice(node_ids), rng.randint(1, 14),
-                           rng.choice(["line_hit", "branch_hit"]), rng.uniform(0, 60))
-                for _ in range(rng.randint(0, 150))
+                TraceRun(mid, kind, ts, (line,))
+                for mid, line, kind, ts in (
+                    (rng.choice(node_ids), rng.randint(1, 14),
+                     rng.choice(["line_hit", "branch_hit"]), rng.uniform(0, 60))
+                    for _ in range(rng.randint(0, 150))
+                )
             )
             report = apply_recording_windows(
-                RecordingTrace(events=events, windows=windows, method_totals=totals)
+                RecordingTrace(events=RunEvents(events), windows=windows, method_totals=totals)
             )
             covered_sum = 0
             total_sum = 0
@@ -167,7 +172,7 @@ def test_criterion_3_coverage_semantics(graph):
                     e for e in events
                     if e.method_id == mid and any(s <= e.timestamp <= t for s, t in windows)
                 ]
-                lines = {e.line for e in in_window if e.kind == "line_hit"}
+                lines = {line for e in in_window if e.kind == "line_hit" for line in e.lines}
                 got = report.by_id()[mid]
                 assert got.lines_covered == min(lt, len(lines))
                 covered_sum += got.lines_covered

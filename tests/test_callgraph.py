@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -238,9 +239,10 @@ def test_queries_match_brute_force(instance, limit, max_depth, data):
         assert path_to_method(graph, target) == smallest_shortest_path(methods, calls, root, target)
 
 
-def old_load_facts(raw: dict) -> CallFacts:
-    """`load_facts` after decoding, as it was before it built the pairs in
-    one comprehension and dropped repeats with `dict.fromkeys`."""
+def old_load_facts(raw: dict, path: Path) -> CallFacts:
+    """`load_facts` after decoding the file at `path`, as it was before it
+    built the pairs in one comprehension and dropped repeats with
+    `dict.fromkeys`."""
     ids: dict[str, str] = {}
     for entry in raw.get("methods", []):
         ids[entry["id"]] = entry["id"]
@@ -250,7 +252,9 @@ def old_load_facts(raw: dict) -> CallFacts:
         try:
             pair = (ids[frm], ids[to])
         except KeyError as exc:
-            raise EngineError("PARSE", f"call references unknown method id: {exc.args[0]}") from None
+            raise EngineError(
+                "PARSE", f"{path}: call references unknown method id: {exc.args[0]}"
+            ) from None
         if pair not in seen:
             seen.add(pair)
             calls.append(pair)
@@ -315,7 +319,7 @@ class TestLinearBuildEquivalence:
         path = tmp_path_factory.mktemp("facts") / "facts.json"
         path.write_text(json.dumps(raw))
         try:
-            expected = old_load_facts(json.loads(path.read_text()))
+            expected = old_load_facts(json.loads(path.read_text()), path)
         except EngineError as exc:
             with pytest.raises(EngineError) as got:
                 load_facts(path)

@@ -106,6 +106,22 @@ class TestRun:
         assert manifest["error"] == "EXEC: fuzz command exited with status 7: boom"
         assert manifest["transitions"][-2:] == ["fuzz", "failed"]
 
+    def test_coverage_id_not_a_string_is_toolchain_failed(self, capsys, tmp_path):
+        methods = [{"id": 5, "lines_total": 3, "lines_covered": 1},
+                   {"id": "zz.Q.r()", "lines_total": 2, "lines_covered": 1}]
+        (tmp_path / "ids.json").write_text(json.dumps({"scope": "full", "methods": methods}))
+        path = write_shell_config(
+            tmp_path, compile_cmd="true",
+            fuzz_cmd=f"cp {tmp_path / 'ids.json'} {tmp_path / 'cov.json'}",
+        )
+        code, out, _ = run_cli(capsys, "run", str(path))
+        assert code == 2 and "outcome: toolchain_failed" in out
+        manifest = json.loads(open(f"{out.splitlines()[0]}/manifest.json").read())
+        assert manifest["error"] == (
+            f"PARSE: {tmp_path / 'cov.json'}: ValueError: method id must be a non-empty string: 5"
+        )
+        assert manifest["transitions"][-2:] == ["fuzz", "failed"]
+
     def test_unreadable_diagnostic_is_toolchain_failed(self, capsys, tmp_path):
         path = write_shell_config(
             tmp_path, compile_cmd="echo 'f.java:abc: boom'; exit 1", fuzz_cmd="true",

@@ -20,7 +20,6 @@ from harnessgen.coverage import (
     MethodCoverage,
     RecordingTrace,
     RunEvents,
-    TraceEvent,
     TraceRun,
     ViewDiff,
     ViewEntry,
@@ -97,6 +96,13 @@ class TestCounters:
     def test_duplicate_ids_rejected(self, tmp_path):
         for path in report_files(tmp_path, [("m", 3, 1, 0, 0), ("m", 3, 2, 0, 0)]):
             assert_load_is_parse(path, path, "repeated method id m")
+
+    @pytest.mark.parametrize("mid", [5, None, ""])
+    def test_id_other_than_a_non_empty_string_is_parse(self, tmp_path, mid):
+        """A non-string id would reach the view, whose sort of the unmatched
+        ids cannot order it among strings."""
+        for path in report_files(tmp_path, [(mid, 3, 1, 0, 0), ("zz.Q.r()", 2, 1, 0, 0)]):
+            assert_load_is_parse(path, path, f"method id must be a non-empty string: {mid!r}")
 
     def test_sparse_id_missing_from_the_table(self, tmp_path):
         _, sparse = report_files(tmp_path, [("m", 3, 1, 0, 0)])
@@ -183,19 +189,23 @@ class TestClassify:
             assert status == "partial"
 
 
+def run_trace(runs, totals, windows=((100.0, 200.0),)) -> RecordingTrace:
+    """A trace of `runs` over `totals`, in one window unless given others."""
+    return RecordingTrace(events=RunEvents(runs), windows=windows, method_totals=totals)
+
+
 class TestWindows:
     TOTALS = {"a": (10, 4), "b": (6, 2)}
 
     def test_only_in_window_events_count(self):
-        events = (
-            TraceEvent("a", 1, "line_hit", 50.0),    # before window
-            TraceEvent("a", 1, "line_hit", 150.0),   # inside
-            TraceEvent("a", 2, "line_hit", 150.0),   # inside
-            TraceEvent("a", 2, "line_hit", 151.0),   # duplicate site
-            TraceEvent("a", 3, "line_hit", 250.0),   # after window
-            TraceEvent("b", 1, "branch_hit", 160.0), # inside
+        runs = (
+            TraceRun("a", "line_hit", 50.0, (1,)),     # before window
+            TraceRun("a", "line_hit", 150.0, (1, 2)),  # inside
+            TraceRun("a", "line_hit", 151.0, (2,)),    # duplicate site
+            TraceRun("a", "line_hit", 250.0, (3,)),    # after window
+            TraceRun("b", "branch_hit", 160.0, (1,)),  # inside
         )
-        trace = RecordingTrace(events=events, windows=((100.0, 200.0),), method_totals=self.TOTALS)
+        trace = run_trace(runs, self.TOTALS)
         report = apply_recording_windows(trace)
         by_id = report.by_id()
         assert by_id["a"].lines_covered == 2
@@ -203,70 +213,80 @@ class TestWindows:
         assert report.scope == "method_targeted"
 
     def test_window_edges_inclusive(self):
-        events = (
-            TraceEvent("a", 1, "line_hit", 100.0),
-            TraceEvent("a", 2, "line_hit", 200.0),
+        runs = (
+            TraceRun("a", "line_hit", 100.0, (1,)),
+            TraceRun("a", "line_hit", 200.0, (2,)),
         )
-        trace = RecordingTrace(events=events, windows=((100.0, 200.0),), method_totals=self.TOTALS)
-        assert apply_recording_windows(trace).by_id()["a"].lines_covered == 2
+        assert apply_recording_windows(run_trace(runs, self.TOTALS)).by_id()["a"].lines_covered == 2
 
     def test_unknown_method_dropped_and_warned(self):
         warnings: list[str] = []
-        trace = RecordingTrace(
-            events=(TraceEvent("ghost", 1, "line_hit", 150.0),),
-            windows=((100.0, 200.0),),
-            method_totals=self.TOTALS,
-        )
+        trace = run_trace((TraceRun("ghost", "line_hit", 150.0, (1,)),), self.TOTALS)
         report = apply_recording_windows(trace, warn=warnings.append)
         assert report.dropped_events == 1
         assert warnings and "ghost" in warnings[0]
 
+    def test_run_without_lines_holds_no_event(self):
+        """A run without lines is neither counted, nor dropped, nor checked
+        for its kind, even in a window."""
+        warnings: list[str] = []
+        runs = (
+            TraceRun("a", "stmt_hit", 150.0, ()),
+            TraceRun("ghost", "line_hit", 150.0, range(3, 3)),
+            TraceRun("b", "line_hit", 150.0, ()),
+            TraceRun("a", "line_hit", 150.0, (4,)),
+        )
+        trace = run_trace(runs, self.TOTALS)
+        assert len(trace.events) == 1 and trace.events.runs == runs[3:]
+        report = apply_recording_windows(trace, warn=warnings.append)
+        assert report.dropped_events == 0 and warnings == []
+        assert report.hits == {"a": mk("a", 10, 1, 4, 0)}
+
     def test_covered_capped_at_total(self):
-        events = tuple(TraceEvent("b", line, "line_hit", 150.0) for line in range(1, 20))
-        trace = RecordingTrace(events=events, windows=((100.0, 200.0),), method_totals=self.TOTALS)
+        trace = run_trace((TraceRun("b", "line_hit", 150.0, range(1, 20)),), self.TOTALS)
         assert apply_recording_windows(trace).by_id()["b"].lines_covered == 6
 
     def test_overlapping_windows_rejected(self):
         with pytest.raises(EngineError) as exc:
-            RecordingTrace(events=(), windows=((0.0, 10.0), (5.0, 20.0)), method_totals={})
+            run_trace((), {}, windows=((0.0, 10.0), (5.0, 20.0)))
         assert exc.value.code == "BAD_ARGS"
 
     def test_reversed_window_rejected(self):
         with pytest.raises(EngineError):
-            RecordingTrace(events=(), windows=((10.0, 5.0),), method_totals={})
+            run_trace((), {}, windows=((10.0, 5.0),))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_traces_match_filter_oracle(self, seed):
         rng = random.Random(seed)
         totals = {f"m{i}": (rng.randint(1, 12), rng.randint(0, 6)) for i in range(5)}
         windows = ((10.0, 20.0), (40.0, 60.0))
-        events = tuple(
-            TraceEvent(
-                method_id=rng.choice(list(totals)),
-                line=rng.randint(1, 15),
-                kind=rng.choice(["line_hit", "branch_hit"]),
-                timestamp=rng.uniform(0.0, 80.0),
+        # one single-line run per event: method, line, kind, time drawn in that order
+        runs = tuple(
+            TraceRun(mid, kind, ts, (line,))
+            for mid, line, kind, ts in (
+                (rng.choice(list(totals)), rng.randint(1, 15),
+                 rng.choice(["line_hit", "branch_hit"]), rng.uniform(0.0, 80.0))
+                for _ in range(rng.randint(0, 120))
             )
-            for _ in range(rng.randint(0, 120))
         )
-        report = apply_recording_windows(
-            RecordingTrace(events=events, windows=windows, method_totals=totals)
-        )
-        # oracle: plain set comprehension over the raw event list
+        report = apply_recording_windows(run_trace(runs, totals, windows))
+        # oracle: plain set comprehension over the raw runs' lines
         for mid, (lt, bt) in totals.items():
             lines = {
-                e.line
-                for e in events
-                if e.method_id == mid
-                and e.kind == "line_hit"
-                and any(s <= e.timestamp <= t for s, t in windows)
+                line
+                for r in runs
+                if r.method_id == mid
+                and r.kind == "line_hit"
+                and any(s <= r.timestamp <= t for s, t in windows)
+                for line in r.lines
             }
             branches = {
-                e.line
-                for e in events
-                if e.method_id == mid
-                and e.kind == "branch_hit"
-                and any(s <= e.timestamp <= t for s, t in windows)
+                line
+                for r in runs
+                if r.method_id == mid
+                and r.kind == "branch_hit"
+                and any(s <= r.timestamp <= t for s, t in windows)
+                for line in r.lines
             }
             got = report.by_id()[mid]
             assert got.lines_covered == min(lt, len(lines))
@@ -383,14 +403,15 @@ def old_apply_recording_windows(trace: RecordingTrace, warn=None) -> CoverageRep
     before the one-pass version; the reference for the equivalence test."""
     hits = {mid: {"line_hit": set(), "branch_hit": set()} for mid in trace.method_totals}
     dropped = 0
-    for event in trace.events:
-        if event.method_id not in hits:
-            dropped += 1
-            if warn is not None:
-                warn(f"dropping event for unknown method {event.method_id}")
-            continue
-        if any(start <= event.timestamp <= end for start, end in trace.windows):
-            hits[event.method_id][event.kind].add(event.line)
+    for mid, kind, ts, lines in trace.events.runs:
+        for line in lines:
+            if mid not in hits:
+                dropped += 1
+                if warn is not None:
+                    warn(f"dropping event for unknown method {mid}")
+                continue
+            if any(start <= ts <= end for start, end in trace.windows):
+                hits[mid][kind].add(line)
     methods = tuple(
         MethodCoverage(
             id=mid,
@@ -406,8 +427,9 @@ def old_apply_recording_windows(trace: RecordingTrace, warn=None) -> CoverageRep
 
 @st.composite
 def traces(draw):
-    """Ordered windows, some touching at an endpoint; events on and near their
-    bounds; unknown methods, repeated sites, sites past the totals, zero totals."""
+    """Ordered windows, some touching at an endpoint; single-line runs on and
+    near their bounds; unknown methods, repeated sites, sites past the
+    totals, zero totals."""
     windows = []
     start = float(draw(st.integers(0, 5)))
     for _ in range(draw(st.integers(0, 4))):
@@ -427,21 +449,20 @@ def traces(draw):
             max_size=4,
         )
     )
-    event = st.builds(
-        TraceEvent,
+    run = st.builds(
+        TraceRun,
         method_id=st.sampled_from(["a", "b", "c", "d", "ghost"]),
-        line=st.integers(0, 7),
         kind=st.sampled_from(["line_hit", "branch_hit"]),
         timestamp=timestamp,
+        lines=st.integers(0, 7).map(lambda line: (line,)),
     )
-    events = draw(st.lists(event, max_size=60))
-    return RecordingTrace(events=tuple(events), windows=tuple(windows), method_totals=totals)
+    return run_trace(draw(st.lists(run, max_size=60)), totals, tuple(windows))
 
 
 @st.composite
 def run_traces(draw):
-    """Traces shaped like the sandbox's: runs of consecutive events sharing
-    method, kind and timestamp, with repeated lines, runs of unknown methods,
+    """Traces shaped like the sandbox's: runs of lines sharing method, kind
+    and timestamp, with repeated lines, runs of unknown methods,
     runs on and off the window bounds, and runs of an unknown kind that lie
     outside every window or belong to an unknown method."""
     windows = []
@@ -458,7 +479,7 @@ def run_traces(draw):
             max_size=3,
         )
     )
-    events = []
+    runs = []
     for _ in range(draw(st.integers(0, 12))):
         mid = draw(st.sampled_from(["a", "b", "c", "ghost"]))
         kind = draw(st.sampled_from(["line_hit", "branch_hit", "stmt_hit"]))
@@ -472,8 +493,8 @@ def run_traces(draw):
                 st.lists(st.integers(0, 7), min_size=1, max_size=10),
             )
         )
-        events.extend(TraceEvent(mid, line, kind, ts) for line in lines)
-    return RecordingTrace(events=tuple(events), windows=tuple(windows), method_totals=totals)
+        runs.append(TraceRun(mid, kind, ts, tuple(lines)))
+    return run_trace(runs, totals, tuple(windows))
 
 
 class TestWindowsEquivalence:
@@ -498,20 +519,15 @@ class TestWindowsEquivalence:
         assert len(warned) == report.dropped_events
 
     def test_unknown_kind_in_window_fails_as_before(self):
-        trace = RecordingTrace(
-            events=(TraceEvent("a", 1, "stmt_hit", 150.0),),
-            windows=((100.0, 200.0),),
-            method_totals={"a": (2, 2)},
-        )
+        trace = run_trace((TraceRun("a", "stmt_hit", 150.0, (1,)),), {"a": (2, 2)})
         for apply in (apply_recording_windows, old_apply_recording_windows):
             with pytest.raises(KeyError):
                 apply(trace)
 
     def test_unknown_kind_outside_windows_is_ignored_as_before(self):
-        trace = RecordingTrace(
-            events=(TraceEvent("a", 1, "stmt_hit", 50.0), TraceEvent("a", 1, "line_hit", 150.0)),
-            windows=((100.0, 200.0),),
-            method_totals={"a": (2, 2)},
+        trace = run_trace(
+            (TraceRun("a", "stmt_hit", 50.0, (1,)), TraceRun("a", "line_hit", 150.0, (1,))),
+            {"a": (2, 2)},
         )
         assert apply_recording_windows(trace) == old_apply_recording_windows(trace)
         assert apply_recording_windows(trace).by_id()["a"].lines_covered == 1
@@ -562,27 +578,13 @@ def outcome(apply, trace):
 class TestRunEvents:
     @settings(max_examples=300, deadline=None)
     @given(case=run_sets())
-    def test_runs_read_as_their_flat_events(self, case):
+    def test_runs_match_the_reference_filter(self, case):
         runs, windows, totals = case
         events = RunEvents(runs)
-        flat = tuple(
-            TraceEvent(mid, line, kind, ts) for mid, kind, ts, lines in runs for line in lines
-        )
-        assert len(events) == len(flat)
-        assert tuple(events) == flat
-        assert all(type(e) is TraceEvent for e in events)
-        assert events == flat and flat == events and events == RunEvents(runs)
-        if flat:
-            last = flat[-1]
-            assert events != flat[:-1]
-            assert events != flat[:-1] + (last._replace(line=last.line + 1),)
-        by_runs, by_events = (
-            RecordingTrace(events=e, windows=windows, method_totals=totals)
-            for e in (events, flat)
-        )
-        expected = outcome(old_apply_recording_windows, by_events)
-        assert outcome(apply_recording_windows, by_runs) == expected
-        assert outcome(apply_recording_windows, by_events) == expected
+        assert len(events) == sum(len(run.lines) for run in runs)
+        assert events.runs == tuple(run for run in runs if run.lines)
+        trace = RecordingTrace(events=events, windows=windows, method_totals=totals)
+        assert outcome(apply_recording_windows, trace) == outcome(old_apply_recording_windows, trace)
 
 
 def old_diff_views(prev: AnnotatedCoverageView, curr: AnnotatedCoverageView) -> ViewDiff:
@@ -911,10 +913,9 @@ class TestSparseReport:
         assert CoverageReport("full", {"a": (4, 2)}, hits(mk("a", 4, 2, 2, 0))) != dense
 
     def test_windows_keep_the_traces_table_and_only_hit_methods(self):
-        trace = RecordingTrace(
-            events=(TraceEvent("a", 1, "branch_hit", 150.0), TraceEvent("b", 1, "line_hit", 50.0)),
-            windows=((100.0, 200.0),),
-            method_totals=self.TOTALS,
+        trace = run_trace(
+            (TraceRun("a", "branch_hit", 150.0, (1,)), TraceRun("b", "line_hit", 50.0, (1,))),
+            self.TOTALS,
         )
         report = apply_recording_windows(trace, scope="full", campaign_seconds=3.0)
         assert report.totals is self.TOTALS

@@ -13,7 +13,7 @@ from harnessgen.coverage import (
     CoverageReport,
     MethodCoverage,
     RecordingTrace,
-    TraceEvent,
+    RunEvents,
     TraceRun,
 )
 from harnessgen.ecosystem import (
@@ -153,8 +153,9 @@ class TestSandboxCoverage:
 
 def old_build_trace(spec, harness) -> RecordingTrace:
     """`SandboxAdapter.build_trace` as it was before rule events were kept
-    per adapter: every call rebuilds the matched rules' events."""
-    events = []
+    per adapter: every call rebuilds the matched rules' events, one
+    single-line run per event."""
+    runs = []
     for rule in spec.coverage_rules:
         if not _pattern_matches(rule.pattern, harness.source):
             continue
@@ -162,12 +163,17 @@ def old_build_trace(spec, harness) -> RecordingTrace:
         for mid, (line_frac, branch_frac) in sorted(rule.methods.items()):
             lines_total, branches_total = spec.method_totals.get(mid, (0, 0))
             for line in range(1, math.ceil(line_frac * lines_total) + 1):
-                events.append(TraceEvent(mid, line, "line_hit", ts))
+                runs.append(TraceRun(mid, "line_hit", ts, (line,)))
             for branch in range(1, math.ceil(branch_frac * branches_total) + 1):
-                events.append(TraceEvent(mid, branch, "branch_hit", ts))
+                runs.append(TraceRun(mid, "branch_hit", ts, (branch,)))
     return RecordingTrace(
-        events=tuple(events), windows=(_WINDOW,), method_totals=dict(spec.method_totals)
+        events=RunEvents(runs), windows=(_WINDOW,), method_totals=dict(spec.method_totals)
     )
+
+
+def events_of(trace: RecordingTrace) -> list[tuple]:
+    """(method id, line, kind, timestamp) per line of each run, in run order."""
+    return [(mid, line, kind, ts) for mid, kind, ts, lines in trace.events.runs for line in lines]
 
 
 class TestKeptRuleEvents:
@@ -201,20 +207,21 @@ class TestKeptRuleEvents:
             old = old_build_trace(adapter.spec, harness)
             fresh = load_sandbox(DEMO_DIR / "sandbox.json").build_trace(harness)
             for trace in (adapter.build_trace(harness), adapter.build_trace(harness), fresh):
-                assert trace.events == old.events
+                assert events_of(trace) == events_of(old) and len(trace.events) == len(old.events)
                 assert (trace.windows, trace.method_totals) == (old.windows, old.method_totals)
 
-    def test_events_are_trace_events(self):
+    def test_runs_are_trace_runs_of_known_methods(self):
         adapter = load_sandbox(DEMO_DIR / "sandbox.json")
-        events = [
-            e for source in self.HARNESSES for e in adapter.build_trace(make_harness(source)).events
+        runs = [
+            r for source in self.HARNESSES
+            for r in adapter.build_trace(make_harness(source)).events.runs
         ]
-        assert events
-        for e in events:
-            # `==` cannot tell a TraceEvent from a plain tuple of the same fields
-            assert type(e) is TraceEvent
-            assert e.kind in ("line_hit", "branch_hit")
-            assert e.method_id in adapter.spec.method_totals
+        assert runs
+        for r in runs:
+            # `==` cannot tell a TraceRun from a plain tuple of the same fields
+            assert type(r) is TraceRun
+            assert r.kind in ("line_hit", "branch_hit")
+            assert r.method_id in adapter.spec.method_totals
 
     def test_trace_keeps_one_run_per_rule_method_and_kind(self):
         adapter = load_sandbox(DEMO_DIR / "sandbox.json")

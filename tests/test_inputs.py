@@ -296,6 +296,8 @@ class TestSpecRuleFields:
             (("compile_rules", 0, "pattern"), "^("),
             (("coverage_rules", 1, "pattern"), "^a{5,3}"),
             (("crash_rules", 0, "pattern"), "^x{4294967296}"),
+            (("compile_rules", 1, "diagnostic", "message"), 5),
+            (("compile_rules", 1, "diagnostic", "file"), ["x"]),
         ],
     )
     def test_bad_field_is_parse(self, tmp_path, path, value):
@@ -317,11 +319,15 @@ class TestSpecRuleFields:
             spec["compile_rules"][1]["diagnostic"].update(line=5, severity="warning")
             spec["compile_rules"][1]["when"] = "absent"
             del spec["coverage_rules"][3]["in_window"]
+            del spec["compile_rules"][0]["diagnostic"]["file"]
+            del spec["compile_rules"][0]["diagnostic"]["message"]
 
         spec = load_sandbox(write_spec(tmp_path / "demo", edit)).spec
         rule = spec.compile_rules[1]
         assert (rule.when, rule.diagnostic.line, rule.diagnostic.severity) == ("absent", 5, "warning")
         assert spec.coverage_rules[3].in_window is True
+        diagnostic = spec.compile_rules[0].diagnostic
+        assert (diagnostic.file, diagnostic.message) == ("harness", "compile rule fired")
 
 
 class TestFactsIds:
@@ -334,6 +340,17 @@ class TestFactsIds:
         with pytest.raises(EngineError) as exc:
             load_facts(path)
         assert exc.value.code == "PARSE" and str(path) in exc.value.message
+
+    def test_unknown_callee_is_parse_naming_the_file(self, tmp_path):
+        path = write_spec(
+            tmp_path / "demo",
+            lambda facts: facts["calls"].append(["toylib.Token.text()", "ghost.m()"]),
+            "facts.json",
+        )
+        with pytest.raises(EngineError) as exc:
+            load_facts(path)
+        assert exc.value.code == "PARSE"
+        assert exc.value.message == f"{path}: call references unknown method id: ghost.m()"
 
     def test_int_id_fails_run_and_tools_cleanly(self, capsys, tmp_path):
         path = write_spec(tmp_path / "demo", lambda facts: facts["methods"].append({"id": 7}),
