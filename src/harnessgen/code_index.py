@@ -118,6 +118,14 @@ def _signature(name: str, params: str) -> str:
     return f"{name}({','.join([t[0] for t in map(str.split, params.split(',')) if t])})"
 
 
+def _split_qualifier(qualifier: str) -> tuple[str | None, str]:
+    """`[pkg.]Class.name(sig)` as (`Class` or None, `name(sig)`): the split is at
+    the last dot before `(`, as dots inside `(...)` belong to the signature."""
+    head = qualifier.split("(")[0]
+    path, dot, name = head.rpartition(".")
+    return (path.rpartition(".")[2] if dot else None), qualifier[len(head) - len(name) :]
+
+
 def _scan_file(path: str, text: str) -> list[SymbolEntry]:
     symbols: list[SymbolEntry] = []
     stack: list[tuple[SymbolEntry, int]] = []  # (symbol, depth before its brace)
@@ -144,7 +152,7 @@ def _scan_file(path: str, text: str) -> list[SymbolEntry]:
         ):
             continue
         if not in_block_comment and raw.strip() == "}":
-            opens, closes = 0, 1  # a lone closing brace: nothing to match
+            clean, pending = "}", None  # a lone closing brace: nothing to match
         else:
             line = raw
             if in_block_comment:
@@ -192,29 +200,14 @@ def _scan_file(path: str, text: str) -> list[SymbolEntry]:
                     owner = container() if m else None
                     if owner is not None:
                         symbols.append(SymbolEntry(m.group(1), "field", path, lineno, lineno, owner))
-            opens = clean.count("{")
-            closes = clean.count("}")
-        if opens and closes:  # the order of the braces matters
-            for ch in _BRACE_RE.findall(clean):
-                if ch == "{":
-                    if pending is not None:
-                        stack.append((pending, depth))
-                        open_methods += pending.kind == "method"
-                        pending = None
-                    depth += 1
-                else:
-                    depth -= 1
-                    if stack and depth == stack[-1][1]:
-                        sym, _ = stack.pop()
-                        open_methods -= sym.kind == "method"
-                        sym.line_end = lineno
-        elif opens:
-            if pending is not None:
-                stack.append((pending, depth))
-                open_methods += pending.kind == "method"
-            depth += opens
-        else:
-            for _ in range(closes):
+        for ch in _BRACE_RE.findall(clean):
+            if ch == "{":
+                if pending is not None:
+                    stack.append((pending, depth))
+                    open_methods += pending.kind == "method"
+                    pending = None
+                depth += 1
+            else:
                 depth -= 1
                 if stack and depth == stack[-1][1]:
                     sym, _ = stack.pop()
@@ -231,6 +224,13 @@ class CodeIndex:
     def __init__(self, units: list[SourceUnit]) -> None:
         self.units = {u.path: u for u in units}
         self.symbols: list[SymbolEntry] = [s for u in units for s in u.symbols]
+        # Every named lookup reads this table: each symbol under its name and
+        # each method also under its name before `(`, in index order.
+        self._by_name: dict[str, list[SymbolEntry]] = {}
+        for s in self.symbols:
+            self._by_name.setdefault(s.name, []).append(s)
+            if s.kind == "method":
+                self._by_name.setdefault(s.name.split("(")[0], []).append(s)
 
     # -- construction -----------------------------------------------------
 
@@ -258,28 +258,11 @@ class CodeIndex:
     # -- snippet retrieval --------------------------------------------------
 
     def _candidates(self, kind: str, qualifier: str) -> list[SymbolEntry]:
-        want_kind = "method" if kind == "method" else "class"
-        container = None
-        name = qualifier
-        if kind == "method" and "." in qualifier.split("(")[0]:
-            container, _, name = qualifier.rpartition(".")
-            container = container.split(".")[-1]
-        exact = [
-            s
-            for s in self.symbols
-            if s.kind == want_kind
-            and s.name == name
-            and (container is None or s.container == container)
-        ]
-        if exact or kind != "method" or "(" in qualifier:
-            return exact
-        # bare method name fallback
+        container, name = _split_qualifier(qualifier) if kind == "method" else (None, qualifier)
         return [
             s
-            for s in self.symbols
-            if s.kind == "method"
-            and s.name.split("(")[0] == name
-            and (container is None or s.container == container)
+            for s in self._by_name.get(name, ())
+            if s.kind == kind and (container is None or s.container == container)
         ]
 
     def get_code(self, kind: str, qualifier: str) -> str:
@@ -287,8 +270,8 @@ class CodeIndex:
             raise EngineError("BAD_ARGS", f"unknown snippet kind: {kind}")
         found = self._candidates(kind, qualifier)
         if not found:
-            pool = [s.name for s in self.symbols if s.kind == ("method" if kind == "method" else "class")]
-            prefix = qualifier.split(".")[-1].split("(")[0].lower()
+            pool = [s.name for s in self.symbols if s.kind == kind]
+            prefix = _split_qualifier(qualifier)[1].split("(")[0].lower()
             suggestions = sorted({n for n in pool if n.lower().startswith(prefix)})[:5]
             hint = f"; did you mean: {', '.join(suggestions)}" if suggestions else ""
             raise EngineError("NOT_FOUND", f"unknown {kind}: {qualifier}{hint}")
@@ -347,14 +330,12 @@ class CodeIndex:
         return SearchHit(sym.file, sym.line_start, line)
 
     def _matching_symbols(self, name: str) -> list[SymbolEntry]:
-        return [
-            s
-            for s in self.symbols
-            if s.name == name or (s.kind == "method" and s.name.split("(")[0] == name)
-        ]
+        return self._by_name.get(name, [])
 
     def _ref_hits(self, name: str) -> list[SearchHit]:
         token = name.split("(")[0]
+        if not token:
+            raise EngineError("BAD_ARGS", f"refs needs a name before `(`: {name!r}")
         decl_lines = {
             (s.file, s.line_start) for s in self._matching_symbols(name)
         }

@@ -20,6 +20,19 @@ DEMO_DIR = REPO_ROOT / "demo"
 
 ROOT_ID = "toylib.ArgParser.parse(String[])"
 
+# A file or other resource a test leaves open fails that test: its
+# ResourceWarning, raised where nothing can catch it, reaches pytest as an
+# unraisable exception. Only the items under this directory get the filters.
+LEAK_FILTERS = ("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+
+
+def pytest_collection_modifyitems(items) -> None:
+    here = Path(__file__).parent
+    for item in items:
+        if item.path.is_relative_to(here):
+            for spec in LEAK_FILTERS:
+                item.add_marker(pytest.mark.filterwarnings(spec))
+
 
 def make_harness(source: str, dependencies: tuple[str, ...] = ()) -> HarnessArtifact:
     return HarnessArtifact(

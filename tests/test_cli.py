@@ -77,7 +77,7 @@ class TestRun:
         assert code == 0
         assert "outcome: success" in out
         assert (tmp_path / "runs") in list((tmp_path / "runs").parent.iterdir())
-        assert json.loads(open(f"{run_dir}/manifest.json").read())["outcome"] == "success"
+        assert json.loads(Path(run_dir, "manifest.json").read_text())["outcome"] == "success"
 
     def test_converged_exit_zero(self, capsys, tmp_path):
         code, _, out, _ = run_to_dir(capsys, tmp_path, "scripts/converge.json")
@@ -101,7 +101,7 @@ class TestRun:
         path = write_shell_config(tmp_path, compile_cmd="true", fuzz_cmd="echo boom >&2; exit 7")
         code, out, _ = run_cli(capsys, "run", str(path))
         assert code == 2 and "outcome: toolchain_failed" in out
-        manifest = json.loads(open(f"{out.splitlines()[0]}/manifest.json").read())
+        manifest = json.loads(Path(out.splitlines()[0], "manifest.json").read_text())
         assert manifest["outcome"] == "toolchain_failed"
         assert manifest["error"] == "EXEC: fuzz command exited with status 7: boom"
         assert manifest["transitions"][-2:] == ["fuzz", "failed"]
@@ -116,7 +116,7 @@ class TestRun:
         )
         code, out, _ = run_cli(capsys, "run", str(path))
         assert code == 2 and "outcome: toolchain_failed" in out
-        manifest = json.loads(open(f"{out.splitlines()[0]}/manifest.json").read())
+        manifest = json.loads(Path(out.splitlines()[0], "manifest.json").read_text())
         assert manifest["error"] == (
             f"PARSE: {tmp_path / 'cov.json'}: ValueError: method id must be a non-empty string: 5"
         )
@@ -129,7 +129,7 @@ class TestRun:
         )
         code, out, _ = run_cli(capsys, "run", str(path))
         assert code == 2 and "outcome: toolchain_failed" in out
-        manifest = json.loads(open(f"{out.splitlines()[0]}/manifest.json").read())
+        manifest = json.loads(Path(out.splitlines()[0], "manifest.json").read_text())
         assert manifest["error"].startswith("PARSE: diagnostic_pattern ")
         assert "matched 'f.java:abc: boom'" in manifest["error"]
         assert manifest["transitions"][-2:] == ["compile", "failed"]
@@ -140,7 +140,7 @@ class TestRun:
         )
         code, out, _ = run_cli(capsys, "run", str(path))
         assert code == 3 and "outcome: budget_exhausted" in out
-        manifest = json.loads(open(f"{out.splitlines()[0]}/manifest.json").read())
+        manifest = json.loads(Path(out.splitlines()[0], "manifest.json").read_text())
         assert manifest["error"].startswith("COMPILE_TIMEOUT: compile command timed out")
         assert manifest["transitions"][-2:] == ["compile", "failed"]
         assert manifest["fuzz_timeout"] is False
@@ -183,7 +183,7 @@ class TestRun:
         monkeypatch.setattr(ScriptedBackend, "complete", explode)
         code, run_dir, out, _ = run_to_dir(capsys, tmp_path, "scripts/happy.json")
         assert code == 2 and "outcome: internal_error" in out
-        manifest = json.loads(open(f"{run_dir}/manifest.json").read())
+        manifest = json.loads(Path(run_dir, "manifest.json").read_text())
         assert manifest["error"] == "KeyError: 'lost'"
 
     def test_invalid_config_exit_one(self, capsys, tmp_path):
@@ -378,7 +378,7 @@ class TestReport:
     def test_json_is_byte_identical_passthrough(self, capsys, finished_run):
         code, out, _ = run_cli(capsys, "report", finished_run, "--format", "json")
         assert code == 0
-        assert out == open(f"{finished_run}/manifest.json").read()
+        assert out == Path(finished_run, "manifest.json").read_text()
 
     def test_text_table(self, capsys, finished_run):
         code, out, _ = run_cli(capsys, "report", finished_run, "--format", "text")
@@ -391,7 +391,7 @@ class TestReport:
         code, out, _ = run_cli(capsys, "report", finished_run, "--format", "csv")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
-        manifest = json.loads(open(f"{finished_run}/manifest.json").read())
+        manifest = json.loads(Path(finished_run, "manifest.json").read_text())
         assert len(rows) == len(manifest["rounds"])
         for got, want in zip(rows, manifest["rounds"]):
             # repr-based serialization must be lossless

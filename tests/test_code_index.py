@@ -117,6 +117,36 @@ class TestGetCode:
         assert snippet.splitlines()[1].startswith("public class Token")
         assert snippet.rstrip().endswith("}")
 
+    @pytest.mark.parametrize(
+        "qualifier", ["parse(java.lang.String)", "A.parse", "A.parse(java.lang.String)",
+                      "p.A.parse(java.lang.String)"],
+    )
+    def test_dots_in_the_signature_are_not_the_class(self, dotted_index, qualifier):
+        assert dotted_index.get_code("method", qualifier).splitlines()[1] == DOTTED_SOURCE.splitlines()[3]
+
+    def test_hint_reads_the_name_before_the_signature(self, dotted_index):
+        with pytest.raises(EngineError) as exc:
+            dotted_index.get_code("method", "A.pars(java.lang.String)")
+        assert exc.value.code == "NOT_FOUND"
+        assert exc.value.message.endswith("; did you mean: parse(java.lang.String)")
+
+
+DOTTED_SOURCE = """\
+package p;
+
+public class A {
+    public void parse(java.lang.String s) {
+        s.length();
+    }
+}
+"""
+
+
+@pytest.fixture()
+def dotted_index(tmp_path) -> CodeIndex:
+    (tmp_path / "A.java").write_text(DOTTED_SOURCE, encoding="utf-8")
+    return CodeIndex.build(tmp_path)
+
 
 class TestSearch:
     def test_definition_site(self, fixture_index):
@@ -145,6 +175,17 @@ class TestSearch:
         with pytest.raises(EngineError) as exc:
             fixture_index.search("symbol", "run", 0)
         assert exc.value.code == "BAD_ARGS"
+
+    @pytest.mark.parametrize("query", ["", "(int)"])
+    def test_refs_without_a_name_is_bad_args(self, fixture_index, query):
+        with pytest.raises(EngineError) as exc:
+            fixture_index.search("refs", query, 20)
+        assert exc.value.code == "BAD_ARGS"
+
+    def test_empty_definition_and_symbol_queries(self, fixture_index):
+        assert fixture_index.search("definition", "", 20).hits == ()
+        # every name holds the empty string
+        assert len(fixture_index.search("symbol", "", 20).hits) == len(fixture_index.symbols)
 
     def test_definition_subset_of_symbol(self, code_index):
         for name in ("parse", "lookup", "of", "isFlag"):
@@ -533,3 +574,86 @@ def old_signature(name: str, params: str) -> str:
         tokens = part.split()
         types.append(tokens[0] if len(tokens) > 1 else part)
     return f"{name}({','.join(types)})"
+
+
+def old_candidates(symbols: list[SymbolEntry], kind: str, qualifier: str) -> list[SymbolEntry]:
+    """`CodeIndex._candidates` as it was before it read the name table: an
+    exact pass over every symbol, then a pass on the bare method name."""
+    want_kind = "method" if kind == "method" else "class"
+    container = None
+    name = qualifier
+    if kind == "method" and "." in qualifier.split("(")[0]:
+        container, _, name = qualifier.rpartition(".")
+        container = container.split(".")[-1]
+    exact = [
+        s
+        for s in symbols
+        if s.kind == want_kind
+        and s.name == name
+        and (container is None or s.container == container)
+    ]
+    if exact or kind != "method" or "(" in qualifier:
+        return exact
+    return [
+        s
+        for s in symbols
+        if s.kind == "method"
+        and s.name.split("(")[0] == name
+        and (container is None or s.container == container)
+    ]
+
+
+def old_matching_symbols(symbols: list[SymbolEntry], name: str) -> list[SymbolEntry]:
+    """`CodeIndex._matching_symbols` as it was before it read the name table."""
+    return [
+        s
+        for s in symbols
+        if s.name == name or (s.kind == "method" and s.name.split("(")[0] == name)
+    ]
+
+
+# Names shared by classes, fields and methods (a constructor's name is its
+# class's), and parameter lists with and without dots; a method's name, as
+# the scanner makes it, always holds `(`.
+LOOKUP_NAMES = st.sampled_from(("A", "B", "parse", "run", ""))
+LOOKUP_CONTAINERS = st.sampled_from((None, "A", "B"))
+LOOKUP_PARAMS = ("", "int", "int,String", "String[]")
+LOOKUP_SYMBOLS = st.lists(
+    st.one_of(
+        st.builds(lambda n, c: SymbolEntry(n, "class", "F.java", 1, 1, c),
+                  LOOKUP_NAMES, LOOKUP_CONTAINERS),
+        st.builds(lambda n, c: SymbolEntry(n, "field", "F.java", 1, 1, c),
+                  LOOKUP_NAMES, st.sampled_from(("A", "B"))),
+        st.builds(lambda n, p, c: SymbolEntry(f"{n}({p})", "method", "F.java", 1, 1, c),
+                  LOOKUP_NAMES, st.sampled_from((*LOOKUP_PARAMS, "java.lang.String")),
+                  LOOKUP_CONTAINERS),
+    ),
+    max_size=30,
+)
+# with and without a class (and package) prefix, with and without `(`, and
+# no dot inside the parentheses, where the old split cut the signature
+LOOKUP_QUALIFIERS = st.tuples(
+    st.sampled_from(("", "A.", "B.", "C.", "p.A.", "q.r.B.", ".")),
+    LOOKUP_NAMES,
+    st.one_of(st.just(""), st.sampled_from(LOOKUP_PARAMS).map(lambda p: f"({p})")),
+).map("".join)
+
+
+class TestNameTable:
+    @settings(max_examples=500, deadline=None)
+    @given(symbols=LOOKUP_SYMBOLS, split=st.integers(0, 30), qualifier=LOOKUP_QUALIFIERS)
+    def test_lookups_match_linear_filters(self, symbols, split, qualifier):
+        index = CodeIndex([
+            SourceUnit("A.java", "", symbols[:split]), SourceUnit("B.java", "", symbols[split:])
+        ])
+
+        def ids(found: list[SymbolEntry]) -> list[int]:
+            return [id(s) for s in found]
+
+        for kind in ("method", "class"):
+            assert ids(index._candidates(kind, qualifier)) == ids(
+                old_candidates(index.symbols, kind, qualifier)
+            )
+        assert ids(index._matching_symbols(qualifier)) == ids(
+            old_matching_symbols(index.symbols, qualifier)
+        )
