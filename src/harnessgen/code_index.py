@@ -3,12 +3,22 @@
 The symbol scanner is a line-oriented heuristic over brace-delimited
 declarations (Java-like syntax), not a real parser. That is good enough
 for agent consumption; fixture tests pin its behavior.
+
+`CodeIndex.build` can keep each file's symbols in a JSON cache, keyed by
+a digest of the file's bytes and, as a whole, by a digest of this
+module's source, so that a changed scanner never reads another's rows.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import json
+import os
 import re
+import tempfile
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from .errors import EngineError
@@ -28,6 +38,7 @@ _CONTROL_RE = re.compile(rf"\s*(?:{'|'.join(sorted(_CONTROL_KEYWORDS))})\s*\(")
 _STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 _WORD_RE = re.compile(r"\w+")
 _BRACE_RE = re.compile(r"[{}]")
+_KINDS = ("class", "method", "field")
 
 
 @dataclass
@@ -220,8 +231,52 @@ def _scan_file(path: str, text: str) -> list[SymbolEntry]:
     return symbols
 
 
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _read_cache(path: Path, scanner: str) -> dict:
+    """The per-file entries of the symbol cache at `path`; {} for a cache
+    that is missing, unreadable, malformed or written by another scanner."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        return {}
+    if not isinstance(raw, dict) or raw.get("scanner") != scanner:
+        return {}
+    files = raw.get("files")
+    return files if isinstance(files, dict) else {}
+
+
+def _cached_symbols(path: str, entry, digest: str) -> list[SymbolEntry] | None:
+    """The symbols a cache entry `[digest, rows]` holds for the file `path`,
+    or None unless the entry is well-formed and for the bytes with `digest`.
+    A row is `[name, kind, line_start, line_end, container]`."""
+    if not (isinstance(entry, list) and len(entry) == 2 and entry[0] == digest):
+        return None
+    rows = entry[1]
+    if not isinstance(rows, list):
+        return None
+    symbols = []
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 5):
+            return None
+        name, kind, start, end, container = row
+        if not (
+            type(name) is str and kind in _KINDS and type(start) is int and type(end) is int
+            and (container is None or type(container) is str)
+        ):
+            return None
+        symbols.append(SymbolEntry(name, kind, path, start, end, container))
+    return symbols
+
+
 class CodeIndex:
     def __init__(self, units: list[SourceUnit]) -> None:
+        # in path-string order, which search hits sort by; `sorted(Path)`
+        # puts `a/` before `a-b/`, where strings put it after
+        units = sorted(units, key=lambda u: u.path)
         self.units = {u.path: u for u in units}
         self.symbols: list[SymbolEntry] = [s for u in units for s in u.symbols]
         # Every named lookup reads this table: each symbol under its name and
@@ -231,29 +286,95 @@ class CodeIndex:
             self._by_name.setdefault(s.name, []).append(s)
             if s.kind == "method":
                 self._by_name.setdefault(s.name.split("(")[0], []).append(s)
+        # set by `build`: how many files it scanned and how many it read from
+        # the cache, and (cache file, scanner digest, file digest per path)
+        # when the cache differs from this index
+        self.scan_counts = {"scanned": len(units), "cached": 0}
+        self._cache_update: tuple[Path, str, dict[str, str]] | None = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def build(cls, source_root: str | Path, warn=None) -> "CodeIndex":
+    def build(
+        cls, source_root: str | Path, warn=None, cache_dir: str | Path | None = None
+    ) -> "CodeIndex":
+        """Index every source file under `source_root`.
+
+        With `cache_dir`, a file whose digest matches its entry in
+        `<cache_dir>/code-<digest of the resolved root>.json` takes its
+        symbols from there instead of the scanner. A cache that cannot be
+        read or does not fit is a miss, never an error. `build` writes
+        nothing: `save_cache` does, once the caller has somewhere to write.
+        """
         root = Path(source_root)
         if not root.is_dir():
             raise EngineError("IO", f"source root not found: {root}")
+        cache = scanner = None
+        entries: dict = {}
+        if cache_dir is not None:
+            scanner = _digest(Path(__file__).read_bytes())
+            cache = Path(cache_dir) / f"code-{_digest(os.fsencode(root.resolve()))}.json"
+            entries = _read_cache(cache, scanner)
         units = []
+        digests: dict[str, str] = {}
+        scanned = 0
         for file in sorted(root.rglob("*")):
             if not file.is_file() or file.suffix not in DEFAULT_EXTENSIONS:
                 continue
             rel = file.relative_to(root).as_posix()
             try:
-                text = file.read_text(encoding="utf-8")
+                data = file.read_bytes()
+                text = data.decode("utf-8")
             except (OSError, UnicodeDecodeError) as exc:
                 if warn is not None:
                     warn(f"skipping unreadable file {rel}: {exc}")
                 continue
-            units.append(SourceUnit(path=rel, text=text, symbols=_scan_file(rel, text)))
+            if "\r" in text:  # universal newlines, as reading in text mode gives
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            symbols = None
+            if cache is not None:
+                digests[rel] = _digest(data)
+                symbols = _cached_symbols(rel, entries.get(rel), digests[rel])
+            if symbols is None:
+                symbols = _scan_file(rel, text)
+                scanned += 1
+            units.append(SourceUnit(path=rel, text=text, symbols=symbols))
         if not units:
             raise EngineError("INDEX_EMPTY", f"no indexable files under {root}")
-        return cls(units)
+        index = cls(units)
+        index.scan_counts = {"scanned": scanned, "cached": len(units) - scanned}
+        # with every file a hit, more entries than units are files since removed
+        if cache is not None and (scanned or len(entries) != len(units)):
+            index._cache_update = (cache, scanner, digests)
+        return index
+
+    def save_cache(self) -> None:
+        """Write the symbol cache `build` read, if it differs from this index:
+        whole, to a temporary file then renamed over it. A cache that cannot
+        be written stays as it was, and the next build misses it."""
+        if self._cache_update is None:
+            return
+        path, scanner, digests = self._cache_update
+        self._cache_update = None
+        files = {
+            u.path: [
+                digests[u.path],
+                [[s.name, s.kind, s.line_start, s.line_end, s.container] for s in u.symbols],
+            ]
+            for u in self.units.values()
+        }
+        data = json.dumps({"scanner": scanner, "files": files})
+        with contextlib.suppress(OSError):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as out:
+                    out.write(data)
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
 
     # -- snippet retrieval --------------------------------------------------
 
@@ -287,17 +408,23 @@ class CodeIndex:
     # -- search --------------------------------------------------------------
 
     def search(self, kind: str, query: str, max_results: int) -> SearchResult:
+        """Hits sorted by path and line, the first `max_results` of them.
+
+        A unit's symbols run in line order and the units in path order, so
+        `definition` and `symbol` walk symbols in hit order and stop at the
+        one past `max_results`, which only marks the result truncated.
+        """
         if max_results <= 0:
             raise EngineError("BAD_ARGS", "max_results must be positive")
-        if kind == "definition":
-            hits = [self._decl_hit(s) for s in self._matching_symbols(query)]
+        if kind in ("definition", "symbol"):
+            if kind == "definition":
+                found = self._matching_symbols(query)
+            else:
+                needle = query.lower()
+                found = (s for s in self.symbols if needle in s.name.lower())
+            hits = [self._decl_hit(s) for s in islice(found, max_results + 1)]
         elif kind == "refs":
             hits = self._ref_hits(query)
-        elif kind == "symbol":
-            needle = query.lower()
-            hits = [
-                self._decl_hit(s) for s in self.symbols if needle in s.name.lower()
-            ]
         elif kind == "text":
             try:
                 pattern = re.compile(query)

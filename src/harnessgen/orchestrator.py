@@ -10,6 +10,7 @@ outcome.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -247,7 +248,8 @@ class Services(NamedTuple):
     code: CodeIndex
     graph: cg.CallGraph
     registry: ToolRegistry
-    # {"seconds": wall seconds per service, "warnings": skipped sources}
+    # {"seconds": wall seconds per service, "warnings": skipped sources,
+    #  "code_index": files scanned and files read from the symbol cache}
     setup: dict
 
 
@@ -259,8 +261,11 @@ def build_services(config: Config, target: TargetSpec) -> Services:
 
     `config` is one that `config.validate_config` passed. The docs, source
     and facts paths come from `target.*` when set, else from the sandbox
-    spec. `setup` records the wall seconds of each of `SETUP_STEPS` and the
-    warnings of the code index, one per source file it skipped.
+    spec. `setup` records the wall seconds of each of `SETUP_STEPS`, the
+    warnings of the code index, one per source file it skipped, and how
+    many files it scanned and read from its cache under `output_dir`. The
+    cache is only read here: `WorkflowRunner` writes it once its run
+    directory exists.
     """
     marks = [time.monotonic()]
     keys = ("docs_bundle", "source_root", "facts")
@@ -275,16 +280,18 @@ def build_services(config: Config, target: TargetSpec) -> Services:
     docs = DocsIndex.from_file(paths["docs_bundle"])
     marks.append(time.monotonic())
     warnings: list[str] = []
-    code = CodeIndex.build(paths["source_root"], warn=warnings.append)
+    code = CodeIndex.build(
+        paths["source_root"], warn=warnings.append,
+        cache_dir=Path(config.output_dir) / ".cache",
+    )
     marks.append(time.monotonic())
     facts = cg.load_facts(paths["facts"])
     graph = cg.build(facts, _resolve_root(facts, target), config.depth_limit())
     marks.append(time.monotonic())
     registry = register_default_tools(ToolRegistry(), docs, code, graph)
     seconds = {step: end - start for step, start, end in zip(SETUP_STEPS, marks, marks[1:])}
-    return Services(
-        adapter, docs, code, graph, registry, {"seconds": seconds, "warnings": warnings}
-    )
+    setup = {"seconds": seconds, "warnings": warnings, "code_index": code.scan_counts}
+    return Services(adapter, docs, code, graph, registry, setup)
 
 
 def _resolve_root(facts: cg.CallFacts, target: TargetSpec) -> str:
@@ -303,6 +310,12 @@ class WorkflowRunner:
     `transcripts` maps (role, round) to that round's agent runs. It is the
     run's one record of model usage: the manifest's `accounting` is summed
     from it by `summarize_usage`.
+
+    Construction ends with `gc.freeze()`, and `run()` ends with
+    `gc.unfreeze()`: the services are built once and live for the whole
+    run, so no full collection during the run walks them. They are still
+    freed by reference counting. `gc.unfreeze()` also releases objects
+    the host process froze itself.
     """
 
     def __init__(self, target: TargetSpec, config: Config, run_dir: str | Path | None = None):
@@ -317,6 +330,8 @@ class WorkflowRunner:
         ) = build_services(config, target)
         self._setup_backend()
         self._setup_run_dir(run_dir)
+        self.code.save_cache()
+        gc.freeze()
 
     # -- setup ------------------------------------------------------------
 
@@ -444,38 +459,42 @@ class WorkflowRunner:
 
         `_run_phases` returns the outcome of a run that stops by success,
         convergence or budget; every failure raises, and the run ends in
-        phase `failed` with an `error` note.
+        phase `failed` with an `error` note. However it ends, the objects
+        frozen at construction join the collector's oldest generation again.
         """
-        error_note = trace = interrupt = None
         try:
-            outcome = self._run_phases()
-        except EngineError as exc:
-            error_note = f"{exc.code}: {exc.message}"
-            if isinstance(exc, ToolchainError):
-                outcome = OUTCOME_TOOLCHAIN_FAILED
-            else:
-                outcome = OUTCOME_OF_ERROR.get(exc.code, OUTCOME_MODEL_FAILED)
-        except KeyboardInterrupt as exc:
-            error_note, outcome, interrupt = "KeyboardInterrupt", OUTCOME_INTERRUPTED, exc
-        except Exception as exc:  # any other fault still leaves a manifest
-            error_note = f"{type(exc).__name__}: {exc}"
-            outcome = OUTCOME_INTERNAL_ERROR
-            trace = traceback.format_exc()
-        if self.state.phase not in ("done", "failed"):
-            self.state.transition("failed" if error_note else "done")
-        manifest = self._manifest(outcome, error_note)
-        if trace:
-            manifest["traceback"] = trace
-        (self.run_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-        )
-        if self.state.harness is not None:
-            (self.run_dir / "harness" / "final.src").write_text(
-                self.state.harness.source, encoding="utf-8"
+            error_note = trace = interrupt = None
+            try:
+                outcome = self._run_phases()
+            except EngineError as exc:
+                error_note = f"{exc.code}: {exc.message}"
+                if isinstance(exc, ToolchainError):
+                    outcome = OUTCOME_TOOLCHAIN_FAILED
+                else:
+                    outcome = OUTCOME_OF_ERROR.get(exc.code, OUTCOME_MODEL_FAILED)
+            except KeyboardInterrupt as exc:
+                error_note, outcome, interrupt = "KeyboardInterrupt", OUTCOME_INTERRUPTED, exc
+            except Exception as exc:  # any other fault still leaves a manifest
+                error_note = f"{type(exc).__name__}: {exc}"
+                outcome = OUTCOME_INTERNAL_ERROR
+                trace = traceback.format_exc()
+            if self.state.phase not in ("done", "failed"):
+                self.state.transition("failed" if error_note else "done")
+            manifest = self._manifest(outcome, error_note)
+            if trace:
+                manifest["traceback"] = trace
+            (self.run_dir / "manifest.json").write_text(
+                json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
             )
-        if interrupt is not None:
-            raise interrupt
-        return manifest
+            if self.state.harness is not None:
+                (self.run_dir / "harness" / "final.src").write_text(
+                    self.state.harness.source, encoding="utf-8"
+                )
+            if interrupt is not None:
+                raise interrupt
+            return manifest
+        finally:
+            gc.unfreeze()  # the services froze at construction
 
     def _run_phases(self) -> str:
         state = self.state

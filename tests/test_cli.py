@@ -367,6 +367,16 @@ class TestTools:
         )
         assert code == 1 and "unknown role" in err
 
+    @pytest.mark.parametrize("argv", [["validate"], ["tools", "--role", "CVA"]])
+    def test_writes_nothing(self, capsys, tmp_path, argv):
+        """`tools` builds the services a run does and may read the symbol
+        cache under `output_dir`, but neither it nor `validate` writes one."""
+        out = tmp_path / "runs"
+        code, _, _ = run_cli(
+            capsys, argv[0], str(DEMO_DIR / "config.json"), *argv[1:], "--set", f"output_dir={out}"
+        )
+        assert code == 0 and not out.exists()
+
 
 @pytest.fixture()
 def finished_run(capsys, tmp_path):

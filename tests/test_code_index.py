@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import json
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +89,24 @@ class TestBuildIndex:
         with pytest.raises(EngineError) as exc:
             CodeIndex.build(tmp_path)
         assert exc.value.code == "INDEX_EMPTY"
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_files_read_as_text_mode_reads_them(self, tmp_path, cached):
+        """Line ends translate as in text mode, and a file that is not UTF-8
+        is skipped with the reason text mode gives."""
+        root = tmp_path / "src"
+        root.mkdir()
+        (root / "A.java").write_bytes(b"class A {\r\n  int x;\r}\rint y;\n\r\n")
+        (root / "B.java").write_bytes(b"class B { \xff }")
+        warnings: list[str] = []
+        index = CodeIndex.build(
+            root, warn=warnings.append, cache_dir=tmp_path / "cache" if cached else None
+        )
+        assert index.units["A.java"].text == (root / "A.java").read_text(encoding="utf-8")
+        with pytest.raises(UnicodeDecodeError) as exc:
+            (root / "B.java").read_text(encoding="utf-8")
+        assert list(index.units) == ["A.java"]
+        assert warnings == [f"skipping unreadable file B.java: {exc.value}"]
 
     def test_toylib_sources_indexed(self, code_index):
         names = {s.name for s in code_index.symbols if s.kind == "class"}
@@ -656,4 +678,189 @@ class TestNameTable:
             )
         assert ids(index._matching_symbols(qualifier)) == ids(
             old_matching_symbols(index.symbols, qualifier)
+        )
+
+
+# Paths whose string order differs from `sorted(Path)` order: as strings
+# `a-b/` and `a.b/` sort before `a/`, as paths after it
+TREE_PATHS = (
+    "A.java", "a/B.java", "a-b/C.java", "a.b/D.tl", "a/b/E.java", "a/b-c/F.java", "Z.tl",
+)
+JAVA_FILES = st.lists(st.sampled_from(JAVA_LINES), max_size=30).map("\n".join)
+TREES = st.dictionaries(st.sampled_from(TREE_PATHS), JAVA_FILES, min_size=1)
+
+
+def write_tree(root: Path, tree: dict[str, str]) -> None:
+    for rel, text in tree.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+
+
+def contents(index: CodeIndex):
+    """Everything a build decides: units, their symbols, and all in order."""
+    return [(u.path, u.text, u.symbols) for u in index.units.values()], index.symbols
+
+
+def counted_build(root: Path, cache: Path) -> tuple[CodeIndex, list]:
+    """A cached build and the (path, text) of each file it scanned."""
+    with mock.patch("harnessgen.code_index._scan_file", wraps=_scan_file) as scan:
+        index = CodeIndex.build(root, cache_dir=cache)
+    return index, [c.args for c in scan.call_args_list]
+
+
+class TestSymbolCache:
+    @settings(max_examples=100, deadline=None)
+    @given(tree=TREES)
+    def test_warm_build_equals_cold(self, tree):
+        with tempfile.TemporaryDirectory() as tmp:
+            root, cache = Path(tmp, "src"), Path(tmp, "cache")
+            write_tree(root, tree)
+            cold = CodeIndex.build(root)
+            first, scanned = counted_build(root, cache)
+            assert first.scan_counts == {"scanned": len(tree), "cached": 0}
+            assert sorted(path for path, _ in scanned) == sorted(tree)
+            assert contents(first) == contents(cold)
+            assert not cache.exists()  # build reads; save_cache writes
+            first.save_cache()
+            warm, scanned = counted_build(root, cache)
+            assert scanned == [] and warm.scan_counts == {"scanned": 0, "cached": len(tree)}
+            assert contents(warm) == contents(cold)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree=TREES, data=st.data())
+    def test_an_edited_file_alone_is_rescanned(self, tree, data):
+        rel = data.draw(st.sampled_from(sorted(tree)))
+        text = data.draw(JAVA_FILES.filter(lambda t: t != tree[rel]))
+        with tempfile.TemporaryDirectory() as tmp:
+            root, cache = Path(tmp, "src"), Path(tmp, "cache")
+            write_tree(root, tree)
+            CodeIndex.build(root, cache_dir=cache).save_cache()
+            write_tree(root, {rel: text})
+            edited, scanned = counted_build(root, cache)
+            assert scanned == [(rel, text)]
+            assert edited.scan_counts == {"scanned": 1, "cached": len(tree) - 1}
+            assert contents(edited) == contents(CodeIndex.build(root))
+            edited.save_cache()
+            assert counted_build(root, cache)[1] == []
+
+    def test_a_removed_file_leaves_the_cache(self, tmp_path):
+        root, cache = tmp_path / "src", tmp_path / "cache"
+        write_tree(root, {"A.java": NESTED_SOURCE, "B.java": HELPER_SOURCE})
+        CodeIndex.build(root, cache_dir=cache).save_cache()
+        (root / "B.java").unlink()
+        index, scanned = counted_build(root, cache)
+        assert scanned == [] and index.scan_counts == {"scanned": 0, "cached": 1}
+        index.save_cache()
+        (path,) = cache.iterdir()
+        assert list(json.loads(path.read_text())["files"]) == ["A.java"]
+
+    def test_an_unchanged_tree_rewrites_nothing(self, tmp_path):
+        root, cache = tmp_path / "src", tmp_path / "cache"
+        write_tree(root, {"A.java": NESTED_SOURCE})
+        CodeIndex.build(root, cache_dir=cache).save_cache()
+        (path,) = cache.iterdir()
+        before = path.stat()
+        CodeIndex.build(root, cache_dir=cache).save_cache()
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert list(cache.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw, text: text[: len(text) // 2],  # truncated
+            lambda raw, text: "[]",
+            lambda raw, text: json.dumps({**raw, "files": []}),
+            lambda raw, text: json.dumps({**raw, "scanner": "0" * 64}),
+            lambda raw, text: json.dumps({**raw, "files": {
+                path: ["0" * 64, rows] for path, (_, rows) in raw["files"].items()}}),
+            lambda raw, text: json.dumps({**raw, "files": {
+                path: [digest] for path, (digest, _) in raw["files"].items()}}),
+            lambda raw, text: json.dumps({**raw, "files": {
+                path: [digest, {}] for path, (digest, _) in raw["files"].items()}}),
+            *(
+                lambda raw, text, i=i, bad=bad: json.dumps({**raw, "files": {
+                    path: [digest, [row[:i] + [bad] + row[i + 1:] for row in rows]]
+                    for path, (digest, rows) in raw["files"].items()}})
+                for i, bad in ((0, 7), (1, "enum"), (1, ["class"]), (2, "3"), (3, True),
+                               (4, 1), (5, None))
+            ),
+            lambda raw, text: json.dumps({**raw, "files": {
+                path: [digest, [row[:4] for row in rows]]
+                for path, (digest, rows) in raw["files"].items()}}),
+            lambda raw, text: "[" * 100_000 + "]" * 100_000,
+            lambda raw, text: b"\xff".decode("latin-1"),
+        ],
+        ids=["truncated", "not-an-object", "files-not-an-object", "foreign-scanner",
+             "file-digest", "entry-without-rows", "rows-not-a-list", "name-not-a-string",
+             "unknown-kind", "kind-unhashable", "line-not-an-int", "line-a-bool",
+             "container-not-a-string", "row-too-long", "row-too-short", "nested-too-deep",
+             "not-utf-8"],
+    )
+    def test_a_bad_cache_gives_the_cold_index(self, tmp_path, corrupt):
+        root, cache = tmp_path / "src", tmp_path / "cache"
+        write_tree(root, {"A.java": NESTED_SOURCE, "b/B.java": HELPER_SOURCE,
+                          "b/P.java": PROBE_SOURCE})
+        CodeIndex.build(root, cache_dir=cache).save_cache()
+        (path,) = cache.iterdir()
+        text = path.read_text(encoding="utf-8")
+        path.write_text(corrupt(json.loads(text), text), encoding="latin-1")
+        index, scanned = counted_build(root, cache)
+        assert len(scanned) == 3 and index.scan_counts == {"scanned": 3, "cached": 0}
+        assert contents(index) == contents(CodeIndex.build(root))
+        index.save_cache()  # the next build reads what this one scanned
+        assert path.read_text(encoding="utf-8") == text
+
+    def test_an_unwritable_cache_is_a_miss(self, tmp_path):
+        root, cache = tmp_path / "src", tmp_path / "cache"
+        write_tree(root, {"A.java": NESTED_SOURCE})
+        cache.write_text("a file where the cache directory would be")
+        index = CodeIndex.build(root, cache_dir=cache)
+        index.save_cache()
+        assert index.scan_counts == {"scanned": 1, "cached": 0}
+        assert contents(index) == contents(CodeIndex.build(root))
+        assert cache.read_text() == "a file where the cache directory would be"
+
+    def test_roots_have_their_own_caches(self, tmp_path):
+        cache = tmp_path / "cache"
+        for name in ("one", "two"):
+            write_tree(tmp_path / name, {"A.java": NESTED_SOURCE})
+            CodeIndex.build(tmp_path / name, cache_dir=cache).save_cache()
+        assert len(list(cache.iterdir())) == 2
+
+
+def old_search(index: CodeIndex, kind: str, query: str, max_results: int) -> str:
+    """`render_search` for `definition` and `symbol` as it was before it
+    stopped at its answer: every hit made, sorted, then cut."""
+    if kind == "definition":
+        found = index._matching_symbols(query)
+    else:
+        found = [s for s in index.symbols if query.lower() in s.name.lower()]
+    hits = sorted(
+        ((s.file, s.line_start, index.units[s.file].text.splitlines()[s.line_start - 1].strip())
+         for s in found),
+        key=lambda h: h[:2],
+    )
+    lines = [f"{path}:{line}: {excerpt}" for path, line, excerpt in hits[:max_results]]
+    if len(hits) > max_results:
+        lines.append(f"... results truncated at {max_results}")
+    return "\n".join(lines) if lines else "(no matches)"
+
+
+class TestSearchStopsAtItsAnswer:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tree=TREES,
+        kind=st.sampled_from(("definition", "symbol")),
+        query=st.sampled_from(("", "e", "a", "size", "run", "Outer", "Inner", "count", "x",
+                               "size(String,int)", "run()", "NOPE")),
+        max_results=st.integers(1, 6),
+    )
+    def test_matches_build_all_sort_truncate(self, tree, kind, query, max_results):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_tree(Path(tmp), tree)
+            index = CodeIndex.build(tmp)
+        assert index.render_search(kind, query, max_results) == old_search(
+            index, kind, query, max_results
         )

@@ -359,7 +359,9 @@ class TestHttpBackend:
         call = {"function": {"name": "grep", "arguments": "[1]"}}
         handler.responses = [(200, good_completion(None, tool_calls=[call]))]
         model = {"backend": "http", "endpoint": url, "model": "m"}
-        config = load_config(DEMO_DIR / "config.json", [f"model={json.dumps(model)}"])
+        config = load_config(
+            DEMO_DIR / "config.json", [f"model={json.dumps(model)}", f"output_dir={tmp_path}"]
+        )
         manifest = run_workflow(TargetSpec.from_config(config), config, run_dir=tmp_path / "run")
         assert manifest["outcome"] == "model_failed"
         assert manifest["error"].startswith("MODEL_PROTOCOL: malformed model response: ")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 import re
@@ -309,6 +310,42 @@ class TestSetupRecord:
         assert manifest["outcome"] == "success"
         assert json.loads((runner.run_dir / "setup.json").read_text()) == setup
         assert "setup" not in manifest and "warnings" not in manifest
+
+    def test_setup_counts_the_files_scanned_and_cached(self, demo_config):
+        """The first run into an `output_dir` scans the sources and leaves
+        the symbol cache; the next reads every file from it."""
+        config = demo_config("scripts/happy.json")
+        counts = []
+        for _ in range(2):
+            runner = WorkflowRunner(TargetSpec.from_config(config), config)
+            counts.append(json.loads((runner.run_dir / "setup.json").read_text())["code_index"])
+            runner.run()
+        assert counts == [{"scanned": 3, "cached": 0}, {"scanned": 0, "cached": 3}]
+
+    @pytest.mark.parametrize("fault", [None, KeyboardInterrupt, RuntimeError])
+    def test_services_are_frozen_for_the_run_only(self, demo_config, fault):
+        """No collection during `run()` walks the objects built before it:
+        they stay frozen from construction until `run()` ends, however it ends."""
+        config = demo_config("scripts/happy.json")
+        runner = WorkflowRunner(TargetSpec.from_config(config), config)
+        frozen = gc.get_freeze_count()
+        phases = runner._run_phases
+        during = []
+
+        def run_phases():
+            during.append(gc.get_freeze_count())
+            if fault is not None:
+                raise fault
+            return phases()
+
+        runner._run_phases = run_phases
+        if fault is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                runner.run()
+        else:
+            runner.run()
+        assert frozen > 0 and during == [frozen]
+        assert gc.get_freeze_count() == 0
 
     def test_undecodable_source_is_skipped_and_named(self, tmp_path):
         demo = tmp_path / "demo"
