@@ -408,11 +408,12 @@ class CodeIndex:
     # -- search --------------------------------------------------------------
 
     def search(self, kind: str, query: str, max_results: int) -> SearchResult:
-        """Hits sorted by path and line, the first `max_results` of them.
+        """Hits in path and line order, the first `max_results` of them.
 
-        A unit's symbols run in line order and the units in path order, so
-        `definition` and `symbol` walk symbols in hit order and stop at the
-        one past `max_results`, which only marks the result truncated.
+        The units run in path order and a unit's symbols and lines in line
+        order, so every kind meets its hits in that order. `definition` and
+        `symbol` stop at the one past `max_results`, which only marks the
+        result truncated; `refs` and `text` collect every hit.
         """
         if max_results <= 0:
             raise EngineError("BAD_ARGS", "max_results must be positive")
@@ -441,7 +442,6 @@ class CodeIndex:
             ]
         else:
             raise EngineError("BAD_ARGS", f"unknown search kind: {kind}")
-        hits.sort(key=lambda h: (h.path, h.line))
         truncated = len(hits) > max_results
         return SearchResult(hits=tuple(hits[:max_results]), truncated=truncated)
 

@@ -302,7 +302,8 @@ def apply_recording_windows(
 ) -> CoverageReport:
     """Aggregate a trace into a report over the trace's totals table.
 
-    Only events inside a recording window count; distinct hit sites per
+    Only events inside a recording window count, or every event when
+    `scope` is "full", whatever the windows; distinct hit sites per
     method and kind become the covered counters, capped at the declared
     totals. An in-window event of another kind raises KeyError.
 
@@ -311,7 +312,7 @@ def apply_recording_windows(
     C-level `update`.
     """
     totals = trace.method_totals
-    windows = trace.windows
+    windows = ((float("-inf"), float("inf")),) if scope == "full" else trace.windows
     sites: dict[tuple[str, int], set[int]] = {}  # (method id, kind index) -> lines
     dropped = 0
     for mid, kind, ts, run_lines in trace.events.runs:

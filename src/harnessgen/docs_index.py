@@ -7,6 +7,8 @@ lookups are pure.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -96,6 +98,25 @@ def load_bundle(path: str | Path) -> tuple[PackageDoc, ...]:
         return tuple(packages)
 
 
+def _pick(kind: str, qualifier: str, found: list, fmt: str, pool: Callable[[], Iterable[str]]):
+    """The one entry of `found`. AMBIGUOUS if there are several, each named by
+    `fmt`; NOT_FOUND if none, with up to MAX_SUGGESTIONS names of `pool()` that
+    start with `qualifier`, else that hold its name before `(`, case aside."""
+    if len(found) == 1:
+        return found[0]
+    if found:
+        names = ", ".join(sorted(fmt.format(*entry) for entry in found))
+        raise EngineError("AMBIGUOUS", f"{kind} {qualifier} matches: {names}")
+    prefix = qualifier.lower()
+    token = prefix.split("(")[0].rpartition(".")[2]  # as code_index._split_qualifier
+    lowered = [(n.lower(), n) for n in pool()]
+    hits = [n for low, n in lowered if low.startswith(prefix)]
+    hits = hits or [n for low, n in lowered if token and token in low]
+    suggestions = sorted(hits)[:MAX_SUGGESTIONS]
+    hint = f"; did you mean: {', '.join(suggestions)}" if suggestions else ""
+    raise EngineError("NOT_FOUND", f"unknown {kind}: {qualifier}{hint}")
+
+
 class DocsIndex:
     """Query surface over a loaded bundle's packages."""
 
@@ -125,49 +146,33 @@ class DocsIndex:
 
     # -- lookup helpers ---------------------------------------------------
 
-    def _suggest(self, pool: list[str], query: str) -> list[str]:
-        prefix = query.lower()
-        hits = sorted(name for name in pool if name.lower().startswith(prefix))
-        if not hits:
-            # fall back to the shortest token of the query
-            token = prefix.split(".")[-1].split("(")[0]
-            hits = sorted(name for name in pool if token and token in name.lower())
-        return hits[:MAX_SUGGESTIONS]
+    def _in_packages(self, table: dict[str, list], qualifier: str) -> list:
+        """`table`'s entries `qualifier` names as `package.key`: it is split at each
+        dot whose left side is a package, and the rest is read as that package's key."""
+        found = []
+        dot = qualifier.find(".")
+        while dot != -1:
+            pkg = qualifier[:dot]
+            if pkg in self._packages:
+                for entry in table.get(qualifier[dot + 1 :], ()):
+                    if entry[0] == pkg:
+                        found.append(entry)
+            dot = qualifier.find(".", dot + 1)
+        return found
+
+    def _resolve_package(self, qualifier: str, pool: Callable[[], Iterable[str]]) -> PackageDoc:
+        found = [self._packages[qualifier]] if qualifier in self._packages else []
+        return _pick("package", qualifier, found, "{0}", pool)
 
     def _resolve_class(self, qualifier: str) -> tuple[str, ClassDoc]:
-        if "." in qualifier:
-            pkg_name, _, cls_name = qualifier.rpartition(".")
-            for pkg, cls in self._classes.get(cls_name, []):
-                if pkg == pkg_name:
-                    return pkg, cls
-        candidates = self._classes.get(qualifier, [])
-        if len(candidates) == 1:
-            return candidates[0]
-        if len(candidates) > 1:
-            names = sorted(f"{pkg}.{cls.name}" for pkg, cls in candidates)
-            raise EngineError("AMBIGUOUS", f"class {qualifier} matches: {', '.join(names)}")
-        pool = [f"{pkg}.{cls.name}" for lst in self._classes.values() for pkg, cls in lst]
-        pool += list(self._classes)
-        suggestions = self._suggest(pool, qualifier)
-        hint = f"; did you mean: {', '.join(suggestions)}" if suggestions else ""
-        raise EngineError("NOT_FOUND", f"unknown class: {qualifier}{hint}")
+        found = self._in_packages(self._classes, qualifier) or self._classes.get(qualifier, [])
+        return _pick("class", qualifier, found, "{0}.{1.name}", lambda: chain(
+            self._classes, (f"{p}.{c.name}" for v in self._classes.values() for p, c in v)))
 
     def _resolve_method(self, qualifier: str) -> tuple[str, str, MethodDoc]:
-        # Accept Class.method(Types) or package.Class.method(Types).
-        candidates = list(self._methods.get(qualifier, []))
-        if not candidates:
-            for key, hits in self._methods.items():
-                if qualifier.endswith("." + key):
-                    pkg_prefix = qualifier[: -(len(key) + 1)]
-                    candidates.extend(h for h in hits if h[0] == pkg_prefix)
-        if len(candidates) == 1:
-            return candidates[0]
-        if len(candidates) > 1:
-            names = sorted(f"{pkg}.{cls}.{m.signature}" for pkg, cls, m in candidates)
-            raise EngineError("AMBIGUOUS", f"method {qualifier} matches: {', '.join(names)}")
-        suggestions = self._suggest(list(self._methods), qualifier)
-        hint = f"; did you mean: {', '.join(suggestions)}" if suggestions else ""
-        raise EngineError("NOT_FOUND", f"unknown method: {qualifier}{hint}")
+        # Class.method(Types) first, then package.Class.method(Types)
+        found = self._methods.get(qualifier) or self._in_packages(self._methods, qualifier)
+        return _pick("method", qualifier, found, "{0}.{1}.{2.signature}", self._methods.keys)
 
     # -- tools ------------------------------------------------------------
 
@@ -196,11 +201,7 @@ class DocsIndex:
                 lines += [f"  {m.signature}" for m in cls.methods]
             return "\n".join(lines)
         if kind == "package":
-            pkg = self._packages.get(qualifier)
-            if pkg is None:
-                suggestions = self._suggest(list(self._packages), qualifier)
-                hint = f"; did you mean: {', '.join(suggestions)}" if suggestions else ""
-                raise EngineError("NOT_FOUND", f"unknown package: {qualifier}{hint}")
+            pkg = self._resolve_package(qualifier, self._packages.keys)
             lines = [pkg.name]
             if pkg.doc:
                 lines += ["", pkg.doc]
@@ -216,9 +217,7 @@ class DocsIndex:
         if kind == "classes":
             if parent is None:
                 raise EngineError("BAD_ARGS", "listing classes requires a package name")
-            pkg = self._packages.get(parent)
-            if pkg is None:
-                raise EngineError("NOT_FOUND", f"unknown package: {parent}")
+            pkg = self._resolve_package(parent, lambda: ())  # a listing suggests no names
             return sorted(c.name for c in pkg.classes)
         if kind == "methods":
             if parent is None:

@@ -17,7 +17,7 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -279,12 +279,8 @@ class SandboxAdapter:
     ) -> FuzzResult:
         started = time.monotonic()
         matched = self._matched_rules(harness)
-        trace = self._trace_of(matched)
-        if scope == "full":
-            # every event counts regardless of recording windows
-            trace = replace(trace, windows=((float("-inf"), float("inf")),))
         report = apply_recording_windows(
-            trace, scope=scope, campaign_seconds=float(duration_seconds)
+            self._trace_of(matched), scope=scope, campaign_seconds=float(duration_seconds)
         )
         crashes = tuple(
             Crash(dedup_key=crash_dedup_key(rule.summary), summary=rule.summary)

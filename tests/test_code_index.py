@@ -831,17 +831,27 @@ class TestSymbolCache:
 
 
 def old_search(index: CodeIndex, kind: str, query: str, max_results: int) -> str:
-    """`render_search` for `definition` and `symbol` as it was before it
-    stopped at its answer: every hit made, sorted, then cut."""
-    if kind == "definition":
-        found = index._matching_symbols(query)
+    """`render_search` as it was before `definition` and `symbol` stopped at
+    their answer and the hits went unsorted: every hit made, sorted, then cut."""
+    if kind == "refs":
+        found = [(h.path, h.line, h.excerpt) for h in index._ref_hits(query)]
+    elif kind == "text":
+        found = [
+            (u.path, i, line.strip())
+            for u in index.units.values()
+            for i, line in enumerate(u.text.splitlines(), 1)
+            if re.search(query, line)
+        ]
     else:
-        found = [s for s in index.symbols if query.lower() in s.name.lower()]
-    hits = sorted(
-        ((s.file, s.line_start, index.units[s.file].text.splitlines()[s.line_start - 1].strip())
-         for s in found),
-        key=lambda h: h[:2],
-    )
+        if kind == "definition":
+            symbols = index._matching_symbols(query)
+        else:
+            symbols = [s for s in index.symbols if query.lower() in s.name.lower()]
+        found = [
+            (s.file, s.line_start, index.units[s.file].text.splitlines()[s.line_start - 1].strip())
+            for s in symbols
+        ]
+    hits = sorted(found, key=lambda h: h[:2])
     lines = [f"{path}:{line}: {excerpt}" for path, line, excerpt in hits[:max_results]]
     if len(hits) > max_results:
         lines.append(f"... results truncated at {max_results}")
@@ -852,7 +862,7 @@ class TestSearchStopsAtItsAnswer:
     @settings(max_examples=200, deadline=None)
     @given(
         tree=TREES,
-        kind=st.sampled_from(("definition", "symbol")),
+        kind=st.sampled_from(("definition", "symbol", "refs", "text")),
         query=st.sampled_from(("", "e", "a", "size", "run", "Outer", "Inner", "count", "x",
                                "size(String,int)", "run()", "NOPE")),
         max_results=st.integers(1, 6),
@@ -861,6 +871,11 @@ class TestSearchStopsAtItsAnswer:
         with tempfile.TemporaryDirectory() as tmp:
             write_tree(Path(tmp), tree)
             index = CodeIndex.build(tmp)
+        if kind == "refs" and not query:
+            with pytest.raises(EngineError) as exc:
+                index.render_search(kind, query, max_results)
+            assert exc.value.code == "BAD_ARGS"
+            return
         assert index.render_search(kind, query, max_results) == old_search(
             index, kind, query, max_results
         )

@@ -4,7 +4,7 @@ import json
 import random
 import tempfile
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -518,6 +518,19 @@ class TestWindowsEquivalence:
         assert warned == old_warned
         assert len(warned) == report.dropped_events
 
+    @settings(max_examples=300, deadline=None)
+    @given(trace=traces())
+    def test_full_scope_counts_every_event_whatever_the_windows(self, trace):
+        stamps = [ts for _, _, ts, _ in trace.events.runs] or [0.0]
+        covering = replace(trace, windows=((min(stamps), max(stamps)),))
+        warned: list[str] = []
+        covered_warned: list[str] = []
+        report = apply_recording_windows(trace, warn=warned.append, scope="full")
+        assert report == apply_recording_windows(
+            covering, warn=covered_warned.append, scope="full"
+        )
+        assert warned == covered_warned
+
     def test_unknown_kind_in_window_fails_as_before(self):
         trace = run_trace((TraceRun("a", "stmt_hit", 150.0, (1,)),), {"a": (2, 2)})
         for apply in (apply_recording_windows, old_apply_recording_windows):
@@ -917,10 +930,10 @@ class TestSparseReport:
             (TraceRun("a", "branch_hit", 150.0, (1,)), TraceRun("b", "line_hit", 50.0, (1,))),
             self.TOTALS,
         )
-        report = apply_recording_windows(trace, scope="full", campaign_seconds=3.0)
+        report = apply_recording_windows(trace, scope="method_targeted", campaign_seconds=3.0)
         assert report.totals is self.TOTALS
         assert list(report.hits) == ["a"]
-        assert (report.scope, report.campaign_seconds) == ("full", 3.0)
+        assert (report.scope, report.campaign_seconds) == ("method_targeted", 3.0)
 
     def test_merge_sums_each_table_once_per_graph(self):
         graph = small_graph()
