@@ -87,19 +87,12 @@ class CoverageReport:
         }
 
     @classmethod
-    def from_json(
-        cls, raw: dict, totals: Mapping[str, tuple[int, int]] | None = None
-    ) -> "CoverageReport":
-        """A report file over its `totals` table, or, with no table, the
-        dense form a shell fuzzer writes to `coverage_out`, where each
-        method brings its own `lines_total` and `branches_total` and the
-        table is made from them.
-
-        ValueError if an id is not a non-empty string or repeats, a count
-        is not an integer >= 0, a covered count exceeds its total, a sparse
-        id is not in `totals`, `scope` is not a string, `dropped_events` is
-        not an integer >= 0 or `campaign_seconds` is not a number >= 0.
-        """
+    def from_json(cls, raw: dict, totals: Mapping[str, tuple[int, int]]) -> "CoverageReport":
+        """A round file over its `totals` table; ValueError if an id is not a
+        non-empty string, repeats or is not in `totals`, a count is not an
+        integer >= 0, a covered count exceeds its total, `scope` is not a
+        string, `dropped_events` is not an integer >= 0 or `campaign_seconds`
+        is not a number >= 0."""
         counters: dict[str, MethodCoverage] = {}
         for m in raw.get("methods", []):
             mid = m["id"]
@@ -107,12 +100,9 @@ class CoverageReport:
                 raise ValueError(f"method id must be a non-empty string: {mid!r}")
             if mid in counters:
                 raise ValueError(f"repeated method id {mid}")
-            if totals is None:
-                lines, branches = m.get("lines_total", 0), m.get("branches_total", 0)
-            elif mid in totals:
-                lines, branches = totals[mid]
-            else:
+            if mid not in totals:
                 raise ValueError(f"method {mid} is not in the totals table")
+            lines, branches = totals[mid]
             counters[mid] = MethodCoverage(
                 mid, lines, m.get("lines_covered", 0), branches, m.get("branches_covered", 0)
             )
@@ -129,22 +119,17 @@ class CoverageReport:
             raise ValueError(f"campaign_seconds: {seconds!r} is not a number >= 0")
         if type(dropped) is not int or dropped < 0:
             raise ValueError(f"dropped_events: {dropped!r} is not an integer >= 0")
-        if totals is None:
-            totals = {c.id: (c.lines_total, c.branches_total) for c in counters.values()}
         hits = {mid: c for mid, c in counters.items() if c.lines_covered or c.branches_covered}
         return cls(scope, totals, hits, float(seconds), dropped)
 
     @classmethod
     def load(cls, path: str | Path) -> "CoverageReport":
-        """A report file with the totals file it names, or a dense
-        `coverage_out` file; a malformed count in either is PARSE naming its
-        file."""
+        """A round file of a run directory with the totals file it names; a
+        malformed count in either is PARSE naming its file."""
         with json_input(path, "coverage report") as raw:
-            totals = None
-            if "totals" in raw:
-                with json_input(Path(path).parent / raw["totals"], "coverage totals") as table:
-                    totals = {mid: (line, branch) for mid, (line, branch) in table.items()}
-                    check_counts(totals, "coverage totals")
+            with json_input(Path(path).parent / raw["totals"], "coverage totals") as table:
+                totals = {mid: (line, branch) for mid, (line, branch) in table.items()}
+                check_counts(totals, "coverage totals")
             return cls.from_json(raw, totals)
 
 
@@ -177,14 +162,40 @@ class RecordingTrace:
     windows: tuple[tuple[float, float], ...]
     method_totals: dict[str, tuple[int, int]] = field(default_factory=dict)  # id -> (lines, branches)
 
-    def __post_init__(self) -> None:
-        prev_end = None
-        for start, end in self.windows:
-            if end < start:
-                raise EngineError("BAD_ARGS", f"window end before start: ({start}, {end})")
-            if prev_end is not None and start < prev_end:
-                raise EngineError("BAD_ARGS", "recording windows overlap or are unordered")
-            prev_end = end
+
+class Campaign(NamedTuple):
+    """A fuzz campaign's raw trace, crash summaries and execution count."""
+
+    trace: RecordingTrace
+    crashes: tuple[str, ...]
+    executions: int
+
+    @classmethod
+    def load(cls, path: str | Path) -> "Campaign":
+        """The campaign file a shell fuzzer writes to `coverage_out` (README,
+        "Coverage semantics"); anything malformed is PARSE naming the file."""
+        with json_input(path, "fuzz campaign") as raw:
+            windows = tuple((start, end) for start, end in raw["windows"])
+            bounds = [t for window in windows for t in window]
+            if any(type(t) not in (int, float) for t in bounds) or bounds != sorted(bounds):
+                raise ValueError(f"windows {windows} overlap, are reversed or are not numbers")
+            totals = {mid: (line, branch) for mid, (line, branch) in raw["method_totals"].items()}
+            check_counts(totals, "method_totals")
+            runs = []
+            for mid, kind, ts, lines in raw["runs"]:
+                run = TraceRun(mid, kind, ts, tuple(lines))
+                if type(mid) is not str or kind not in _KIND_INDEX or type(ts) not in (int, float):
+                    raise ValueError(f"{run[:3]}: not an id, line_hit or branch_hit, and a number")
+                if any(type(line) is not int or line < 1 for line in run.lines):
+                    raise ValueError(f"{run[:3]}: a line is not an integer >= 1")
+                runs.append(run)
+            executions = raw["executions"]
+            if type(executions) is not int or executions < 0:
+                raise ValueError(f"executions: {executions!r} is not an integer >= 0")
+            crashes = tuple(crash["summary"] for crash in raw.get("crashes", []))
+            if not all(type(summary) is str for summary in crashes):
+                raise ValueError(f"crashes: a summary is not a string: {crashes!r}")
+            return cls(RecordingTrace(RunEvents(runs), windows, totals), crashes, executions)
 
 
 @dataclass(frozen=True)

@@ -99,13 +99,13 @@ def load_bundle(path: str | Path) -> tuple[PackageDoc, ...]:
 
 
 def _pick(kind: str, qualifier: str, found: list, fmt: str, pool: Callable[[], Iterable[str]]):
-    """The one entry of `found`. AMBIGUOUS if there are several, each named by
-    `fmt`; NOT_FOUND if none, with up to MAX_SUGGESTIONS names of `pool()` that
-    start with `qualifier`, else that hold its name before `(`, case aside."""
+    """The one entry of `found`. AMBIGUOUS if there are several, each named
+    `<fmt> in <package>`; NOT_FOUND if none, with up to MAX_SUGGESTIONS names
+    of `pool()` that start with `qualifier`, else that hold its name before `(`."""
     if len(found) == 1:
         return found[0]
     if found:
-        names = ", ".join(sorted(fmt.format(*entry) for entry in found))
+        names = ", ".join(sorted(f"{fmt.format(*entry)} in {entry[0]}" for entry in found))
         raise EngineError("AMBIGUOUS", f"{kind} {qualifier} matches: {names}")
     prefix = qualifier.lower()
     token = prefix.split("(")[0].rpartition(".")[2]  # as code_index._split_qualifier
@@ -160,19 +160,19 @@ class DocsIndex:
             dot = qualifier.find(".", dot + 1)
         return found
 
-    def _resolve_package(self, qualifier: str, pool: Callable[[], Iterable[str]]) -> PackageDoc:
+    def _resolve_package(self, qualifier: str) -> PackageDoc:
         found = [self._packages[qualifier]] if qualifier in self._packages else []
-        return _pick("package", qualifier, found, "{0}", pool)
+        return _pick("package", qualifier, found, "", self._packages.keys)
 
     def _resolve_class(self, qualifier: str) -> tuple[str, ClassDoc]:
         found = self._in_packages(self._classes, qualifier) or self._classes.get(qualifier, [])
-        return _pick("class", qualifier, found, "{0}.{1.name}", lambda: chain(
+        return _pick("class", qualifier, found, "{1.name}", lambda: chain(
             self._classes, (f"{p}.{c.name}" for v in self._classes.values() for p, c in v)))
 
     def _resolve_method(self, qualifier: str) -> tuple[str, str, MethodDoc]:
         # Class.method(Types) first, then package.Class.method(Types)
         found = self._methods.get(qualifier) or self._in_packages(self._methods, qualifier)
-        return _pick("method", qualifier, found, "{0}.{1}.{2.signature}", self._methods.keys)
+        return _pick("method", qualifier, found, "{1}.{2.signature}", self._methods.keys)
 
     # -- tools ------------------------------------------------------------
 
@@ -201,7 +201,7 @@ class DocsIndex:
                 lines += [f"  {m.signature}" for m in cls.methods]
             return "\n".join(lines)
         if kind == "package":
-            pkg = self._resolve_package(qualifier, self._packages.keys)
+            pkg = self._resolve_package(qualifier)
             lines = [pkg.name]
             if pkg.doc:
                 lines += ["", pkg.doc]
@@ -217,7 +217,7 @@ class DocsIndex:
         if kind == "classes":
             if parent is None:
                 raise EngineError("BAD_ARGS", "listing classes requires a package name")
-            pkg = self._resolve_package(parent, lambda: ())  # a listing suggests no names
+            pkg = self._resolve_package(parent)
             return sorted(c.name for c in pkg.classes)
         if kind == "methods":
             if parent is None:

@@ -16,13 +16,13 @@ import re
 import signal
 import subprocess
 import tempfile
-import time
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
 from .agents import HarnessArtifact
 from .coverage import (
+    Campaign,
     CoverageReport,
     RecordingTrace,
     RunEvents,
@@ -65,14 +65,23 @@ class Crash:
 @dataclass(frozen=True)
 class FuzzResult:
     coverage: CoverageReport
-    crashes: tuple[Crash, ...] = ()
-    executions: int = 0
-    wall_seconds: float = 0.0
+    crashes: tuple[Crash, ...]
+    executions: int
 
 
 def crash_dedup_key(summary: str) -> str:
     normalized = " ".join(summary.lower().split())
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
+
+
+def _fuzz_result(campaign: Campaign, scope: str, duration_seconds: float) -> FuzzResult:
+    """A campaign as a round reads it, from either adapter: its trace in the
+    recording windows of `scope`, over the requested duration; its crashes keyed."""
+    report = apply_recording_windows(
+        campaign.trace, scope=scope, campaign_seconds=float(duration_seconds)
+    )
+    crashes = tuple(Crash(crash_dedup_key(summary), summary) for summary in campaign.crashes)
+    return FuzzResult(report, crashes, campaign.executions)
 
 
 def _pattern_matches(pattern: str, text: str) -> bool:
@@ -247,29 +256,27 @@ class SandboxAdapter:
             runs = self._rule_runs[index] = tuple(runs)
         return runs
 
-    def _matched_rules(self, harness: HarnessArtifact) -> list[int]:
-        return [
-            i
-            for i, rule in enumerate(self.spec.coverage_rules)
-            if _pattern_matches(rule.pattern, harness.source)
+    def campaign(self, harness: HarnessArtifact, duration_seconds: float) -> Campaign:
+        """The campaign the rules give the harness: the runs of each coverage
+        rule it matches, in rule order and one window (a rule covering
+        fraction f of a method hits line sites 1..ceil(f*total)); each
+        matching crash rule's summary; and 1000 executions per whole second
+        of `duration_seconds` plus 37 per matching coverage rule. The trace
+        refers to the spec's totals table, so every round's report shares it."""
+        source = harness.source
+        matched = [
+            i for i, rule in enumerate(self.spec.coverage_rules)
+            if _pattern_matches(rule.pattern, source)
         ]
-
-    def _trace_of(self, matched: list[int]) -> RecordingTrace:
-        return RecordingTrace(
+        trace = RecordingTrace(
             events=RunEvents(chain.from_iterable(map(self._runs_of, matched))),
             windows=(_WINDOW,),
             method_totals=self.spec.method_totals,
         )
-
-    def build_trace(self, harness: HarnessArtifact) -> RecordingTrace:
-        """Trace synthesized from the coverage rules matching the harness.
-
-        A rule covering fraction f of a method hits line sites 1..ceil(f*total);
-        overlapping rules union naturally through the site sets. The events
-        are the matched rules' runs in rule order. The trace refers to the
-        spec's totals table, so every round's report shares it.
-        """
-        return self._trace_of(self._matched_rules(harness))
+        crashes = tuple(
+            rule.summary for rule in self.spec.crash_rules if _pattern_matches(rule.pattern, source)
+        )
+        return Campaign(trace, crashes, int(duration_seconds) * 1000 + 37 * len(matched))
 
     def fuzz(
         self,
@@ -277,23 +284,7 @@ class SandboxAdapter:
         duration_seconds: float,
         scope: str = "method_targeted",
     ) -> FuzzResult:
-        started = time.monotonic()
-        matched = self._matched_rules(harness)
-        report = apply_recording_windows(
-            self._trace_of(matched), scope=scope, campaign_seconds=float(duration_seconds)
-        )
-        crashes = tuple(
-            Crash(dedup_key=crash_dedup_key(rule.summary), summary=rule.summary)
-            for rule in self.spec.crash_rules
-            if _pattern_matches(rule.pattern, harness.source)
-        )
-        executions = int(duration_seconds) * 1000 + 37 * len(matched)
-        return FuzzResult(
-            coverage=report,
-            crashes=crashes,
-            executions=executions,
-            wall_seconds=time.monotonic() - started,
-        )
+        return _fuzz_result(self.campaign(harness, duration_seconds), scope, duration_seconds)
 
 
 def _run_shell(cmd: str, timeout: float | None) -> subprocess.CompletedProcess:
@@ -388,7 +379,6 @@ class ShellAdapter:
             self.coverage_out.unlink(missing_ok=True)
         except OSError as exc:
             raise EngineError("EXEC", f"cannot remove old coverage file: {exc}") from exc
-        started = time.monotonic()
         proc = self._run(
             "fuzz", self.fuzz_cmd, harness, duration_seconds + self.timeout_grace,
             lambda exc: EngineError(
@@ -403,9 +393,4 @@ class ShellAdapter:
             )
         if not self.coverage_out.is_file():
             raise EngineError("EXEC", f"fuzz command wrote no coverage file: {self.coverage_out}")
-        report = CoverageReport.load(self.coverage_out)
-        return FuzzResult(
-            coverage=report,
-            executions=0,
-            wall_seconds=time.monotonic() - started,
-        )
+        return _fuzz_result(Campaign.load(self.coverage_out), scope, duration_seconds)

@@ -483,13 +483,16 @@ class WorkflowRunner:
             manifest = self._manifest(outcome, error_note)
             if trace:
                 manifest["traceback"] = trace
-            (self.run_dir / "manifest.json").write_text(
-                json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-            )
-            if self.state.harness is not None:
-                (self.run_dir / "harness" / "final.src").write_text(
-                    self.state.harness.source, encoding="utf-8"
+            try:
+                (self.run_dir / "manifest.json").write_text(
+                    json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
                 )
+                if self.state.harness is not None:
+                    (self.run_dir / "harness" / "final.src").write_text(
+                        self.state.harness.source, encoding="utf-8"
+                    )
+            except OSError as exc:  # its message names the file
+                raise EngineError("IO", f"cannot write the run record: {exc}") from exc
             if interrupt is not None:
                 raise interrupt
             return manifest

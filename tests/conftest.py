@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -43,15 +44,33 @@ def make_harness(source: str, dependencies: tuple[str, ...] = ()) -> HarnessArti
 def dense_report(
     scope: str, methods=(), campaign_seconds: float = 0.0, dropped_events: int = 0
 ) -> CoverageReport:
-    """The report that a dense `coverage_out` file of `methods` loads as: the
-    totals table made from each method's own totals, the hits those with a
-    covered site."""
-    return CoverageReport.from_json({
-        "scope": scope,
-        "campaign_seconds": campaign_seconds,
-        "dropped_events": dropped_events,
-        "methods": [m._asdict() for m in methods],
-    })
+    """The report of `methods`, each with its own totals: the totals table
+    made from those totals, the hits the methods with a covered site."""
+    return CoverageReport(
+        scope,
+        {m.id: (m.lines_total, m.branches_total) for m in methods},
+        {m.id: m for m in methods if m.lines_covered or m.branches_covered},
+        float(campaign_seconds),
+        dropped_events,
+    )
+
+
+def write_shell_config(tmp_path, wall_seconds=None, **shell):
+    """The demo config on the shell adapter with `shell` commands; returns its path."""
+    config = json.loads((DEMO_DIR / "config.json").read_text())
+    config["model"]["script"] = str(DEMO_DIR / "scripts" / "happy.json")
+    config["output_dir"] = str(tmp_path / "runs")
+    config["adapter"] = {"shell": {"coverage_out": "cov.json", **shell}}
+    config["target"].update(
+        docs_bundle=str(DEMO_DIR / "docs.json"),
+        source_root=str(DEMO_DIR / "src"),
+        facts=str(DEMO_DIR / "facts.json"),
+    )
+    if wall_seconds is not None:
+        config["budgets"]["wall_seconds"] = wall_seconds
+    path = tmp_path / "shell.json"
+    path.write_text(json.dumps(config))
+    return path
 
 
 @pytest.fixture(scope="session")

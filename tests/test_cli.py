@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEMO_DIR, REPO_ROOT
+from conftest import DEMO_DIR, REPO_ROOT, write_shell_config
 from harnessgen.cli import (
     _OUTCOME_EXITS,
     EXIT_FAILED,
@@ -51,24 +51,6 @@ def run_to_dir(capsys, tmp_path, script, *extra):
     )
     run_dir = out.splitlines()[0] if out else ""
     return code, run_dir, out, err
-
-
-def write_shell_config(tmp_path, wall_seconds=None, **shell):
-    """The demo config on the shell adapter with `shell` commands; returns its path."""
-    config = json.loads((DEMO_DIR / "config.json").read_text())
-    config["model"]["script"] = str(DEMO_DIR / "scripts" / "happy.json")
-    config["output_dir"] = str(tmp_path / "runs")
-    config["adapter"] = {"shell": {"coverage_out": "cov.json", **shell}}
-    config["target"].update(
-        docs_bundle=str(DEMO_DIR / "docs.json"),
-        source_root=str(DEMO_DIR / "src"),
-        facts=str(DEMO_DIR / "facts.json"),
-    )
-    if wall_seconds is not None:
-        config["budgets"]["wall_seconds"] = wall_seconds
-    path = tmp_path / "shell.json"
-    path.write_text(json.dumps(config))
-    return path
 
 
 class TestRun:
@@ -107,9 +89,11 @@ class TestRun:
         assert manifest["transitions"][-2:] == ["fuzz", "failed"]
 
     def test_coverage_id_not_a_string_is_toolchain_failed(self, capsys, tmp_path):
-        methods = [{"id": 5, "lines_total": 3, "lines_covered": 1},
-                   {"id": "zz.Q.r()", "lines_total": 2, "lines_covered": 1}]
-        (tmp_path / "ids.json").write_text(json.dumps({"scope": "full", "methods": methods}))
+        runs = [[5, "line_hit", 150, [1]], ["zz.Q.r()", "line_hit", 150, [1]]]
+        (tmp_path / "ids.json").write_text(json.dumps({
+            "windows": [[100, 200]], "method_totals": {"zz.Q.r()": [2, 0]}, "runs": runs,
+            "executions": 1,
+        }))
         path = write_shell_config(
             tmp_path, compile_cmd="true",
             fuzz_cmd=f"cp {tmp_path / 'ids.json'} {tmp_path / 'cov.json'}",
@@ -118,7 +102,8 @@ class TestRun:
         assert code == 2 and "outcome: toolchain_failed" in out
         manifest = json.loads(Path(out.splitlines()[0], "manifest.json").read_text())
         assert manifest["error"] == (
-            f"PARSE: {tmp_path / 'cov.json'}: ValueError: method id must be a non-empty string: 5"
+            f"PARSE: {tmp_path / 'cov.json'}: ValueError: (5, 'line_hit', 150):"
+            " not an id, line_hit or branch_hit, and a number"
         )
         assert manifest["transitions"][-2:] == ["fuzz", "failed"]
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import random
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -16,6 +15,7 @@ from harnessgen.callgraph import CallFacts, build
 from harnessgen.coverage import (
     STATUS_COVERED,
     AnnotatedCoverageView,
+    Campaign,
     CoverageReport,
     MethodCoverage,
     RecordingTrace,
@@ -42,32 +42,18 @@ def hits(*methods):
     return {m.id: m for m in methods if m.lines_covered or m.branches_covered}
 
 
-def dense_json(report):
-    """`report` in the dense shape a shell fuzzer writes to `coverage_out`."""
-    return {
-        "scope": report.scope,
-        "campaign_seconds": report.campaign_seconds,
-        "dropped_events": report.dropped_events,
-        "methods": [m._asdict() for m in report.by_id().values()],
-    }
-
-
-def report_files(root: Path, rows) -> tuple[Path, Path]:
+def report_file(root: Path, rows) -> Path:
     """`rows` of (id, lines total, lines covered, branches total, branches
-    covered) written as a dense report file, and as a sparse one beside a
-    totals file; the paths of the two report files."""
-    dense, sparse = root / "dense.json", root / "sparse.json"
-    dense.write_text(json.dumps(
-        {"scope": "full", "methods": [dict(zip(MethodCoverage._fields, row)) for row in rows]}
-    ))
+    covered) written as a round file beside its totals file; its path."""
     (root / "totals.json").write_text(json.dumps({row[0]: [row[1], row[3]] for row in rows}))
-    sparse.write_text(json.dumps({
+    path = root / "r0.json"
+    path.write_text(json.dumps({
         "scope": "full",
         "totals": "totals.json",
         "methods": [{"id": mid, "lines_covered": lc, "branches_covered": bc}
                     for mid, _, lc, _, bc in rows],
     }))
-    return dense, sparse
+    return path
 
 
 def assert_load_is_parse(path: Path, named: Path, problem: str) -> None:
@@ -78,42 +64,42 @@ def assert_load_is_parse(path: Path, named: Path, problem: str) -> None:
 
 
 class TestCounters:
-    """Counters are checked where a file is read, dense or sparse."""
+    """Counters are checked where a round file is read."""
 
     def test_covered_cannot_exceed_total(self, tmp_path):
-        for path in report_files(tmp_path, [("m", 3, 4, 0, 0)]):
-            assert_load_is_parse(path, path, "covered exceeds total for m")
+        path = report_file(tmp_path, [("m", 3, 4, 0, 0)])
+        assert_load_is_parse(path, path, "covered exceeds total for m")
 
     def test_negative_rejected(self, tmp_path):
-        for path in report_files(tmp_path, [("m", 3, 1, 2, -1)]):
-            assert_load_is_parse(path, path, "-1 is not an integer >= 0")
+        path = report_file(tmp_path, [("m", 3, 1, 2, -1)])
+        assert_load_is_parse(path, path, "-1 is not an integer >= 0")
 
     @pytest.mark.parametrize("count", [1.5, "2", True, None])
     def test_count_not_an_integer_is_parse(self, tmp_path, count):
-        for path in report_files(tmp_path, [("m", 3, count, 0, 0)]):
-            assert_load_is_parse(path, path, f"{count!r} is not an integer >= 0")
+        path = report_file(tmp_path, [("m", 3, count, 0, 0)])
+        assert_load_is_parse(path, path, f"{count!r} is not an integer >= 0")
 
     def test_duplicate_ids_rejected(self, tmp_path):
-        for path in report_files(tmp_path, [("m", 3, 1, 0, 0), ("m", 3, 2, 0, 0)]):
-            assert_load_is_parse(path, path, "repeated method id m")
+        path = report_file(tmp_path, [("m", 3, 1, 0, 0), ("m", 3, 2, 0, 0)])
+        assert_load_is_parse(path, path, "repeated method id m")
 
     @pytest.mark.parametrize("mid", [5, None, ""])
     def test_id_other_than_a_non_empty_string_is_parse(self, tmp_path, mid):
         """A non-string id would reach the view, whose sort of the unmatched
         ids cannot order it among strings."""
-        for path in report_files(tmp_path, [(mid, 3, 1, 0, 0), ("zz.Q.r()", 2, 1, 0, 0)]):
-            assert_load_is_parse(path, path, f"method id must be a non-empty string: {mid!r}")
+        path = report_file(tmp_path, [(mid, 3, 1, 0, 0), ("zz.Q.r()", 2, 1, 0, 0)])
+        assert_load_is_parse(path, path, f"method id must be a non-empty string: {mid!r}")
 
     def test_sparse_id_missing_from_the_table(self, tmp_path):
-        _, sparse = report_files(tmp_path, [("m", 3, 1, 0, 0)])
+        path = report_file(tmp_path, [("m", 3, 1, 0, 0)])
         (tmp_path / "totals.json").write_text(json.dumps({"other": [3, 0]}))
-        assert_load_is_parse(sparse, sparse, "method m is not in the totals table")
+        assert_load_is_parse(path, path, "method m is not in the totals table")
 
     @pytest.mark.parametrize("entry", [[-3, 0], [3, -1], [2.5, 0], ["3", 0]])
     def test_bad_entry_in_the_totals_file(self, tmp_path, entry):
-        _, sparse = report_files(tmp_path, [])
+        path = report_file(tmp_path, [])
         (tmp_path / "totals.json").write_text(json.dumps({"m": entry}))
-        assert_load_is_parse(sparse, tmp_path / "totals.json", "coverage totals of m")
+        assert_load_is_parse(path, tmp_path / "totals.json", "coverage totals of m")
 
     def test_json_round_trip(self, tmp_path):
         report = dense_report(
@@ -134,8 +120,8 @@ class TestCounters:
 
 
 class TestReportFields:
-    """A report file's scope, dropped events and campaign seconds are checked
-    where it is read, dense or sparse."""
+    """A round file's scope, dropped events and campaign seconds are checked
+    where it is read."""
 
     @pytest.mark.parametrize(
         "key, value, problem",
@@ -152,19 +138,87 @@ class TestReportFields:
         ],
     )
     def test_bad_field_is_parse(self, tmp_path, key, value, problem):
-        for path in report_files(tmp_path, [("m", 3, 1, 0, 0)]):
-            raw = json.loads(path.read_text())
-            raw[key] = value
-            path.write_text(json.dumps(raw))
-            assert_load_is_parse(path, path, problem)
+        path = report_file(tmp_path, [("m", 3, 1, 0, 0)])
+        raw = json.loads(path.read_text())
+        raw[key] = value
+        path.write_text(json.dumps(raw))
+        assert_load_is_parse(path, path, problem)
 
     def test_whole_seconds_load_as_float(self, tmp_path):
-        for path in report_files(tmp_path, [("m", 3, 1, 0, 0)]):
-            raw = json.loads(path.read_text())
-            raw.update(campaign_seconds=5, dropped_events=0)
-            path.write_text(json.dumps(raw))
-            report = CoverageReport.load(path)
-            assert report.campaign_seconds == 5.0 and type(report.campaign_seconds) is float
+        path = report_file(tmp_path, [("m", 3, 1, 0, 0)])
+        raw = json.loads(path.read_text())
+        raw.update(campaign_seconds=5, dropped_events=0)
+        path.write_text(json.dumps(raw))
+        report = CoverageReport.load(path)
+        assert report.campaign_seconds == 5.0 and type(report.campaign_seconds) is float
+
+
+def campaign_file(root: Path, **keys) -> Path:
+    """A campaign file, two touching windows and a run in each, with `keys`
+    put in; its path."""
+    raw = {
+        "windows": [[100, 200], [200, 300.5]],
+        "method_totals": {"a": [10, 4]},
+        "runs": [["a", "line_hit", 150, [1, 2]], ["a", "branch_hit", 250.5, [1]]],
+        "executions": 7,
+        "crashes": [{"summary": "boom"}],
+    }
+    path = root / "cov.json"
+    path.write_text(json.dumps({**raw, **keys}))
+    return path
+
+
+class TestCampaignFile:
+    def test_loads_the_trace_its_crashes_and_executions(self, tmp_path):
+        campaign = Campaign.load(campaign_file(tmp_path))
+        assert campaign.trace.windows == ((100, 200), (200, 300.5))
+        assert campaign.trace.method_totals == {"a": (10, 4)}
+        assert campaign.trace.events.runs == (
+            TraceRun("a", "line_hit", 150, (1, 2)), TraceRun("a", "branch_hit", 250.5, (1,))
+        )
+        assert (campaign.crashes, campaign.executions) == (("boom",), 7)
+
+    def test_crashes_left_out_are_none(self, tmp_path):
+        path = campaign_file(tmp_path)
+        raw = json.loads(path.read_text())
+        del raw["crashes"]
+        path.write_text(json.dumps(raw))
+        assert Campaign.load(path).crashes == ()
+
+    @pytest.mark.parametrize(
+        "keys, problem",
+        [
+            pytest.param({"windows": [[0, 10], [5, 20]]}, "overlap, are reversed",
+                         id="overlapping-windows"),
+            pytest.param({"windows": [[10, 5]]}, "overlap, are reversed", id="reversed-window"),
+            pytest.param({"windows": [[True, 5]]}, "are not numbers", id="bool-window"),
+            pytest.param({"runs": [["a", "stmt_hit", 150, [1]]]}, "line_hit or branch_hit",
+                         id="unknown-kind"),
+            pytest.param({"runs": [["a", "line_hit", 150, [0]]]}, "a line is not an integer >= 1",
+                         id="line-0"),
+            pytest.param({"runs": [["a", "line_hit", 150, [1.0]]]}, "not an integer >= 1",
+                         id="float-line"),
+            pytest.param({"runs": [["a", "line_hit", True, [1]]]}, "and a number",
+                         id="true-timestamp"),
+            pytest.param({"runs": [[5, "line_hit", 150, [1]]]}, "not an id",
+                         id="int-method-id"),
+            pytest.param({"method_totals": {"a": [10, -4]}}, "method_totals of a: -4",
+                         id="negative-total"),
+            pytest.param({"executions": -1}, "executions: -1 is not an integer >= 0",
+                         id="executions--1"),
+            pytest.param({"executions": 1.5}, "executions: 1.5 is not an integer >= 0",
+                         id="executions-1.5"),
+            pytest.param({"crashes": [{"summary": 3}]}, "a summary is not a string",
+                         id="int-summary"),
+            pytest.param({"crashes": [{}]}, "KeyError: 'summary'", id="no-summary"),
+        ],
+    )
+    def test_malformed_is_parse(self, tmp_path, keys, problem):
+        path = campaign_file(tmp_path, **keys)
+        with pytest.raises(EngineError) as exc:
+            Campaign.load(path)
+        assert exc.value.code == "PARSE"
+        assert str(path) in exc.value.message and problem in exc.value.message
 
 
 class TestClassify:
@@ -245,15 +299,6 @@ class TestWindows:
     def test_covered_capped_at_total(self):
         trace = run_trace((TraceRun("b", "line_hit", 150.0, range(1, 20)),), self.TOTALS)
         assert apply_recording_windows(trace).by_id()["b"].lines_covered == 6
-
-    def test_overlapping_windows_rejected(self):
-        with pytest.raises(EngineError) as exc:
-            run_trace((), {}, windows=((0.0, 10.0), (5.0, 20.0)))
-        assert exc.value.code == "BAD_ARGS"
-
-    def test_reversed_window_rejected(self):
-        with pytest.raises(EngineError):
-            run_trace((), {}, windows=((10.0, 5.0),))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_traces_match_filter_oracle(self, seed):
@@ -817,9 +862,9 @@ def counters_for(draw, mid, totals=None):
 
 @st.composite
 def graph_and_reports(draw):
-    """A random graph and three reports over it: two sparse over one shared
-    totals table, and one dense (the shell adapter's format). Tables and
-    dense reports miss some nodes and hold ids outside the graph."""
+    """A random graph and three reports over it: two over one shared totals
+    table, and one over a table made from its own methods' totals. Tables
+    miss some nodes and hold ids outside the graph."""
     n = draw(st.integers(1, 14))
     ids = [f"m{i:02d}" for i in range(n)]
     calls = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3 * n))
@@ -892,30 +937,13 @@ class TestSparseEquivalence:
         for budget in (data.draw(st.integers(0, len(full) + 10)), 0, len(full), len(full) - 1, 8000):
             assert render_annotated_view(view, budget) == old_render_annotated_view(old, budget)
 
-    @settings(max_examples=100, deadline=None)
-    @given(case=graph_and_reports())
-    def test_load_reads_dense_and_sparse_files_alike(self, case):
-        """A dense `coverage_out` file and the sparse files a run saves load
-        as one report."""
-        _, reports = case
-        with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
-            for report in reports:
-                (root / "dense.json").write_text(json.dumps(dense_json(report)))
-                (root / "totals.json").write_text(json.dumps(report.totals))
-                (root / "sparse.json").write_text(json.dumps(report.to_json("totals.json")))
-                dense = CoverageReport.load(root / "dense.json")
-                sparse = CoverageReport.load(root / "sparse.json")
-                assert dense == sparse == report
-                assert dense.by_id() == sparse.by_id() == report.by_id()
-
 
 class TestSparseReport:
     TOTALS = {"a": (4, 2), "b": (3, 0), "c": (0, 0)}
 
     def test_dense_and_sparse_with_the_same_counters_are_equal(self):
-        """A dense `coverage_out` file's report equals the one with the same
-        counters over a shared table."""
+        """A report over a table made from its methods' own totals equals the
+        one with the same counters over an equal shared table."""
         sparse = CoverageReport("full", self.TOTALS, hits(mk("a", 4, 2, 2, 0)))
         dense = dense_report("full", [mk("a", 4, 2, 2, 0), mk("b", 3), mk("c")])
         assert sparse == dense

@@ -115,7 +115,7 @@ class TestQueryDoc:
         with pytest.raises(EngineError) as exc:
             index.query_doc("class", "Dup")
         assert exc.value.code == "AMBIGUOUS"
-        assert "a.Dup" in exc.value.message and "b.Dup" in exc.value.message
+        assert exc.value.message == "class Dup matches: Dup in a, Dup in b"
 
 
 class TestListEntities:
@@ -135,6 +135,12 @@ class TestListEntities:
         with pytest.raises(EngineError) as exc:
             docs_index.list_entities("classes", "nosuch")
         assert exc.value.code == "NOT_FOUND"
+        # a listing suggests packages as `package_doc` does
+        for ask in (lambda: docs_index.list_entities("classes", "toy"),
+                    lambda: docs_index.query_doc("package", "toy")):
+            with pytest.raises(EngineError) as exc:
+                ask()
+            assert exc.value.message == "unknown package: toy; did you mean: toylib"
 
     def test_missing_parent_is_bad_args(self, docs_index):
         with pytest.raises(EngineError) as exc:
@@ -188,6 +194,8 @@ class TestPackageQualifiedNames:
             with pytest.raises(EngineError) as exc:
                 ask()
             assert exc.value.code == "AMBIGUOUS"
+            # each match named by its class and its package, so no two alike
+            assert exc.value.message == "class a.b.C matches: C in a.b, b.C in a"
         assert index.query_doc("class", "b.C").startswith("a.b.C")
 
     def test_hint_token_is_the_method_name_before_the_parenthesis(self, tmp_path):
@@ -215,7 +223,9 @@ class ParentResolvers(DocsIndex):
     """The resolvers as they were before a package-qualified name was read
     through the package table: a suffix scan over every method, one split of
     a class qualifier at its last dot, and a hint token cut at the last dot
-    of the whole query. The reference for the equivalence test."""
+    of the whole query; with the answers since given: each AMBIGUOUS match
+    named `<name> in <package>`, and packages suggested on every package
+    miss. The reference for the equivalence test."""
 
     @staticmethod
     def token(prefix: str) -> str:
@@ -229,11 +239,10 @@ class ParentResolvers(DocsIndex):
             hits = sorted(name for name in pool if token and token in name.lower())
         return hits[:5]
 
-    def _resolve_package(self, qualifier, pool):
-        """The package lookup; `pool()` gives the names its caller suggests."""
+    def _resolve_package(self, qualifier):
         pkg = self._packages.get(qualifier)
         if pkg is None:
-            suggestions = self._suggest(list(pool()), qualifier)
+            suggestions = self._suggest(list(self._packages), qualifier)
             hint = f"; did you mean: {', '.join(suggestions)}" if suggestions else ""
             raise EngineError("NOT_FOUND", f"unknown package: {qualifier}{hint}")
         return pkg
@@ -248,7 +257,7 @@ class ParentResolvers(DocsIndex):
         if len(candidates) == 1:
             return candidates[0]
         if len(candidates) > 1:
-            names = sorted(f"{pkg}.{cls.name}" for pkg, cls in candidates)
+            names = sorted(f"{cls.name} in {pkg}" for pkg, cls in candidates)
             raise EngineError("AMBIGUOUS", f"class {qualifier} matches: {', '.join(names)}")
         pool = [f"{pkg}.{cls.name}" for lst in self._classes.values() for pkg, cls in lst]
         pool += list(self._classes)
@@ -266,7 +275,7 @@ class ParentResolvers(DocsIndex):
         if len(candidates) == 1:
             return candidates[0]
         if len(candidates) > 1:
-            names = sorted(f"{pkg}.{cls}.{m.signature}" for pkg, cls, m in candidates)
+            names = sorted(f"{cls}.{m.signature} in {pkg}" for pkg, cls, m in candidates)
             raise EngineError("AMBIGUOUS", f"method {qualifier} matches: {', '.join(names)}")
         suggestions = self._suggest(list(self._methods), qualifier)
         hint = f"; did you mean: {', '.join(suggestions)}" if suggestions else ""

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 import pytest
 
-from harnessgen.config import DEFAULTS
+from harnessgen.config import DEFAULTS, load_config
 from harnessgen.coverage import (
     CoverageReport,
     MethodCoverage,
@@ -24,8 +26,10 @@ from harnessgen.ecosystem import (
     load_sandbox,
 )
 from harnessgen.errors import EngineError
+from harnessgen.orchestrator import TargetSpec, run_workflow
 
-from conftest import DEMO_DIR, dense_report, make_harness
+from conftest import DEMO_DIR, make_harness
+from test_golden_runs import SCENARIOS
 
 BASE = "void fuzzTarget(byte[] data) { parser.parse(args); }"
 LONG = BASE + " // LONG_OPTS"
@@ -152,7 +156,7 @@ class TestSandboxCoverage:
 
 
 def old_build_trace(spec, harness) -> RecordingTrace:
-    """`SandboxAdapter.build_trace` as it was before rule events were kept
+    """`SandboxAdapter.campaign`'s trace as it was before rule events were kept
     per adapter: every call rebuilds the matched rules' events, one
     single-line run per event."""
     runs = []
@@ -205,8 +209,9 @@ class TestKeptRuleEvents:
         for source in self.HARNESSES:
             harness = make_harness(source)
             old = old_build_trace(adapter.spec, harness)
-            fresh = load_sandbox(DEMO_DIR / "sandbox.json").build_trace(harness)
-            for trace in (adapter.build_trace(harness), adapter.build_trace(harness), fresh):
+            fresh = load_sandbox(DEMO_DIR / "sandbox.json").campaign(harness, 3).trace
+            traces = [adapter.campaign(harness, 3).trace for _ in range(2)]
+            for trace in (*traces, fresh):
                 assert events_of(trace) == events_of(old) and len(trace.events) == len(old.events)
                 assert (trace.windows, trace.method_totals) == (old.windows, old.method_totals)
 
@@ -214,7 +219,7 @@ class TestKeptRuleEvents:
         adapter = load_sandbox(DEMO_DIR / "sandbox.json")
         runs = [
             r for source in self.HARNESSES
-            for r in adapter.build_trace(make_harness(source)).events.runs
+            for r in adapter.campaign(make_harness(source), 3).trace.events.runs
         ]
         assert runs
         for r in runs:
@@ -239,7 +244,7 @@ class TestKeptRuleEvents:
                     ):
                         if count := math.ceil(fraction * total):
                             expected.append((mid, kind, ts, count))
-            first, second = (adapter.build_trace(harness).events for _ in range(2))
+            first, second = (adapter.campaign(harness, 3).trace.events for _ in range(2))
             assert [
                 (r.method_id, r.kind, r.timestamp, len(r.lines)) for r in first.runs
             ] == expected
@@ -278,15 +283,25 @@ class TestPatternDialect:
         assert len(hit.crashes) == 1 and miss.crashes == ()
 
 
+# a campaign file: "b" is hit only before the window opens, "ghost" is not
+# in the totals, and two of the three crashes share a dedup key
+CAMPAIGN = {
+    "windows": [[100, 200]],
+    "method_totals": {"a": [4, 2], "b": [3, 0]},
+    "runs": [
+        ["a", "line_hit", 150, [1, 2]],
+        ["a", "branch_hit", 200.0, [1]],
+        ["b", "line_hit", 50, [1, 2, 3]],
+        ["ghost", "line_hit", 150, [1]],
+    ],
+    "executions": 1234,
+    "crashes": [{"summary": "NPE in a"}, {"summary": "npe  IN a"}, {"summary": "OOB in b"}],
+}
+
+
 @pytest.fixture()
 def shell_dir(tmp_path):
-    cov = {
-        "scope": "full",
-        "campaign_seconds": 1.0,
-        "methods": [
-            {"id": "a", "lines_total": 4, "lines_covered": 2, "branches_total": 0, "branches_covered": 0}
-        ],
-    }
+    cov = CAMPAIGN
     (tmp_path / "cov.src.json").write_text(json.dumps(cov))
     ok_compile = tmp_path / "ok_compile.sh"
     ok_compile.write_text("#!/bin/sh\nexit 0\n")
@@ -354,12 +369,22 @@ class TestShellAdapter:
         assert f"{pattern!r} matched {output!r}" in exc.value.message
 
     def test_fuzz_reads_coverage_out(self, shell_dir):
-        result = self._adapter(shell_dir).fuzz(make_harness(BASE), 1)
-        assert isinstance(result.coverage, CoverageReport)
-        assert result.coverage.by_id()["a"].lines_covered == 2
-        assert result.coverage == dense_report(
-            "full", [MethodCoverage("a", 4, 2, 0, 0)], campaign_seconds=1.0
-        )
+        """The campaign's trace goes through the windows of the scope asked
+        for, over the requested duration; its executions and crashes are the
+        result's."""
+        adapter = self._adapter(shell_dir)
+        targeted = adapter.fuzz(make_harness(BASE), 2)
+        full = adapter.fuzz(make_harness(BASE), 2, scope="full")
+        totals = {"a": (4, 2), "b": (3, 0)}
+        a = MethodCoverage("a", 4, 2, 2, 1)
+        assert targeted.coverage == CoverageReport("method_targeted", totals, {"a": a}, 2.0, 1)
+        b = MethodCoverage("b", 3, 3, 0, 0)
+        assert full.coverage == CoverageReport("full", totals, {"a": a, "b": b}, 2.0, 1)
+        for result in (targeted, full):
+            assert result.executions == 1234
+            assert [c.summary for c in result.crashes] == ["NPE in a", "npe  IN a", "OOB in b"]
+            keys = [crash_dedup_key(s) for s in ("NPE in a", "NPE in a", "OOB in b")]
+            assert [c.dedup_key for c in result.crashes] == keys
 
     def test_fuzz_nonzero_exit_is_exec_error(self, shell_dir):
         # a successful run leaves cov.json behind; the failing run must not reuse it
@@ -430,3 +455,51 @@ class TestShellAdapter:
         while not _gone_or_zombie(pid):
             assert time.monotonic() < deadline, f"background sleep {pid} outlived the timeout"
             time.sleep(0.05)
+
+
+def shell_overrides(coverage_out: Path) -> list[str]:
+    """Overrides that move the demo config from its sandbox adapter to a
+    shell adapter that runs the demo spec through `sandbox_toolchain.py`."""
+    tool = shlex.join([
+        sys.executable, str(Path(__file__).with_name("sandbox_toolchain.py")),
+        str(DEMO_DIR / "sandbox.json"),
+    ])
+    shell = {
+        "compile_cmd": f"{tool} compile {{harness}}",
+        "fuzz_cmd": f"{tool} fuzz {{harness}} {{duration}} {shlex.quote(str(coverage_out))}",
+        "coverage_out": str(coverage_out),
+    }
+    paths = {"docs_bundle": "docs.json", "source_root": "src", "facts": "facts.json"}
+    return ["adapter.sandbox_spec=", f"adapter.shell={json.dumps(shell)}"] + [
+        f"target.{key}={DEMO_DIR / name}" for key, name in paths.items()
+    ]
+
+
+class TestShellToolchain:
+    @pytest.mark.parametrize("scope", ["method_targeted", "full"])
+    @pytest.mark.parametrize("script", sorted(SCENARIOS))
+    def test_shell_run_equals_sandbox_run(self, tmp_path, script, scope):
+        """The demo spec run as a shell toolchain leaves the sandbox run's
+        record: its outcome, rounds, accounting, transitions and error, and
+        the same bytes in every coverage and transcript file."""
+        base = [
+            f"output_dir={tmp_path}", f"model.script=scripts/{script}.json",
+            f"budgets.coverage_scope={scope}", *SCENARIOS[script],
+        ]
+        records = {}
+        for name, overrides in (
+            ("sandbox", base), ("shell", base + shell_overrides(tmp_path / "cov.json"))
+        ):
+            config = load_config(DEMO_DIR / "config.json", overrides)
+            run_dir = tmp_path / name
+            manifest = run_workflow(TargetSpec.from_config(config), config, run_dir=run_dir)
+            files = {
+                path.relative_to(run_dir).as_posix(): path.read_bytes()
+                for sub in ("coverage", "transcripts")
+                for path in (run_dir / sub).iterdir()
+            }
+            keys = ("outcome", "rounds", "accounting", "transitions", "error")
+            records[name] = ({key: manifest.get(key) for key in keys}, files)
+        assert records["shell"] == records["sandbox"]
+        # the shell run's fuzzer wrote the campaign file in every round it ran
+        assert (tmp_path / "cov.json").is_file() == bool(records["sandbox"][0]["rounds"])

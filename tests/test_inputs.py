@@ -1,9 +1,10 @@
 """Malformed input files end in EngineError, never in a raw exception.
 
-The engine reads seven kinds of JSON file it does not control: the config,
-the docs bundle, the call facts, the sandbox spec, the model script, a
-coverage report (with its totals file) and a run manifest (which
-`harnessgen report` renders). Each test here writes one of them mutated
+The engine reads eight kinds of JSON file it does not control: the config,
+the docs bundle, the call facts, the sandbox spec, the model script, a fuzz
+campaign (what a shell fuzzer writes to `coverage_out`), a coverage report
+(with its totals file) and a run manifest (which `harnessgen report`
+renders). Each test here writes one of them mutated
 into a copy of the demo, by bytes (a non-UTF-8 prefix, a truncation, an
 empty file, a top-level scalar or list) or by structure (a key dropped, or
 a value swapped for another JSON type, at a drawn path), and checks that
@@ -24,16 +25,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEMO_DIR
+from conftest import DEMO_DIR, make_harness, write_shell_config
 from harnessgen.callgraph import load_facts
 from harnessgen.cli import main, render_report
 from harnessgen.config import load_config, validate_config
-from harnessgen.coverage import CoverageReport
+from harnessgen.coverage import Campaign, CoverageReport, apply_recording_windows
 from harnessgen.docs_index import load_bundle
 from harnessgen.ecosystem import load_sandbox
 from harnessgen.errors import EngineError
 from harnessgen.model_backend import load_script
 from harnessgen.orchestrator import TargetSpec, WorkflowRunner, run_workflow
+from sandbox_toolchain import campaign_json
 
 # values of every JSON type, to swap in for a value of another type
 JSON_VALUES = (None, True, 0, -1, 2.5, "", "x", [], [0], ["x"], {}, {"x": 1})
@@ -42,11 +44,16 @@ BAD_PREFIXES = (b"\xff", b"\xfe\xff", b"\x80{")
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory) -> Path:
-    """A copy of the demo with one finished run in `run/`."""
+    """A copy of the demo with one finished run in `run/`, and in `trace.json`
+    a campaign of the demo spec with runs in and out of its window and two
+    crashes."""
     root = tmp_path_factory.mktemp("inputs") / "demo"
     shutil.copytree(DEMO_DIR, root, ignore=shutil.ignore_patterns("runs"))
     config = load_config(root / "config.json")
     run_workflow(TargetSpec.from_config(config), config, run_dir=root / "run")
+    harness = make_harness("void fuzzTarget() { p.parse(a); WARMUP CRASH_NULL CRASH_OOB }")
+    campaign = load_sandbox(root / "sandbox.json").campaign(harness, 5)
+    (root / "trace.json").write_text(json.dumps(campaign_json(campaign)))
     return root
 
 
@@ -57,6 +64,13 @@ INPUTS = {
     "facts": (("facts.json",), lambda root: load_facts(root / "facts.json")),
     "sandbox": (("sandbox.json",), lambda root: load_sandbox(root / "sandbox.json")),
     "script": (("scripts/happy.json",), lambda root: load_script(root / "scripts/happy.json")),
+    "trace": (
+        ("trace.json",),
+        lambda root: [
+            apply_recording_windows(Campaign.load(root / "trace.json").trace, scope=scope)
+            for scope in ("method_targeted", "full")
+        ],
+    ),
     "coverage": (
         ("run/coverage/r0.json", "run/coverage/totals.json"),
         lambda root: CoverageReport.load(root / "run/coverage/r0.json"),
@@ -597,6 +611,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"run failed: IO: cannot create run directory {blocker}/")
         assert "Traceback" not in err and blocker.read_text() == "not a directory"
+
+    def test_manifest_that_cannot_be_written_is_io(self, capsys, tmp_path, monkeypatch):
+        """A directory where the manifest goes: the run ends in IO naming
+        the file, not a traceback."""
+        set_up = WorkflowRunner._setup_run_dir
+
+        def blocked(runner, run_dir):
+            set_up(runner, run_dir)
+            (runner.run_dir / "manifest.json").mkdir()
+
+        monkeypatch.setattr(WorkflowRunner, "_setup_run_dir", blocked)
+        argv = ["run", str(DEMO_DIR / "config.json"), "--set", f"output_dir={tmp_path / 'runs'}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: IO: cannot write the run record: ")
+        assert "manifest.json" in err and "Traceback" not in err
+
+    def test_campaign_file_without_keys_is_toolchain_failed(self, capsys, tmp_path):
+        path = write_shell_config(
+            # {{}} is the command template's escape for {}
+            tmp_path, compile_cmd="true", fuzz_cmd=f"echo '{{{{}}}}' > {tmp_path / 'cov.json'}"
+        )
+        assert main(["run", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "outcome: toolchain_failed" in out and "Traceback" not in out + err
+        manifest = json.loads(Path(out.splitlines()[0], "manifest.json").read_text())
+        assert manifest["error"].startswith(f"PARSE: {tmp_path / 'cov.json'}: KeyError: ")
+        assert manifest["transitions"][-2:] == ["fuzz", "failed"]
 
     @pytest.mark.parametrize("command", ["run", "validate", "tools"])
     def test_missing_config_file(self, capsys, tmp_path, command):

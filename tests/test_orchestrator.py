@@ -400,7 +400,7 @@ class TestCoverageFiles:
         reports = [
             CoverageReport("full", table, {"a": MethodCoverage("a", 4, 1, 2, 0)}),
             CoverageReport("full", dict(table), {"b": MethodCoverage("b", 3, 3, 0, 0)}),
-            dense_report("full", [MethodCoverage("a", 5, 5, 0, 0)]),  # as a shell file loads
+            dense_report("full", [MethodCoverage("a", 5, 5, 0, 0)]),  # a table of its own
             CoverageReport("full", table, {}),
         ]
         coverage = runner.run_dir / "coverage"
@@ -418,19 +418,16 @@ class TestCoverageFiles:
             assert CoverageReport.load(coverage / f"r{n}.json") == report
 
     def test_shell_run_over_changing_tables_saves_every_round_sparse(self, tmp_path):
-        """A shell fuzzer writes dense files whose tables differ between
+        """A shell fuzzer writes campaign files whose tables differ between
         rounds: each round file is sparse, the later one over its own totals
         file, and each loads as the report the round read."""
         tables = [{ROOT_ID: (12, 6), "toylib.Token.isFlag()": (2, 2)}, {ROOT_ID: (10, 6)}]
         for n, table in enumerate(tables):
-            methods = [
-                {"id": mid, "lines_total": lines, "lines_covered": lines // 2,
-                 "branches_total": branches, "branches_covered": 0}
-                for mid, (lines, branches) in table.items()
-            ]
-            (tmp_path / f"cov{n}.json").write_text(
-                json.dumps({"scope": "method_targeted", "campaign_seconds": 1.0, "methods": methods})
-            )
+            runs = [[mid, "line_hit", 1.0, list(range(1, lines // 2 + 1))]
+                    for mid, (lines, _) in table.items()]
+            (tmp_path / f"cov{n}.json").write_text(json.dumps({
+                "windows": [[0, 2]], "method_totals": table, "runs": runs, "executions": 10 + n,
+            }))
         # the n-th campaign copies cov{n}.json to coverage_out
         (tmp_path / "fuzz.sh").write_text(
             f"cd {tmp_path}\nn=$(cat round 2>/dev/null || echo 0)\n"
@@ -459,8 +456,11 @@ class TestCoverageFiles:
             return result
 
         runner.adapter.fuzz = recording_fuzz
-        assert runner.run()["outcome"] == "success"
+        manifest = runner.run()
+        assert manifest["outcome"] == "success"
+        assert [row["executions"] for row in manifest["rounds"]] == [10, 11]
         assert [report.totals for report in reports] == tables
+        assert [report.hits[ROOT_ID].lines_covered for report in reports] == [6, 5]
         coverage = runner.run_dir / "coverage"
         raw = [json.loads((coverage / f"r{n}.json").read_text(encoding="utf-8")) for n in (0, 1)]
         assert [r["totals"] for r in raw] == ["totals.json", "totals-r1.json"]
