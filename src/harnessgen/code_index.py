@@ -17,6 +17,7 @@ import json
 import os
 import re
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -249,15 +250,20 @@ def _read_cache(path: Path, scanner: str) -> dict:
     return files if isinstance(files, dict) else {}
 
 
-def _cached_symbols(path: str, entry, digest: str) -> list[SymbolEntry] | None:
+def _cached_symbols(path: str, text: str, entry, digest: str) -> list[SymbolEntry] | None:
     """The symbols a cache entry `[digest, rows]` holds for the file `path`,
-    or None unless the entry is well-formed and for the bytes with `digest`.
-    A row is `[name, kind, line_start, line_end, container]`."""
+    or None unless the entry is well-formed and for `text`, whose bytes have
+    `digest`. A row is `[name, kind, line_start, line_end, container]`."""
     if not (isinstance(entry, list) and len(entry) == 2 and entry[0] == digest):
         return None
     rows = entry[1]
     if not isinstance(rows, list):
         return None
+    # The lines as the scanner numbers them, and its end of a scope open at
+    # EOF. `splitlines` also breaks at rarer characters than "\n", so for a
+    # file holding one these bounds may fall short: a miss, never a bad row.
+    breaks = text.count("\n")
+    lines = breaks + (text[-1:] not in ("", "\n"))
     symbols = []
     for row in rows:
         if not (isinstance(row, list) and len(row) == 5):
@@ -265,6 +271,7 @@ def _cached_symbols(path: str, entry, digest: str) -> list[SymbolEntry] | None:
         name, kind, start, end, container = row
         if not (
             type(name) is str and kind in _KINDS and type(start) is int and type(end) is int
+            and 1 <= start <= lines and start <= end <= breaks + 1
             and (container is None or type(container) is str)
         ):
             return None
@@ -334,7 +341,7 @@ class CodeIndex:
             symbols = None
             if cache is not None:
                 digests[rel] = _digest(data)
-                symbols = _cached_symbols(rel, entries.get(rel), digests[rel])
+                symbols = _cached_symbols(rel, text, entries.get(rel), digests[rel])
             if symbols is None:
                 symbols = _scan_file(rel, text)
                 scanned += 1
@@ -410,20 +417,17 @@ class CodeIndex:
     def search(self, kind: str, query: str, max_results: int) -> SearchResult:
         """Hits in path and line order, the first `max_results` of them.
 
-        The units run in path order and a unit's symbols and lines in line
-        order, so every kind meets its hits in that order. `definition` and
-        `symbol` stop at the one past `max_results`, which only marks the
-        result truncated; `refs` and `text` collect every hit.
+        Each kind is a lazy stream of hits in that order, as the units run in
+        path order and a unit's symbols and lines in line order. The search
+        stops at the hit past `max_results`, which only marks it truncated.
         """
         if max_results <= 0:
             raise EngineError("BAD_ARGS", "max_results must be positive")
-        if kind in ("definition", "symbol"):
-            if kind == "definition":
-                found = self._matching_symbols(query)
-            else:
-                needle = query.lower()
-                found = (s for s in self.symbols if needle in s.name.lower())
-            hits = [self._decl_hit(s) for s in islice(found, max_results + 1)]
+        if kind == "definition":
+            hits = map(self._decl_hit, self._by_name.get(query, ()))
+        elif kind == "symbol":
+            needle = query.lower()
+            hits = (self._decl_hit(s) for s in self.symbols if needle in s.name.lower())
         elif kind == "refs":
             hits = self._ref_hits(query)
         elif kind == "text":
@@ -431,19 +435,14 @@ class CodeIndex:
                 pattern = re.compile(query)
             except re.error as exc:
                 raise EngineError("BAD_ARGS", f"invalid regular expression: {exc}") from exc
-            # every match holds `needle`, so a unit or line lacking it cannot hit
-            needle = _required_literal(query)
-            hits = [
-                SearchHit(u.path, i, line.strip())
-                for u in self.units.values()
-                if needle in u.text
-                for i, line in enumerate(u.text.splitlines(), 1)
-                if needle in line and pattern.search(line)
-            ]
+            # every match holds this literal, so a unit or line lacking it cannot hit
+            hits = self._line_hits(
+                _required_literal(query), lambda path, i, line: pattern.search(line)
+            )
         else:
             raise EngineError("BAD_ARGS", f"unknown search kind: {kind}")
-        truncated = len(hits) > max_results
-        return SearchResult(hits=tuple(hits[:max_results]), truncated=truncated)
+        found = tuple(islice(hits, max_results + 1))
+        return SearchResult(hits=found[:max_results], truncated=len(found) > max_results)
 
     def render_search(self, kind: str, query: str, max_results: int) -> str:
         result = self.search(kind, query, max_results)
@@ -456,31 +455,30 @@ class CodeIndex:
         line = self.units[sym.file].text.splitlines()[sym.line_start - 1].strip()
         return SearchHit(sym.file, sym.line_start, line)
 
-    def _matching_symbols(self, name: str) -> list[SymbolEntry]:
-        return self._by_name.get(name, [])
+    def _line_hits(self, needle: str, matches) -> Iterator[SearchHit]:
+        """A hit, in path and line order, for each line that holds `needle` and
+        that `matches(path, line number, line)` accepts; a unit whose text
+        lacks `needle` is not split into lines."""
+        for unit in self.units.values():
+            if needle in unit.text:
+                for i, line in enumerate(unit.text.splitlines(), 1):
+                    if needle in line and matches(unit.path, i, line):
+                        yield SearchHit(unit.path, i, line.strip())
 
-    def _ref_hits(self, name: str) -> list[SearchHit]:
+    def _ref_hits(self, name: str) -> Iterator[SearchHit]:
         token = name.split("(")[0]
         if not token:
             raise EngineError("BAD_ARGS", f"refs needs a name before `(`: {name!r}")
-        decl_lines = {
-            (s.file, s.line_start) for s in self._matching_symbols(name)
-        }
+        decl_lines = {(s.file, s.line_start) for s in self._by_name.get(name, ())}
         word = re.compile(rf"\b{re.escape(token)}\b")
+
+        def matches(path: str, i: int, line: str) -> bool:
+            clean = _strip_line_noise(line)
+            if clean.strip().startswith("*"):  # block-comment body heuristic
+                return False
+            return word.search(clean) is not None and (path, i) not in decl_lines
+
         # A run of word characters in a cleaned line is also one in the raw
         # line (cleaning only empties "..." and cuts a // tail), so a unit or
         # line that lacks such a token cannot hit; other tokens scan it all.
-        plain = _WORD_RE.fullmatch(token) is not None
-        hits = []
-        for unit in self.units.values():
-            if plain and token not in unit.text:
-                continue
-            for i, line in enumerate(unit.text.splitlines(), 1):
-                if plain and token not in line:
-                    continue
-                clean = _strip_line_noise(line)
-                if clean.strip().startswith("*"):  # block-comment body heuristic
-                    continue
-                if word.search(clean) and (unit.path, i) not in decl_lines:
-                    hits.append(SearchHit(unit.path, i, line.strip()))
-        return hits
+        return self._line_hits(token if _WORD_RE.fullmatch(token) else "", matches)

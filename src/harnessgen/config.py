@@ -160,6 +160,19 @@ def validate_config(config: Config) -> list[str]:
             problems.append(f"adapter.shell.{key} must be a string: {shell[key]!r}")
         elif shell and key != "diagnostic_pattern" and not shell.get(key):
             problems.append(f"adapter.shell.{key} is required with the shell adapter")
+    # the fields each command is filled with: `compile` passes no duration
+    templates = (("compile_cmd", {"harness": "h.src"}),
+                 ("fuzz_cmd", {"harness": "h.src", "duration": 1.0}))
+    for key, fields in templates:
+        if isinstance(shell.get(key), str):
+            try:
+                shell[key].format(**fields)
+            except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
+                names = " and ".join(f"{{{name}}}" for name in fields)
+                problems.append(
+                    f"adapter.shell.{key} may hold only {names} in braces, and {{{{ or }}}}"
+                    f" for a literal brace: {type(exc).__name__}: {exc}"
+                )
     pattern = shell.get("diagnostic_pattern")
     if isinstance(pattern, str):
         try:

@@ -312,8 +312,8 @@ class ShellAdapter:
     """Delegates compile/fuzz to configured shell commands.
 
     `config` is an `adapter.shell` as `config.load_config` filled it in and
-    `config.validate_config` passed it: compile_cmd, fuzz_cmd (with {harness}
-    and {duration} placeholders), diagnostic_pattern (regex with file/line/
+    `config.validate_config` passed it: compile_cmd ({harness}), fuzz_cmd
+    ({harness} and {duration}), diagnostic_pattern (regex with file/line/
     message groups), coverage_out (absolute, the fuzz command writes it), timeout_grace.
     """
 

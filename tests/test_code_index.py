@@ -16,6 +16,8 @@ from harnessgen.code_index import (
     _FIELD_RE,
     _METHOD_RE,
     CodeIndex,
+    SearchHit,
+    SearchResult,
     SourceUnit,
     SymbolEntry,
     _required_literal,
@@ -474,6 +476,7 @@ JAVA_LINES = (
     "int x; /* inline { */ int y;",
     "  */",
     "/** docs */",
+    " * the size of a run, in a block-comment body",
     'String s = "a { brace";',
     'String t = "// not a comment";',
     'log("}"); // } tail',
@@ -626,7 +629,7 @@ def old_candidates(symbols: list[SymbolEntry], kind: str, qualifier: str) -> lis
 
 
 def old_matching_symbols(symbols: list[SymbolEntry], name: str) -> list[SymbolEntry]:
-    """`CodeIndex._matching_symbols` as it was before it read the name table."""
+    """The symbols a definition search for `name` finds, by a linear filter."""
     return [
         s
         for s in symbols
@@ -676,7 +679,7 @@ class TestNameTable:
             assert ids(index._candidates(kind, qualifier)) == ids(
                 old_candidates(index.symbols, kind, qualifier)
             )
-        assert ids(index._matching_symbols(qualifier)) == ids(
+        assert ids(index._by_name.get(qualifier, [])) == ids(
             old_matching_symbols(index.symbols, qualifier)
         )
 
@@ -812,6 +815,27 @@ class TestSymbolCache:
         index.save_cache()  # the next build reads what this one scanned
         assert path.read_text(encoding="utf-8") == text
 
+    @pytest.mark.parametrize(
+        "start, end", [(40, 41), (0, 3), (5, 5), (3, 2), (2, 6)],
+        ids=["past-the-file", "line-zero", "start-past-the-last-line", "end-before-start",
+             "end-past-eof"],
+    )
+    def test_a_row_outside_its_file_is_a_miss(self, tmp_path, start, end):
+        root, cache = tmp_path / "src", tmp_path / "cache"
+        write_tree(root, {"A.java": "class A {\n    void run() {\n    }\n}\n"})
+        CodeIndex.build(root, cache_dir=cache).save_cache()
+        (path,) = cache.iterdir()
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        rows = raw["files"]["A.java"][1]
+        assert rows[1][:4] == ["run()", "method", 2, 3]
+        rows[1][2:4] = [start, end]
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        index, scanned = counted_build(root, cache)
+        assert len(scanned) == 1 and index.scan_counts == {"scanned": 1, "cached": 0}
+        assert contents(index) == contents(CodeIndex.build(root))
+        assert index.render_search("definition", "run", 5) == "A.java:2: void run() {"
+        assert index.get_code("method", "run") == "// A.java:2-3\n    void run() {\n    }"
+
     def test_an_unwritable_cache_is_a_miss(self, tmp_path):
         root, cache = tmp_path / "src", tmp_path / "cache"
         write_tree(root, {"A.java": NESTED_SOURCE})
@@ -831,10 +855,22 @@ class TestSymbolCache:
 
 
 def old_search(index: CodeIndex, kind: str, query: str, max_results: int) -> str:
-    """`render_search` as it was before `definition` and `symbol` stopped at
-    their answer and the hits went unsorted: every hit made, sorted, then cut."""
+    """`render_search` as it was before each search stopped at its answer and
+    the hits went unsorted: every line and symbol tried, every hit made,
+    sorted, then cut. `refs` keeps a line whose cleaned text holds the name
+    before `(` as a word, unless it looks like a block-comment body or a
+    definition of `query` starts on it."""
     if kind == "refs":
-        found = [(h.path, h.line, h.excerpt) for h in index._ref_hits(query)]
+        word = re.compile(rf"\b{re.escape(query.split('(')[0])}\b")
+        decls = {(s.file, s.line_start) for s in old_matching_symbols(index.symbols, query)}
+        found = [
+            (u.path, i, line.strip())
+            for u in index.units.values()
+            for i, line in enumerate(u.text.splitlines(), 1)
+            if not _strip_line_noise(line).strip().startswith("*")
+            and word.search(_strip_line_noise(line))
+            and (u.path, i) not in decls
+        ]
     elif kind == "text":
         found = [
             (u.path, i, line.strip())
@@ -844,7 +880,7 @@ def old_search(index: CodeIndex, kind: str, query: str, max_results: int) -> str
         ]
     else:
         if kind == "definition":
-            symbols = index._matching_symbols(query)
+            symbols = old_matching_symbols(index.symbols, query)
         else:
             symbols = [s for s in index.symbols if query.lower() in s.name.lower()]
         found = [
@@ -878,4 +914,25 @@ class TestSearchStopsAtItsAnswer:
             return
         assert index.render_search(kind, query, max_results) == old_search(
             index, kind, query, max_results
+        )
+
+
+class Unreadable(str):
+    """Source text that fails the test if a search reads it."""
+
+    def splitlines(self, *args, **kwargs):
+        raise AssertionError("the search read a unit past its answer")
+
+    def __contains__(self, item):
+        raise AssertionError("the search read a unit past its answer")
+
+
+class TestSearchIsLazy:
+    @pytest.mark.parametrize("kind, query", [("refs", "run"), ("text", "run"), ("text", "r.n")])
+    def test_a_full_answer_reads_no_further_unit(self, kind, query):
+        index = CodeIndex([
+            SourceUnit("A.java", "run();\nrun();\n"), SourceUnit("B.java", Unreadable("run();\n"))
+        ])
+        assert index.search(kind, query, 1) == SearchResult(
+            hits=(SearchHit("A.java", 1, "run();"),), truncated=True
         )

@@ -104,3 +104,48 @@ def test_edge_values_are_kept_as_given():
     assert load("output_dir=7").output_dir == 7
     assert load('output_dir=""').output_dir == str(DEMO)
     assert load('target.facts=""').target["facts"] == ""
+
+
+def shell_config(**commands):
+    """The demo config on the shell adapter with `commands` over `SHELL`'s."""
+    shell = json.dumps({**SHELL, **commands})
+    return load_config(DEMO_DIR / "config.json", [
+        "adapter.sandbox_spec=", f"adapter.shell={shell}", "target.docs_bundle=docs.json",
+        "target.source_root=src", "target.facts=facts.json",
+    ])
+
+
+@pytest.mark.parametrize(
+    "key, template, error",
+    [
+        ("fuzz_cmd", "echo ${HOME} > cov.json {duration}", "KeyError: 'HOME'"),
+        ("compile_cmd", "cc {harness} -t {duration}", "KeyError: 'duration'"),
+        ("compile_cmd", "cc {harness} {", "ValueError: Single '{' encountered in format string"),
+        ("fuzz_cmd", "fuzz {0}", "IndexError: "),
+        ("fuzz_cmd", "fuzz {duration.real.x}", "AttributeError: "),
+        ("fuzz_cmd", "fuzz {duration[0]}", "TypeError: "),
+    ],
+    ids=["shell-variable", "duration-in-compile", "lone-brace", "positional", "attribute",
+         "index"],
+)
+def test_a_stray_brace_in_a_command_is_a_config_error(key, template, error):
+    (problem,) = validate_config(shell_config(**{key: template}))
+    names = "{harness} and {duration}" if key == "fuzz_cmd" else "{harness}"
+    assert problem.startswith(
+        f"adapter.shell.{key} may hold only {names} in braces, and {{{{ or }}}} for a literal"
+        f" brace: {error}"
+    )
+
+
+def test_escaped_braces_and_both_placeholders_pass():
+    config = shell_config(compile_cmd="cc {harness}", fuzz_cmd="echo {{}} {harness} {duration}")
+    assert validate_config(config) == []
+
+
+def test_validate_names_the_bad_command(capsys):
+    shell = json.dumps({**SHELL, "fuzz_cmd": "echo ${HOME} > cov.json"})
+    code = main(["validate", str(DEMO_DIR / "config.json"), "--set", "adapter.sandbox_spec=",
+                 "--set", f"adapter.shell={shell}", "--set", "target.docs_bundle=docs.json",
+                 "--set", "target.source_root=src", "--set", "target.facts=facts.json"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: adapter.shell.fuzz_cmd may hold only")
