@@ -180,16 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
         "130 interrupted",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # run's, tools' and validate's arguments
+    shared.add_argument("config")
+    shared.add_argument("--set", action="append", metavar="KEY=VALUE", help="dotted-path override")
 
-    run = sub.add_parser("run", help="execute a full generation workflow")
-    run.add_argument("config")
-    run.add_argument("--set", action="append", metavar="KEY=VALUE", help="dotted-path override")
+    run = sub.add_parser("run", parents=[shared], help="execute a full generation workflow")
     run.set_defaults(fn=cmd_run)
 
-    tools = sub.add_parser("tools", help="show tool access for an agent role")
-    tools.add_argument("config")
+    tools = sub.add_parser("tools", parents=[shared], help="show tool access for an agent role")
     tools.add_argument("--role", required=True)
-    tools.add_argument("--set", action="append", metavar="KEY=VALUE")
     tools.set_defaults(fn=cmd_tools)
 
     report = sub.add_parser("report", help="render a run manifest")
@@ -197,9 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--format", choices=["text", "json", "csv"], default="text")
     report.set_defaults(fn=cmd_report)
 
-    validate = sub.add_parser("validate", help="validate a config file")
-    validate.add_argument("config")
-    validate.add_argument("--set", action="append", metavar="KEY=VALUE")
+    validate = sub.add_parser("validate", parents=[shared], help="validate a config file")
     validate.set_defaults(fn=cmd_validate)
     return parser
 

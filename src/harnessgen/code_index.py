@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 import tempfile
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -441,7 +442,8 @@ class CodeIndex:
             )
         else:
             raise EngineError("BAD_ARGS", f"unknown search kind: {kind}")
-        found = tuple(islice(hits, max_results + 1))
+        # islice takes no stop past sys.maxsize, a count no search reaches
+        found = tuple(islice(hits, min(max_results + 1, sys.maxsize)))
         return SearchResult(hits=found[:max_results], truncated=len(found) > max_results)
 
     def render_search(self, kind: str, query: str, max_results: int) -> str:

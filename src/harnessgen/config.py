@@ -7,6 +7,7 @@ directory. Validation collects every violation instead of stopping at the first.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -221,10 +222,15 @@ def validate_config(config: Config) -> list[str]:
 
 
 def _number(value, kind=float) -> float:
-    """`value` if it is a JSON number (a JSON integer if `kind` is int), else
-    NaN, which fails every comparison, so the caller reports it."""
-    kinds = (int,) if kind is int else (int, float)
-    return value if type(value) in kinds else float("nan")
+    """`value` if it is a JSON integer (if `kind` is int) or a JSON number a
+    float holds finitely (not NaN, ±Infinity or a larger integer), else NaN,
+    which fails every comparison, so the caller reports it."""
+    if kind is int:
+        return value if type(value) is int else math.nan
+    try:
+        return value if type(value) in (int, float) and math.isfinite(value) else math.nan
+    except OverflowError:  # an integer a float cannot hold
+        return math.nan
 
 
 def _check_path(name: str, value, problems: list[str], want_file=False) -> None:

@@ -8,6 +8,8 @@ its last merge.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -33,6 +35,12 @@ class MethodCoverage(NamedTuple):
     lines_covered: int = 0
     branches_total: int = 0
     branches_covered: int = 0
+
+
+def _finite(value) -> bool:
+    """Whether `value` is a JSON number other than NaN and ±Infinity, which
+    `json.loads` accepts; an integer is finite at any size."""
+    return type(value) is int or type(value) is float and math.isfinite(value)
 
 
 def check_counts(table: Mapping[str, Iterable], what: str) -> None:
@@ -92,7 +100,7 @@ class CoverageReport:
         non-empty string, repeats or is not in `totals`, a count is not an
         integer >= 0, a covered count exceeds its total, `scope` is not a
         string, `dropped_events` is not an integer >= 0 or `campaign_seconds`
-        is not a number >= 0."""
+        is not a number >= 0 that a float holds (NaN and Infinity are not)."""
         counters: dict[str, MethodCoverage] = {}
         for m in raw.get("methods", []):
             mid = m["id"]
@@ -115,7 +123,7 @@ class CoverageReport:
         dropped = raw.get("dropped_events", 0)
         if not isinstance(scope, str):
             raise ValueError(f"scope: {scope!r} is not a string")
-        if type(seconds) not in (int, float) or not seconds >= 0:
+        if type(seconds) not in (int, float) or not 0 <= seconds <= sys.float_info.max:
             raise ValueError(f"campaign_seconds: {seconds!r} is not a number >= 0")
         if type(dropped) is not int or dropped < 0:
             raise ValueError(f"dropped_events: {dropped!r} is not an integer >= 0")
@@ -177,14 +185,14 @@ class Campaign(NamedTuple):
         with json_input(path, "fuzz campaign") as raw:
             windows = tuple((start, end) for start, end in raw["windows"])
             bounds = [t for window in windows for t in window]
-            if any(type(t) not in (int, float) for t in bounds) or bounds != sorted(bounds):
+            if not all(map(_finite, bounds)) or bounds != sorted(bounds):
                 raise ValueError(f"windows {windows} overlap, are reversed or are not numbers")
             totals = {mid: (line, branch) for mid, (line, branch) in raw["method_totals"].items()}
             check_counts(totals, "method_totals")
             runs = []
             for mid, kind, ts, lines in raw["runs"]:
                 run = TraceRun(mid, kind, ts, tuple(lines))
-                if type(mid) is not str or kind not in _KIND_INDEX or type(ts) not in (int, float):
+                if type(mid) is not str or kind not in _KIND_INDEX or not _finite(ts):
                     raise ValueError(f"{run[:3]}: not an id, line_hit or branch_hit, and a number")
                 if any(type(line) is not int or line < 1 for line in run.lines):
                     raise ValueError(f"{run[:3]}: a line is not an integer >= 1")

@@ -42,7 +42,7 @@ from .coverage import (
     merge_with_callgraph,
 )
 from .docs_index import DocsIndex
-from .ecosystem import CompileResult, SandboxAdapter, ShellAdapter, load_sandbox
+from .ecosystem import SandboxAdapter, ShellAdapter, load_sandbox
 from .errors import EngineError
 from .model_backend import HttpBackend, load_script
 from .toolbus import (
@@ -75,12 +75,15 @@ OUTCOME_INTERNAL_ERROR = "internal_error"
 OUTCOME_INTERRUPTED = "interrupted"
 
 # error code -> the outcome of a run it ends; any other EngineError ends
-# the run model_failed, and a ToolchainError toolchain_failed
+# the run toolchain_failed in one of TOOLCHAIN_PHASES, else model_failed
 OUTCOME_OF_ERROR = {
     "COMPILE_FAILED": OUTCOME_COMPILE_FAILED,
     "FUZZ_TIMEOUT": OUTCOME_BUDGET,
     "COMPILE_TIMEOUT": OUTCOME_BUDGET,
 }
+# in these phases only the adapter raises an EngineError (the rest raises
+# OSError at most): a new EngineError source in them must map its own code
+TOOLCHAIN_PHASES = ("compile", "fuzz")
 
 TOTALS_FILE = "totals.json"  # the run's coverage totals table, under coverage/
 
@@ -238,10 +241,6 @@ def render_view_diff(diff: ViewDiff, budget: int = DEFAULT_RESPONSE_BUDGET) -> s
     return f"newly covered: {newly}\nregressed: {regressed}\n{delta}"
 
 
-class ToolchainError(EngineError):
-    """An adapter's compile or fuzz call failed other than by timing out."""
-
-
 class Services(NamedTuple):
     adapter: SandboxAdapter | ShellAdapter
     docs: DocsIndex
@@ -387,15 +386,6 @@ class WorkflowRunner:
         raw = report.to_json(totals_file)
         (coverage / f"r{round_index}.json").write_text(json.dumps(raw), encoding="utf-8")
 
-    def _toolchain(self, fn, *args, **kwargs):
-        """An adapter call; an error whose code OUTCOME_OF_ERROR lacks becomes ToolchainError."""
-        try:
-            return fn(*args, **kwargs)
-        except EngineError as exc:
-            if exc.code in OUTCOME_OF_ERROR:
-                raise
-            raise ToolchainError(exc.code, exc.message) from exc
-
     def _wall_left(self) -> float:
         return self.config.budgets["wall_seconds"] - (time.monotonic() - self._started)
 
@@ -418,20 +408,20 @@ class WorkflowRunner:
     def compile_patch_loop(self, harness: HarnessArtifact, round_index: int) -> HarnessArtifact:
         """Compile; on errors let the patching agent retry up to the budget."""
         max_patch_rounds = self.config.budgets["max_patch_rounds"]
-        self.state.transition("compile")
-        result: CompileResult = self._compile(harness)
-        # an empty entry keeps the per-round '/' rendering aligned
-        self.transcripts.setdefault((AgentRole.PAT, round_index), [])
-        attempts = 0
-        while not result.success:
-            if attempts >= max_patch_rounds:
+        for attempt in range(max_patch_rounds + 1):
+            self.state.transition("compile")
+            result = self.adapter.compile(harness, timeout=max(self._wall_left(), 0.0))
+            # an empty entry keeps the per-round '/' rendering aligned
+            self.transcripts.setdefault((AgentRole.PAT, round_index), [])
+            if result.success:
+                return harness
+            if attempt == max_patch_rounds:
                 raise EngineError(
                     "COMPILE_FAILED",
                     "compilation still failing after "
                     f"{max_patch_rounds} patch rounds: "
                     + "; ".join(f"{d.file}:{d.line}: {d.message}" for d in result.errors()),
                 )
-            attempts += 1
             self.state.transition("patch")
             diagnostics = "\n".join(
                 f"{d.severity}: {d.file}:{d.line}: {d.message}" for d in result.diagnostics
@@ -441,16 +431,9 @@ class WorkflowRunner:
                 ("compiler diagnostics", diagnostics),
             ]
             harness = self._run_agent(
-                AgentRole.PAT, seed, round_index, f"PAT-r{round_index}-a{attempts}"
+                AgentRole.PAT, seed, round_index, f"PAT-r{round_index}-a{attempt + 1}"
             )
             self._save_harness(harness)
-            self.state.transition("compile")
-            result = self._compile(harness)
-        return harness
-
-    def _compile(self, harness: HarnessArtifact) -> CompileResult:
-        """One adapter compile, bounded by the wall-clock time left."""
-        return self._toolchain(self.adapter.compile, harness, timeout=max(self._wall_left(), 0.0))
 
     # -- workflow ------------------------------------------------------------
 
@@ -459,19 +442,21 @@ class WorkflowRunner:
 
         `_run_phases` returns the outcome of a run that stops by success,
         convergence or budget; every failure raises, and the run ends in
-        phase `failed` with an `error` note. However it ends, the objects
-        frozen at construction join the collector's oldest generation again.
+        phase `failed` with an `error` note, its outcome read from the error
+        and the phase it ended in. However it ends, the objects frozen at
+        construction join the collector's oldest generation again.
         """
         try:
-            error_note = trace = interrupt = None
+            error_note = trace = interrupt = code = None
             try:
                 outcome = self._run_phases()
             except EngineError as exc:
-                error_note = f"{exc.code}: {exc.message}"
-                if isinstance(exc, ToolchainError):
-                    outcome = OUTCOME_TOOLCHAIN_FAILED
-                else:
-                    outcome = OUTCOME_OF_ERROR.get(exc.code, OUTCOME_MODEL_FAILED)
+                error_note, code = f"{exc.code}: {exc.message}", exc.code
+                outcome = OUTCOME_OF_ERROR.get(code) or (
+                    OUTCOME_TOOLCHAIN_FAILED
+                    if self.state.phase in TOOLCHAIN_PHASES
+                    else OUTCOME_MODEL_FAILED
+                )
             except KeyboardInterrupt as exc:
                 error_note, outcome, interrupt = "KeyboardInterrupt", OUTCOME_INTERRUPTED, exc
             except Exception as exc:  # any other fault still leaves a manifest
@@ -480,7 +465,7 @@ class WorkflowRunner:
                 trace = traceback.format_exc()
             if self.state.phase not in ("done", "failed"):
                 self.state.transition("failed" if error_note else "done")
-            manifest = self._manifest(outcome, error_note)
+            manifest = self._manifest(outcome, error_note, code == "FUZZ_TIMEOUT")
             if trace:
                 manifest["traceback"] = trace
             try:
@@ -528,7 +513,7 @@ class WorkflowRunner:
             state.transition("fuzz")
             # the campaign, like a compile, ends within the wall budget
             duration = min(fuzz_seconds, wall_left)
-            fuzz = self._toolchain(self.adapter.fuzz, state.harness, duration, scope=scope)
+            fuzz = self.adapter.fuzz(state.harness, duration, scope=scope)
             self._save_coverage(fuzz.coverage, state.round)
             view = merge_with_callgraph(fuzz.coverage, self.graph)
             # the row stands before CVA runs, so a saved round always has one;
@@ -586,7 +571,7 @@ class WorkflowRunner:
             seed.append(("crashes", f"{row.crash_count} crashes, {row.unique_crashes} unique"))
         return self._run_agent(AgentRole.CVA, seed, state.round, f"CVA-r{state.round}")
 
-    def _manifest(self, outcome: str, error_note: str | None) -> dict:
+    def _manifest(self, outcome: str, error_note: str | None, fuzz_timeout: bool) -> dict:
         rates = (float(self.config.model[key]) for key in ("rate_in", "rate_out"))
         manifest = {
             "target": asdict(self.target),
@@ -594,7 +579,7 @@ class WorkflowRunner:
             "rounds": [asdict(row) for row in self.state.rows],
             "accounting": summarize_usage(self.transcripts, *rates),
             "transitions": list(self.state.transitions),
-            "fuzz_timeout": (error_note or "").startswith("FUZZ_TIMEOUT:"),
+            "fuzz_timeout": fuzz_timeout,
             "timings": {k: round(v, 6) for k, v in self.state.timings.items()},
         }
         if error_note:

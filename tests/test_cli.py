@@ -464,3 +464,12 @@ class TestValidate:
             capsys, "validate", str(DEMO_DIR / "config.json"), "--set", "noequals"
         )
         assert code == 1 and "key=value" in err
+
+    @pytest.mark.parametrize("command", ["run", "tools", "validate"])
+    def test_each_config_command_explains_set(self, capsys, command):
+        """run, tools and validate take the same config arguments."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert "--set KEY=VALUE  dotted-path override" in out and "\n  config\n" in out

@@ -26,6 +26,7 @@ from harnessgen.code_index import (
     _strip_line_noise,
 )
 from harnessgen.errors import EngineError
+from harnessgen.toolbus import AgentRole, ToolRequest
 
 NESTED_SOURCE = """\
 package fix;
@@ -222,6 +223,21 @@ class TestSearch:
         second = code_index.search("text", "Option", 50)
         assert first == second
         assert list(first.hits) == sorted(first.hits, key=lambda h: (h.path, h.line))
+
+    @pytest.mark.parametrize("max_results", [2**63 - 2, 2**63 - 1, 2**63, 10**20])
+    def test_a_cap_past_sys_maxsize_answers(self, registry, code_index, max_results):
+        """A cap no search reaches answers as a cap of 1000 does, through the
+        index and through the tool bus."""
+        for kind, query in (("symbol", "parse"), ("text", "Option"), ("refs", "parse")):
+            assert code_index.search(kind, query, max_results) == code_index.search(
+                kind, query, 1000
+            )
+        args = {"name": "parse", "max_results": max_results}
+        answer = registry.dispatch(AgentRole.RSH, ToolRequest("find_symbol", args))
+        wanted = registry.dispatch(
+            AgentRole.RSH, ToolRequest("find_symbol", {**args, "max_results": 1000})
+        )
+        assert answer.ok and answer == wanted
 
 
 PROBE_SOURCE = """\

@@ -33,6 +33,9 @@ from harnessgen.errors import EngineError
 from harnessgen.orchestrator import render_annotated_view
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def mk(mid, lt=0, lc=0, bt=0, bc=0):
     return MethodCoverage(mid, lines_total=lt, lines_covered=lc, branches_total=bt, branches_covered=bc)
 
@@ -134,6 +137,11 @@ class TestReportFields:
             ("campaign_seconds", -1, "campaign_seconds: -1 is not a number >= 0"),
             ("campaign_seconds", False, "campaign_seconds: False is not a number >= 0"),
             ("campaign_seconds", None, "campaign_seconds: None is not a number >= 0"),
+            # JSON reads NaN and Infinity as numbers; a float must hold the seconds
+            ("campaign_seconds", NAN, "campaign_seconds: nan is not a number >= 0"),
+            ("campaign_seconds", INF, "campaign_seconds: inf is not a number >= 0"),
+            pytest.param("campaign_seconds", 10**400, "campaign_seconds: 1000",
+                         id="campaign_seconds-400-digits"),
             ("scope", 7, "scope: 7 is not a string"),
         ],
     )
@@ -178,6 +186,13 @@ class TestCampaignFile:
         )
         assert (campaign.crashes, campaign.executions) == (("boom",), 7)
 
+    def test_an_integer_of_any_size_is_a_bound_or_timestamp(self, tmp_path):
+        path = campaign_file(
+            tmp_path, windows=[[-10**400, 10**400]], runs=[["a", "line_hit", 10**399, [1, 2]]]
+        )
+        report = apply_recording_windows(Campaign.load(path).trace)
+        assert report.hits == {"a": mk("a", 10, 2, 4, 0)}
+
     def test_crashes_left_out_are_none(self, tmp_path):
         path = campaign_file(tmp_path)
         raw = json.loads(path.read_text())
@@ -192,6 +207,11 @@ class TestCampaignFile:
                          id="overlapping-windows"),
             pytest.param({"windows": [[10, 5]]}, "overlap, are reversed", id="reversed-window"),
             pytest.param({"windows": [[True, 5]]}, "are not numbers", id="bool-window"),
+            # JSON reads NaN and Infinity as numbers; no event would fall in such a window
+            pytest.param({"windows": [[NAN, NAN]]}, "are not numbers", id="nan-window"),
+            pytest.param({"windows": [[NAN, 200.0]]}, "are not numbers", id="nan-start"),
+            pytest.param({"windows": [[100, INF]]}, "are not numbers", id="infinite-end"),
+            pytest.param({"windows": [[-INF, 200]]}, "are not numbers", id="infinite-start"),
             pytest.param({"runs": [["a", "stmt_hit", 150, [1]]]}, "line_hit or branch_hit",
                          id="unknown-kind"),
             pytest.param({"runs": [["a", "line_hit", 150, [0]]]}, "a line is not an integer >= 1",
@@ -200,6 +220,10 @@ class TestCampaignFile:
                          id="float-line"),
             pytest.param({"runs": [["a", "line_hit", True, [1]]]}, "and a number",
                          id="true-timestamp"),
+            pytest.param({"runs": [["a", "line_hit", NAN, [1]]]}, "and a number",
+                         id="nan-timestamp"),
+            pytest.param({"runs": [["a", "line_hit", -INF, [1]]]}, "and a number",
+                         id="infinite-timestamp"),
             pytest.param({"runs": [[5, "line_hit", 150, [1]]]}, "not an id",
                          id="int-method-id"),
             pytest.param({"method_totals": {"a": [10, -4]}}, "method_totals of a: -4",

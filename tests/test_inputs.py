@@ -464,6 +464,16 @@ BAD_VALUES = [
     ('budgets.max_patch_rounds="2"', "budgets.max_patch_rounds must be a positive"),
     ('budgets.fuzz_seconds="5"', "budgets.fuzz_seconds must be a positive number"),
     ("budgets.wall_seconds=false", "budgets.wall_seconds must be a positive number"),
+    # a number-valued key holds what a float holds finitely
+    ("budgets.wall_seconds=Infinity", "budgets.wall_seconds must be a positive number"),
+    ("budgets.fuzz_seconds=Infinity", "budgets.fuzz_seconds must be a positive number"),
+    ("budgets.wall_seconds=NaN", "budgets.wall_seconds must be a positive number"),
+    pytest.param("budgets.wall_seconds=1" + "0" * 400,
+                 "budgets.wall_seconds must be a positive number", id="wall_seconds-400-digits"),
+    ("model.rate_in=Infinity", "model.rate_in must be a number >= 0"),
+    pytest.param("model.rate_out=1" + "0" * 400, "model.rate_out must be a number >= 0",
+                 id="rate_out-400-digits"),
+    ("adapter.shell.timeout_grace=Infinity", "adapter.shell.timeout_grace must be a number"),
     ('budgets.max_iterations={"GEN": 2.5}', "budgets.max_iterations.GEN must be >= 1"),
     ('budgets.max_iterations={"GEN": true}', "budgets.max_iterations.GEN must be >= 1"),
     ("model.rate_out=true", "model.rate_out must be a number >= 0"),
@@ -518,6 +528,15 @@ class TestConfigShapes:
         config = load_config(DEMO_DIR / "config.json", [f"budgets.coverage_scope={scope}"])
         assert validate_config(config) == []
 
+    @pytest.mark.parametrize("override", [
+        "budgets.wall_seconds=1e308", "budgets.fuzz_seconds=" + str(2**1000), "model.rate_in=0",
+        # an integer key takes a positive JSON integer of any size
+        "budgets.max_rounds=1" + "0" * 400, "budgets.depth_limit=" + str(2**1100),
+        "budgets.max_iterations.GEN=1" + "0" * 400,
+    ], ids=lambda override: override.partition("=")[0])
+    def test_large_numbers_are_valid(self, override):
+        assert validate_config(load_config(DEMO_DIR / "config.json", [override])) == []
+
 
 class TestCli:
     def test_run_with_malformed_facts_fails_cleanly(self, capsys, tmp_path):
@@ -559,6 +578,8 @@ class TestCli:
     CRASHING = {
         "model.api_key_env=3": "model.api_key_env",
         'adapter.shell.timeout_grace="x"': "adapter.shell.timeout_grace",
+        "adapter.shell.timeout_grace=Infinity": "adapter.shell.timeout_grace",
+        "budgets.wall_seconds=Infinity": "budgets.wall_seconds",
         'adapter.shell={"compile_cmd": "true", "coverage_out": "cov.json"}':
             "adapter.shell.fuzz_cmd",
         'adapter.shell.diagnostic_pattern="("': "adapter.shell.diagnostic_pattern",
