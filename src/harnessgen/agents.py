@@ -66,6 +66,10 @@ def parse_harness_output(text: str) -> HarnessArtifact:
     source = match.group(1).strip("\n")
     if not source.strip():
         raise EngineError("PARSE_EMPTY", "fenced code block is empty")
+    try:  # a JSON string may carry a lone surrogate, which no file can hold
+        source.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise EngineError("PARSE", f"harness source cannot be written as UTF-8: {exc}") from exc
     dependencies: list[str] = []
     tail = text[match.end() :]
     lines = iter(tail.splitlines())

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from .toolbus import AgentRole
 _SIGNATURE_RE = re.compile(r"^\w+\([^()]*\)$")
 _SECTIONS = ("target", "model", "budgets", "adapter")
 _COVERAGE_SCOPES = ("method_targeted", "full")
+# the largest model rate: a run with under 2**63 tokens each way then has a finite cost
+MAX_RATE = sys.float_info.max / 2**64
 
 # every default a run reads, per section: the one home of each
 DEFAULTS = {
@@ -142,8 +145,8 @@ def validate_config(config: Config) -> list[str]:
             if not (isinstance(config.model.get(key), str) and config.model[key]):
                 problems.append(f"model.{key} must be a non-empty string for the http backend")
     for key in ("rate_in", "rate_out"):
-        if not _number(config.model[key]) >= 0:
-            problems.append(f"model.{key} must be a number >= 0")
+        if not 0 <= _number(config.model[key]) <= MAX_RATE:
+            problems.append(f"model.{key} must be a number >= 0 and <= {MAX_RATE:.4g}")
     if not isinstance(config.model["api_key_env"], str):
         problems.append(f"model.api_key_env must be a string: {config.model['api_key_env']!r}")
 

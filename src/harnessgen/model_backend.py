@@ -175,6 +175,8 @@ class HttpBackend(ModelBackend):
                 args = json.loads(fn.get("arguments") or "{}")
                 calls.append(ToolRequest.from_wire({"tool": fn["name"], "args": args}))
             text = choice.get("content")
+            if not (text is None or isinstance(text, str)):
+                raise TypeError(f"content must be a string or null, got {text!r}")
             if text is None and not calls:
                 raise KeyError("empty completion")
             return ModelTurn(
@@ -222,8 +224,9 @@ class HttpBackend(ModelBackend):
 
 
 def _token_count(usage: dict, key: str) -> int:
-    """A usage count: absent reads as 0, else a JSON integer >= 0."""
+    """A usage count: absent reads as 0, else a JSON integer >= 0 and below
+    2**63, so that with `config.MAX_RATE` a run's cost stays finite."""
     count = usage.get(key, 0)
-    if type(count) is not int or count < 0:  # a bool is an int to isinstance
-        raise ValueError(f"{key} must be an integer >= 0, got {count!r}")
+    if type(count) is not int or not 0 <= count < 2**63:  # a bool is an int to isinstance
+        raise ValueError(f"{key} must be an integer >= 0 and < 2**63, got {count!r}")
     return count

@@ -8,10 +8,9 @@ ToolResponse, never raises past the caller.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from . import callgraph
 from .errors import EngineError
@@ -34,7 +33,7 @@ class AgentRole(str, Enum):
 class AccessLevel(str, Enum):
     ALLOWED = "allowed"
     DENIED = "denied"
-    STATIC_ONLY = "static_only"  # invoked by the orchestrator, not queryable
+    STATIC_ONLY = "static_only"  # reserved for the orchestrator, not queryable
 
 
 @dataclass(frozen=True)
@@ -104,52 +103,55 @@ _RESTRICTED_ACCESS: dict[str, dict[AgentRole, AccessLevel]] = {
 }
 
 
+class _Tool(NamedTuple):
+    descriptor: ToolDescriptor
+    handler: Callable[..., str] | None
+    access: dict[AgentRole, AccessLevel]
+    params: dict[str, Any]  # the descriptor's json_schema() parameters
+
+
 class ToolRegistry:
     """Immutable-after-construction registry of tools plus ACL."""
 
     def __init__(self, response_budget: int = DEFAULT_RESPONSE_BUDGET) -> None:
-        self._descriptors: dict[str, ToolDescriptor] = {}
-        self._handlers: dict[str, Callable[..., str] | None] = {}
-        self._access: dict[str, dict[AgentRole, AccessLevel]] = {}
-        self._params: dict[str, dict[str, Any]] = {}  # tool -> its json_schema() parameters
+        self._tools: dict[str, _Tool] = {}
         self.response_budget = response_budget
 
     def register(self, descriptor: ToolDescriptor, handler: Callable[..., str] | None) -> None:
         """Add a tool with its access row; one that no role may call needs no handler."""
         name = descriptor.name
-        if name in self._descriptors:
+        if name in self._tools:
             raise EngineError("CONFIG", f"tool already registered: {name}")
         restricted = _RESTRICTED_ACCESS.get(name, {})
-        self._descriptors[name] = descriptor
-        self._handlers[name] = handler
-        self._access[name] = {
+        row = {
             role: AccessLevel.ALLOWED if descriptor.category in ("docs", "code")
             else restricted.get(role, AccessLevel.DENIED)
             for role in AgentRole
         }
-        self._params[name] = descriptor.json_schema()["parameters"]
+        self._tools[name] = _Tool(descriptor, handler, row, descriptor.json_schema()["parameters"])
 
     @property
     def descriptors(self) -> list[ToolDescriptor]:
-        return list(self._descriptors.values())
+        return [tool.descriptor for tool in self._tools.values()]
 
     def check_access(self, role: AgentRole, tool: str) -> AccessLevel:
-        if tool not in self._access:
+        if tool not in self._tools:
             raise EngineError("NOT_FOUND", f"unknown tool: {tool}")
-        return self._access[tool][role]
+        return self._tools[tool].access[role]
 
     def list_tools(self, role: AgentRole) -> list[ToolDescriptor]:
         """The tools a role is offered: those it may call."""
         return [
-            d for d in self._descriptors.values() if self._access[d.name][role] is AccessLevel.ALLOWED
+            t.descriptor for t in self._tools.values() if t.access[role] is AccessLevel.ALLOWED
         ]
 
     def dispatch(self, role: AgentRole, request: ToolRequest) -> ToolResponse:
         """Execute a tool request for a role; errors come back as responses."""
         try:
-            if request.tool not in self._descriptors:
+            tool = self._tools.get(request.tool)
+            if tool is None:
                 return _error("NOT_FOUND", f"unknown tool: {request.tool}")
-            level = self._access[request.tool][role]
+            level = tool.access[role]
             if level is AccessLevel.DENIED:
                 return _error("ACCESS_DENIED", f"{role.value} may not use {request.tool}")
             if level is AccessLevel.STATIC_ONLY:
@@ -157,13 +159,10 @@ class ToolRegistry:
                     "NOT_QUERYABLE",
                     f"{request.tool} is invoked by the orchestrator, not queryable",
                 )
-            problem = self._validate_args(self._params[request.tool], request.args)
+            problem = self._validate_args(tool.params, request.args)
             if problem:
                 return _error("BAD_ARGS", problem)
-            content = self._handlers[request.tool](**dict(request.args))
-            if not isinstance(content, str):
-                content = json.dumps(content, sort_keys=True)
-            return self._truncate(content)
+            return self._truncate(tool.handler(**dict(request.args)))
         except EngineError as exc:
             return _error(exc.code, exc.message)
         except Exception as exc:  # backend failures become observations
@@ -198,58 +197,46 @@ def _param(name: str, required: bool = True, type_: str = "string") -> dict[str,
 
 def register_default_tools(registry: ToolRegistry, docs_index, code_index, graph) -> ToolRegistry:
     """Register the standard 16 tools against the docs, code and callgraph
-    services. The orchestrator invokes `reach_methods`, `compile` and `fuzz`
-    itself, and no role may call them, so they have no handler."""
-    docs_tools = [
-        ("method_doc", _param("qualifier"), "Documentation for a method signature",
+    services. No role may call `reach_methods`, `compile` or `fuzz`, so they
+    have no handler: the orchestrator runs `compile` and `fuzz` through its
+    adapter, and `reach_methods` is registered to complete the access table."""
+    cap = _param("max_results", False, "integer")  # the four searches share it
+    tools = [
+        ("method_doc", "docs", _param("qualifier"), "Documentation for a method signature",
          lambda qualifier: docs_index.query_doc("method", qualifier)),
-        ("class_doc", _param("qualifier"), "Documentation for a class",
+        ("class_doc", "docs", _param("qualifier"), "Documentation for a class",
          lambda qualifier: docs_index.query_doc("class", qualifier)),
-        ("package_doc", _param("qualifier"), "Documentation for a package",
+        ("package_doc", "docs", _param("qualifier"), "Documentation for a package",
          lambda qualifier: docs_index.query_doc("package", qualifier)),
-        ("list_packages", {}, "List all documented packages",
+        ("list_packages", "docs", {}, "List all documented packages",
          lambda: "\n".join(docs_index.list_entities("packages"))),
-        ("list_classes", _param("package"), "List classes in a package",
+        ("list_classes", "docs", _param("package"), "List classes in a package",
          lambda package: "\n".join(docs_index.list_entities("classes", package))),
-        ("list_methods", _param("class_name"), "List method signatures of a class",
+        ("list_methods", "docs", _param("class_name"), "List method signatures of a class",
          lambda class_name: "\n".join(docs_index.list_entities("methods", class_name))),
-    ]
-    code_tools = [
-        ("get_method_code", _param("qualifier"), "Source snippet of a method",
+        ("get_method_code", "code", _param("qualifier"), "Source snippet of a method",
          lambda qualifier: code_index.get_code("method", qualifier)),
-        ("get_class_code", _param("qualifier"), "Source snippet of a class",
+        ("get_class_code", "code", _param("qualifier"), "Source snippet of a class",
          lambda qualifier: code_index.get_code("class", qualifier)),
-        ("find_definition", {**_param("symbol"), **_param("max_results", False, "integer")},
-         "Declaration sites of a symbol",
+        ("find_definition", "code", {**_param("symbol"), **cap}, "Declaration sites of a symbol",
          lambda symbol, max_results=20: code_index.render_search("definition", symbol, max_results)),
-        ("find_refs", {**_param("symbol"), **_param("max_results", False, "integer")},
+        ("find_refs", "code", {**_param("symbol"), **cap},
          "References to a symbol outside its declaration",
          lambda symbol, max_results=20: code_index.render_search("refs", symbol, max_results)),
-        ("grep", {**_param("pattern"), **_param("max_results", False, "integer")},
-         "Search source lines by literal or regex",
+        ("grep", "code", {**_param("pattern"), **cap}, "Search source lines by literal or regex",
          lambda pattern, max_results=20: code_index.render_search("text", pattern, max_results)),
-        ("find_symbol", {**_param("name"), **_param("max_results", False, "integer")},
-         "Symbols whose name contains the query",
+        ("find_symbol", "code", {**_param("name"), **cap}, "Symbols whose name contains the query",
          lambda name, max_results=20: code_index.render_search("symbol", name, max_results)),
-    ]
-    cg_tools = [
-        ("reach_methods", {**_param("from_id"), **_param("max_depth", False, "integer")},
+        ("reach_methods", "callgraph",
+         {**_param("from_id"), **_param("max_depth", False, "integer")},
          "Methods reachable from a node within a depth bound", None),
-        ("path_to_method", _param("target"), "Shortest call path from the root to a method",
+        ("path_to_method", "callgraph", _param("target"),
+         "Shortest call path from the root to a method",
          lambda target: " -> ".join(callgraph.path_to_method(graph, target))),
-    ]
-    exec_tools = [
-        ("compile", _param("harness"), "Compile a harness (orchestrator-invoked)", None),
-        ("fuzz", {**_param("harness"), **_param("duration_seconds", True, "number")},
+        ("compile", "exec", _param("harness"), "Compile a harness (orchestrator-invoked)", None),
+        ("fuzz", "exec", {**_param("harness"), **_param("duration_seconds", True, "number")},
          "Run a fuzzing campaign (orchestrator-invoked)", None),
     ]
-    groups = [
-        ("docs", docs_tools),
-        ("code", code_tools),
-        ("callgraph", cg_tools),
-        ("exec", exec_tools),
-    ]
-    for category, tools in groups:
-        for name, schema, desc, handler in tools:
-            registry.register(ToolDescriptor(name, category, schema, desc), handler)
+    for name, category, schema, description, handler in tools:
+        registry.register(ToolDescriptor(name, category, schema, description), handler)
     return registry

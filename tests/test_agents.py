@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -106,6 +107,30 @@ class TestHarnessParser:
     def test_dependency_list_ends_at_blank_line(self):
         text = "```java\nX\n```\nDEPENDENCIES:\na.B\n\nc.D should be ignored"
         assert parse_harness_output(text).dependencies == ("a.B",)
+
+    @pytest.mark.parametrize("source", ["// \ud800\nX", 'String s = "\ud800";'],
+                             ids=["comment", "literal"])
+    def test_source_utf8_cannot_encode_is_parse(self, source):
+        """A JSON string may carry a lone surrogate; no harness file can hold it."""
+        with pytest.raises(EngineError) as exc:
+            parse_harness_output(f"```java\n{source}\n```")
+        assert exc.value.code == "PARSE" and "surrogates not allowed" in exc.value.message
+
+    def test_run_on_a_harness_utf8_cannot_encode_ends_model_failed(self, demo_config, tmp_path):
+        """The corrective prompt follows the first such harness; a second ends
+        the run model_failed with a manifest, not internal_error."""
+        turns = json.loads((DEMO_DIR / "scripts" / "happy.json").read_text())["turns"]
+        reply = turns[2]["text"].replace("// harness v1", "// \ud800")
+        script = tmp_path / "surrogate.json"
+        script.write_text(json.dumps({"turns": turns[:2] + [
+            {"text": reply}, {"expect_contains": CORRECTIVE_PROMPT, "text": reply},
+        ]}))
+        config = demo_config(str(script))
+        manifest = run_workflow(TargetSpec.from_config(config), config)
+        assert manifest["outcome"] == "model_failed" and "traceback" not in manifest
+        assert manifest["error"].startswith("MODEL_PROTOCOL: GEN gave no parseable answer")
+        assert "last turn: PARSE: " in manifest["error"]
+        assert (Path(manifest["run_dir"]) / "manifest.json").is_file()
 
 
 class TestDecisionParser:

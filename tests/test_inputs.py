@@ -473,6 +473,9 @@ BAD_VALUES = [
     ("model.rate_in=Infinity", "model.rate_in must be a number >= 0"),
     pytest.param("model.rate_out=1" + "0" * 400, "model.rate_out must be a number >= 0",
                  id="rate_out-400-digits"),
+    # a finite rate whose cost a float cannot hold
+    ("model.rate_in=1e308", "model.rate_in must be a number >= 0"),
+    ("model.rate_out=1e290", "model.rate_out must be a number >= 0"),
     ("adapter.shell.timeout_grace=Infinity", "adapter.shell.timeout_grace must be a number"),
     ('budgets.max_iterations={"GEN": 2.5}', "budgets.max_iterations.GEN must be >= 1"),
     ('budgets.max_iterations={"GEN": true}', "budgets.max_iterations.GEN must be >= 1"),
@@ -530,6 +533,7 @@ class TestConfigShapes:
 
     @pytest.mark.parametrize("override", [
         "budgets.wall_seconds=1e308", "budgets.fuzz_seconds=" + str(2**1000), "model.rate_in=0",
+        "model.rate_out=9.7e288",  # just under the largest rate
         # an integer key takes a positive JSON integer of any size
         "budgets.max_rounds=1" + "0" * 400, "budgets.depth_limit=" + str(2**1100),
         "budgets.max_iterations.GEN=1" + "0" * 400,

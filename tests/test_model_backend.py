@@ -306,6 +306,10 @@ class TestHttpBackend:
             # a body that is not JSON at all, and one nested past the decoder's depth
             b"<html>gateway</html>",
             b"[" * 100_000,
+            # a token count past what keeps a run's cost finite
+            {**good_completion(), "usage": {"prompt_tokens": 2**63}},
+            # content that is neither a string nor null
+            *({"choices": [{"message": {"content": c}}]} for c in (5, True, ["a"], {"x": 1})),
         ],
     )
     def test_wrong_shape_is_protocol_error_sent_once(self, stub_server, body):

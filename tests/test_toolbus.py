@@ -159,6 +159,17 @@ class TestDispatch:
         assert not response.ok
         assert response.error_code == "NOT_FOUND"
 
+    def test_handler_exception_is_backend_error(self):
+        def boom():
+            raise RuntimeError("boom")
+
+        reg = ToolRegistry()
+        reg.register(ToolDescriptor("boom", "docs", {}, "raises"), boom)
+        response = reg.dispatch(AgentRole.RSH, ToolRequest("boom", {}))
+        assert (response.ok, response.error_code, response.error_message, response.content) == (
+            False, "BACKEND_ERROR", "RuntimeError: boom", ""
+        )
+
     def test_path_to_method_joins_shortest_path(self, registry):
         response = registry.dispatch(
             AgentRole.CVA,
